@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, baseline, inference, metrics, synth, training
-from .errors import ArtifactError, DataError, MissingIdError
+from .errors import ArtifactError, FormatError, MissingIdError
 from .feature_store import MAGIC, load_feature_set, save_feature_set
 from .ranking import rank_all, read_ranked_lists, write_ranked_lists
 from .reranker import (
@@ -362,8 +362,18 @@ def _load_identities(manifest_path: str) -> dict[str, str]:
     path = Path(manifest_path)
     if not path.exists():
         raise FileNotFoundError(str(path))
-    payload = json.loads(path.read_text())
-    return {seq: rec["identity"] for seq, rec in payload.items()}
+    try:
+        payload = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(payload, dict):
+        raise FormatError(f"{path}: manifest must be a JSON object")
+    identities = {}
+    for seq, rec in payload.items():
+        if not isinstance(rec, dict) or "identity" not in rec:
+            raise FormatError(f"{path}: record {seq!r} has no \"identity\"")
+        identities[seq] = rec["identity"]
+    return identities
 
 
 def _cmd_eval(args) -> int:

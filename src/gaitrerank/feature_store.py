@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterator
 
@@ -63,6 +64,24 @@ class FeatureMap:
     @property
     def d(self) -> int:
         return self.strips.shape[1]
+
+
+@dataclass(frozen=True)
+class RankIndex:
+    """A gallery laid out for ranking: what ``FeatureSet.rank_index``
+    caches.
+
+    ``stack`` is the read-only float32 ``(n, s, d)`` array of all strips in
+    entry order, ``ids`` the sequence ids in the same order, and
+    ``id_rank[i]`` the position of ``ids[i]`` among the sorted distinct ids,
+    which ``rank_of`` maps each distinct id to. Equal ids share a rank, so
+    ``id_rank`` is both the tie-break key and the self-exclusion key.
+    """
+
+    stack: np.ndarray
+    ids: tuple[str, ...]
+    id_rank: np.ndarray
+    rank_of: dict[str, int]
 
 
 @dataclass(frozen=True)
@@ -114,10 +133,25 @@ class FeatureSet:
         return sorted({e.identity_id for e in self.entries})
 
     def stacked(self, dtype=np.float64) -> np.ndarray:
-        """All strips as one (n, s, d) array in the requested dtype."""
-        if not self.entries:
-            return np.zeros((0, self.s, self.d), dtype=dtype)
-        return np.stack([e.strips for e in self.entries]).astype(dtype)
+        """All strips as one new (n, s, d) array in the requested dtype."""
+        return self.rank_index.stack.astype(dtype)
+
+    @cached_property
+    def rank_index(self) -> RankIndex:
+        """The set stacked for ranking, built on first use and kept for the
+        life of the set: in-place edits to an entry's strips after that
+        are not seen by ranking."""
+        if self.entries:
+            stack = np.stack([e.strips for e in self.entries])
+        else:
+            stack = np.zeros((0, self.s, self.d), dtype=np.float32)
+        stack.flags.writeable = False
+        ids = tuple(e.sequence_id for e in self.entries)
+        # Python's str ordering, the order rankings have always tie-broken
+        # in; a numpy "U" array would drop trailing NULs and compare wrong.
+        rank_of = {sid: i for i, sid in enumerate(sorted(set(ids)))}
+        id_rank = np.array([rank_of[sid] for sid in ids], dtype=np.intp)
+        return RankIndex(stack=stack, ids=ids, id_rank=id_rank, rank_of=rank_of)
 
     def manifest(self) -> dict[str, dict[str, str]]:
         return {

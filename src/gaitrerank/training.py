@@ -158,10 +158,9 @@ def build_training_set(partition: FeatureSet, v: int = 30) -> TrainingSet:
     if len(partition) < 2:
         raise DataError("need at least 2 sequences to build a training set")
     identity = partition.identity_map()
-    stack = partition.stacked()
     entries = []
     for probe in partition.entries:
-        ranked = rank_gallery(probe, partition, k=min(v, len(partition) - 1), _stack=stack)
+        ranked = rank_gallery(probe, partition, k=min(v, len(partition) - 1))
         ids = ranked.ids()
         entries.append(
             TrainingEntry(

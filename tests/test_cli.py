@@ -215,3 +215,40 @@ def test_version_names_formats(capsys):
     assert exc.value.code == 0
     stdout = capsys.readouterr().out
     assert "GFM1" in stdout and "CGRK" in stdout and "CGBL" in stdout
+
+
+@pytest.mark.parametrize(
+    "manifest",
+    [
+        '{"id000-00": {"identity": "id000"',  # malformed JSON
+        '["id000-00", "id000"]',  # not an object
+        '{"id000-00": {"partition": "train"}}',  # record without "identity"
+    ],
+    ids=["bad-json", "not-object", "no-identity"],
+)
+def test_eval_bad_manifest_exits_4(tmp_path, capsys, workdir, manifest):
+    bad = tmp_path / "manifest.json"
+    bad.write_text(manifest)
+    code, _, err = run(capsys, "eval", "--lists", str(workdir / "initial.jsonl"),
+                       "--manifest", str(bad), "--out", str(tmp_path / "r.json"))
+    assert code == 4
+    assert json.loads(err)["error"] == "format"
+
+
+@pytest.mark.parametrize(
+    "items, code",
+    [
+        ('[["id000-01",NaN],["id001-00",0.5]]', 7),
+        ('[["id000-01",0.5],["id001-00",0.25]]', 4),
+        ('[["id000-01",0.25],["id000-01",0.5]]', 4),
+    ],
+    ids=["nan", "descending", "duplicate"],
+)
+def test_eval_bad_ranked_list_exits(tmp_path, capsys, workdir, items, code):
+    lists = tmp_path / "lists.jsonl"
+    lists.write_text(f'{{"probe_id":"id000-00","items":{items}}}\n')
+    got, _, err = run(capsys, "eval", "--lists", str(lists),
+                      "--manifest", str(workdir / "feats.gfm.manifest.json"),
+                      "--out", str(tmp_path / "r.json"))
+    assert got == code
+    assert json.loads(err)["error"] == {7: "non-finite", 4: "format"}[code]

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from gaitrerank.errors import DataError, FormatError, ShapeError
+from gaitrerank import ranking
+from gaitrerank.baseline import BaselineConfig, baseline_rerank, init_baseline
+from gaitrerank.errors import DataError, FormatError, NonFiniteError, ShapeError
 from gaitrerank.feature_store import FeatureMap, FeatureSet
+from gaitrerank.inference import rerank_all
 from gaitrerank.ranking import (
     RankedList,
     rank_all,
@@ -12,6 +15,7 @@ from gaitrerank.ranking import (
     strip_mean_distance,
     write_ranked_lists,
 )
+from gaitrerank.reranker import RerankerConfig, init_weights
 
 from conftest import make_maps
 
@@ -95,6 +99,80 @@ def test_rank_all_accepts_set_or_sequence_and_threads_agree():
     assert a == b
 
 
+def oracle_rank(probe, gallery, k=None):
+    """The original first stage: the whole gallery as one float64 stack,
+    one difference tensor, and a Python sort of (distance, id) tuples."""
+    stack = np.stack([e.strips for e in gallery.entries]).astype(np.float64)
+    diff = stack - probe.strips.astype(np.float64)
+    dists = np.sqrt((diff * diff).sum(axis=2)).mean(axis=1)
+    order = sorted(
+        (float(dists[i]), e.sequence_id)
+        for i, e in enumerate(gallery.entries)
+        if e.sequence_id != probe.sequence_id
+    )
+    if k is not None:
+        order = order[:k]
+    return RankedList(probe.sequence_id, tuple((cid, d) for d, cid in order))
+
+
+@pytest.mark.parametrize(
+    "n, s, d, levels, block_rows",
+    [
+        (23, 9, 5, None, 4),  # s >= 9: numpy's pairwise summation over strips
+        (40, 12, 17, None, 7),
+        (31, 3, 2, 2, 5),  # quantised and repeated maps: exact ties
+        (50, 10, 9, 3, 1),
+        (17, 1, 1, 4, 16),  # one row in the last block
+        (64, 16, 64, None, 1 << 20),  # one block
+    ],
+)
+def test_rank_matches_original_formula_bit_for_bit(monkeypatch, n, s, d, levels, block_rows):
+    monkeypatch.setattr(ranking, "BLOCK_BYTES", 8 * s * d * block_rows)
+    rng = np.random.default_rng(n * s + d)
+    values = rng.standard_normal((n, s, d))
+    if levels is not None:
+        values = np.round(values * levels / 2) / levels
+        values[n // 2 :] = values[: n - n // 2]
+    # shuffled ids whose str order is not the entry order
+    ids = [f"q{i * 7919 % 1000:03d}" for i in rng.permutation(n)]
+    gallery = FeatureSet.from_entries(
+        [FeatureMap(sid, sid[:2], v) for sid, v in zip(ids, values)]
+    )
+    outside = FeatureMap("zz-outside", "zz", values[0] + 0.5)
+    probes = [gallery.entries[0], gallery.entries[-1], outside]
+    dists = sorted(ranking.strip_distance(probes[0], e) for e in gallery.entries[1:])
+    # the k-th and (k+1)-th candidates of probes[0] tie at k=tie_k
+    tie_k = next((i for i in range(1, len(dists)) if dists[i] == dists[i - 1]), None)
+    assert levels is None or tie_k is not None
+    for k in (None, 1, 3, n - 1, n + 5) + ((tie_k,) if tie_k else ()):
+        want = [oracle_rank(p, gallery, k) for p in probes]
+        assert [rank_gallery(p, gallery, k) for p in probes] == want
+        assert rank_all(probes, gallery, k) == want
+        assert rank_all(probes, gallery, k, threads=2) == want
+
+
+def test_rank_index_is_cached_read_only_float32(small_set):
+    index = small_set.rank_index
+    assert index is small_set.rank_index
+    assert index.stack.dtype == np.float32 and not index.stack.flags.writeable
+    assert index.ids == tuple(small_set.ids())
+    assert small_set.stacked().flags.writeable
+
+
+def test_rank_tie_break_uses_python_str_order():
+    # numpy "U" arrays drop trailing NULs: "a\0" and "a" would compare equal
+    strips = np.ones((2, 2), dtype=np.float32)
+    entries = [
+        FeatureMap("p", "p", np.zeros((2, 2), dtype=np.float32)),
+        FeatureMap("a\0", "a", strips),
+        FeatureMap("a", "a", strips),
+        FeatureMap("B", "b", strips),
+    ]
+    gallery = FeatureSet.from_entries(entries)
+    assert rank_gallery(entries[0], gallery).ids() == ["B", "a", "a\0"]
+    assert rank_gallery(entries[0], gallery, k=2).ids() == ["B", "a"]
+
+
 def test_ranked_lists_roundtrip(tmp_path):
     lists = [
         RankedList("p-00", (("a-00", 0.5), ("b-00", 1.25))),
@@ -114,3 +192,35 @@ def test_ranked_lists_bad_record(tmp_path):
         read_ranked_lists(path)
     with pytest.raises(FileNotFoundError):
         read_ranked_lists(tmp_path / "absent.jsonl")
+
+
+def test_rank_and_rerank_outputs_roundtrip(tmp_path, small_set):
+    initial = rank_all(small_set, small_set)
+    cfg = RerankerConfig(s=4, d=6, num_classes=6, heads=2, hidden=8, mlp_hidden=8)
+    reranked, _ = rerank_all(list(small_set), initial, small_set, init_weights(cfg, seed=4), k=8)
+    weights = init_baseline(BaselineConfig(s=4, d=6, hidden=8), seed=4)
+    baselined = [
+        baseline_rerank(p, rl, small_set, weights, k=8) for p, rl in zip(small_set, initial)
+    ]
+    assert reranked != initial and baselined != initial
+    for lists in (initial, rank_all(small_set, small_set, k=5), reranked, baselined):
+        path = tmp_path / "lists.jsonl"
+        write_ranked_lists(lists, path)
+        assert read_ranked_lists(path) == lists
+
+
+@pytest.mark.parametrize(
+    "items, error",
+    [
+        ('[["a-00", NaN]]', NonFiniteError),
+        ('[["a-00", 0.5], ["b-00", Infinity]]', NonFiniteError),
+        ('[["a-00", 0.5], ["b-00", 0.25]]', FormatError),
+        ('[["a-00", 0.5], ["a-00", 0.75]]', FormatError),
+    ],
+)
+def test_ranked_lists_reject_bad_items(tmp_path, items, error):
+    path = tmp_path / "lists.jsonl"
+    path.write_text('{"probe_id":"p-00","items":[["a-00",0.1]]}\n'
+                    f'{{"probe_id":"p-01","items":{items}}}\n')
+    with pytest.raises(error, match=":2:"):
+        read_ranked_lists(path)
