@@ -78,7 +78,6 @@ from .training import (
     read_training_set,
     sample_triplets,
     split_train_val,
-    total_loss,
     train,
     write_training_set,
 )

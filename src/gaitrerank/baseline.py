@@ -10,26 +10,22 @@ arguments; the probe always occupies the first block.
 
 from __future__ import annotations
 
-import json
-import struct
-import time
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import training as tr
-from .errors import DataError, FormatError, MissingIdError, ShapeError
+from .errors import ShapeError
 from .feature_store import FeatureMap, FeatureSet
-from .inference import splice_reordered
+from .inference import _rerank_with
 from .ranking import RankedList
-from .reranker import _stable_sigmoid
+from .reranker import _glorot_params, _load_params, _save_params, _stable_sigmoid
 
 BASELINE_MAGIC = b"CGBL"
 BASELINE_VERSION = 1
 
-_HEADER = struct.Struct("<4sII3I")
-_DTYPE_CODES = {4: np.dtype("<f4"), 8: np.dtype("<f8")}
+# BaselineConfig fields in CGBL header order
+_FIELDS = ("s", "d", "hidden")
 
 
 @dataclass(frozen=True)
@@ -69,22 +65,19 @@ class BaselineWeights:
         )
 
 
+def _param_shapes(cfg: BaselineConfig) -> dict[str, tuple[int, ...]]:
+    return {
+        "w1": (cfg.in_dim, cfg.hidden),
+        "b1": (cfg.hidden,),
+        "w2": (cfg.hidden, 1),
+        "b2": (1,),
+    }
+
+
 def init_baseline(
     config: BaselineConfig, seed: int, dtype=np.float32
 ) -> BaselineWeights:
-    rng = np.random.default_rng(seed)
-
-    def glorot(fan_in, fan_out):
-        limit = float(np.sqrt(6.0 / (fan_in + fan_out)))
-        return rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(dtype)
-
-    return BaselineWeights(
-        config=config,
-        w1=glorot(config.in_dim, config.hidden),
-        b1=np.zeros(config.hidden, dtype=dtype),
-        w2=glorot(config.hidden, 1),
-        b2=np.zeros(1, dtype=dtype),
-    )
+    return BaselineWeights(config=config, **_glorot_params(_param_shapes(config), seed, dtype))
 
 
 def _flatten_pairs(a: np.ndarray, b: np.ndarray, cfg: BaselineConfig) -> np.ndarray:
@@ -162,43 +155,17 @@ def baseline_rerank(
 ) -> RankedList:
     """Re-order the top-k by descending pair score; same tail and
     set-preservation rules as the attention re-ranker."""
-    if k < 1:
-        raise DataError(f"k must be >= 1, got {k}")
-    if probe.sequence_id != initial.probe_id:
-        raise DataError(
-            f"initial list is for probe {initial.probe_id!r}, "
-            f"got features for {probe.sequence_id!r}"
-        )
-    if not initial.items:
-        raise DataError(f"probe {initial.probe_id!r}: empty initial list")
-    lookup = (
-        {e.sequence_id: e.strips for e in features.entries}
-        if isinstance(features, FeatureSet)
-        else features
-    )
-    kk = min(k, len(initial.items))
-    try:
-        cand = np.stack(
-            [np.asarray(lookup[cid], dtype=np.float32) for cid, _ in initial.items[:kk]]
-        )
-    except KeyError as exc:
-        raise MissingIdError(f"no features for candidate {exc.args[0]!r}") from exc
-    scores = baseline_scores(probe.strips, cand, weights)
-    neg = -scores
-    return splice_reordered(initial, kk, neg - neg.min())
+
+    def score(probe_map, candidate_maps):
+        neg = -baseline_scores(probe_map, candidate_maps, weights)
+        return neg - neg.min()
+
+    return _rerank_with(score, probe, initial, features, k)
 
 
 # ---------------------------------------------------------------------------
 # training
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class BaselineTrainResult:
-    weights: BaselineWeights
-    best_iteration: int
-    best_val_loss: float
-    history: list
 
 
 def _triplet_pairs(batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -211,6 +178,10 @@ def _triplet_pairs(batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return a, c, y
 
 
+def _pair_bce(batch, weights: BaselineWeights, want_grads: bool = True):
+    return bce_forward_backward(*_triplet_pairs(batch), weights, want_grads=want_grads)
+
+
 def train_baseline(
     train_ts,
     val_ts,
@@ -219,70 +190,26 @@ def train_baseline(
     hidden: int = 256,
     weights: BaselineWeights | None = None,
     progress=None,
-) -> BaselineTrainResult:
+) -> tr.TrainResult:
     """Same sampling, optimizer and argmin stopping rule as the main
     trainer, with mean pair BCE as both the training and validation loss."""
-    strips = {e.sequence_id: np.ascontiguousarray(e.strips) for e in features.entries}
-    zeros = {e.sequence_id: 0 for e in features.entries}
 
-    ss = np.random.SeedSequence(cfg.seed)
-    init_seed, batch_seed, val_seed = (int(s.generate_state(1)[0]) for s in ss.spawn(3))
-    if weights is None:
-        weights = init_baseline(
-            BaselineConfig(s=features.s, d=features.d, hidden=hidden), seed=init_seed
-        )
-    batch_rng = np.random.default_rng(batch_seed)
-    val_batch = tr._fixed_val_batch(val_ts, cfg, strips, np.random.default_rng(val_seed))
-    va, vb, vy = _triplet_pairs(val_batch)
+    def init(seed: int) -> BaselineWeights:
+        if weights is not None:
+            return weights
+        return init_baseline(BaselineConfig(s=features.s, d=features.d, hidden=hidden), seed=seed)
 
-    state = tr.init_adamw(weights)
-    history: list[tr.LogRow] = []
-    start = time.monotonic()
-
-    def evaluate(iteration: int, train_loss: float) -> float:
-        vl, _ = bce_forward_backward(va, vb, vy, weights, want_grads=False)
-        row = tr.LogRow(
-            iteration=iteration,
-            train_loss=train_loss,
-            val_loss=vl,
-            wall_time_ms=(time.monotonic() - start) * 1e3,
-        )
-        history.append(row)
-        if progress is not None:
-            progress(row)
-        return vl
-
-    best_val = evaluate(0, float("nan"))
-    best_weights = weights.copy()
-    best_iteration = 0
-
-    for it in range(1, cfg.iterations + 1):
-        triplets = tr.sample_triplets(train_ts, cfg, batch_rng)
-        batch = tr.make_batch(triplets, strips, zeros)
-        a, b, y = _triplet_pairs(batch)
-        loss, grads = bce_forward_backward(a, b, y, weights)
-        tr.adamw_step(weights, grads, state, cfg)
-        if it % cfg.t_val == 0 or it == cfg.iterations:
-            vl = evaluate(it, loss)
-            if vl < best_val:
-                best_val = vl
-                best_weights = weights.copy()
-                best_iteration = it
-        else:
-            history.append(
-                tr.LogRow(
-                    iteration=it,
-                    train_loss=loss,
-                    val_loss=None,
-                    wall_time_ms=(time.monotonic() - start) * 1e3,
-                )
-            )
-
-    return BaselineTrainResult(
-        weights=best_weights,
-        best_iteration=best_iteration,
-        best_val_loss=best_val,
-        history=history,
+    return tr._train_loop(
+        train_ts,
+        val_ts,
+        features,
+        cfg,
+        # class labels go unused: the BCE targets come from the triplet roles
+        labels={e.sequence_id: 0 for e in features.entries},
+        init=init,
+        step=_pair_bce,
+        val_loss=lambda batch, w: _pair_bce(batch, w, want_grads=False)[0],
+        progress=progress,
     )
 
 
@@ -292,62 +219,11 @@ def train_baseline(
 
 
 def save_baseline(weights: BaselineWeights, path, metadata: dict | None = None) -> None:
-    cfg = weights.config
-    code = weights.dtype.itemsize
-    if code not in _DTYPE_CODES:
-        raise FormatError(f"unsupported parameter dtype {weights.dtype}")
-    blob = bytearray(
-        _HEADER.pack(BASELINE_MAGIC, BASELINE_VERSION, code, cfg.s, cfg.d, cfg.hidden)
-    )
-    for arr in weights.params().values():
-        blob += np.ascontiguousarray(arr, dtype=_DTYPE_CODES[code]).tobytes()
-    Path(path).write_bytes(bytes(blob))
-    Path(str(path) + ".meta.json").write_text(
-        json.dumps(metadata or {}, indent=2, sort_keys=True) + "\n"
-    )
+    _save_params(path, BASELINE_MAGIC, BASELINE_VERSION, _FIELDS, weights, metadata)
 
 
 def load_baseline(path) -> tuple[BaselineWeights, BaselineConfig, dict]:
-    p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(str(p))
-    blob = p.read_bytes()
-    if len(blob) < _HEADER.size:
-        raise FormatError(f"{p}: truncated checkpoint header")
-    magic, version, code, s, d, hidden = _HEADER.unpack_from(blob, 0)
-    if magic != BASELINE_MAGIC:
-        raise FormatError(f"{p}: bad magic {magic!r}")
-    if version != BASELINE_VERSION:
-        raise FormatError(f"{p}: unsupported version {version}")
-    if code not in _DTYPE_CODES:
-        raise FormatError(f"{p}: unknown dtype code {code}")
-    try:
-        cfg = BaselineConfig(s=s, d=d, hidden=hidden)
-    except ValueError as exc:
-        raise FormatError(f"{p}: invalid stored config ({exc})") from exc
-    dt = _DTYPE_CODES[code]
-    shapes = {
-        "w1": (cfg.in_dim, cfg.hidden),
-        "b1": (cfg.hidden,),
-        "w2": (cfg.hidden, 1),
-        "b2": (1,),
-    }
-    offset = _HEADER.size
-    arrays = {}
-    for name, shape in shapes.items():
-        n = int(np.prod(shape))
-        nbytes = n * dt.itemsize
-        if offset + nbytes > len(blob):
-            raise FormatError(f"{p}: truncated at parameter {name}")
-        arrays[name] = np.frombuffer(blob, dtype=dt, count=n, offset=offset).reshape(shape).copy()
-        offset += nbytes
-    if offset != len(blob):
-        raise FormatError(f"{p}: {len(blob) - offset} trailing bytes")
-    meta = {}
-    mp = Path(str(p) + ".meta.json")
-    if mp.exists():
-        try:
-            meta = json.loads(mp.read_text())
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{mp}: invalid JSON ({exc})") from exc
-    return BaselineWeights(config=cfg, **arrays), cfg, meta
+    cfg, params, meta = _load_params(
+        path, BASELINE_MAGIC, BASELINE_VERSION, _FIELDS, BaselineConfig, _param_shapes
+    )
+    return BaselineWeights(config=cfg, **params), cfg, meta

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -156,17 +155,12 @@ def _train_config(args, v: int) -> training.TrainConfig:
     )
 
 
-def _add_train(sub) -> None:
-    p = sub.add_parser("train", help="train the cross-attention re-ranker")
+def _add_training_flags(p) -> None:
+    """Flags ``train`` and ``train-baseline`` share."""
     p.add_argument("--trainset", required=True)
     p.add_argument("--valset", required=True)
     p.add_argument("--features", required=True)
-    p.add_argument("--alpha", type=float, default=0.01)
-    p.add_argument("--beta", type=float, default=0.1)
-    p.add_argument("--heads", type=int, default=8)
     p.add_argument("--hidden", type=int, default=256)
-    p.add_argument("--blocks", type=int, default=1)
-    p.add_argument("--mlp-hidden", type=int, default=256)
     p.add_argument("--lr", type=float, default=1e-5)
     p.add_argument("--wd", type=float, default=1e-2)
     p.add_argument("--batch", default="32x4")
@@ -179,45 +173,28 @@ def _add_train(sub) -> None:
     p.add_argument("--quiet", action="store_true")
 
 
-def _cmd_train(args) -> int:
+def _print_progress(row: training.LogRow) -> None:
+    val = "" if row.val_loss is None else f" val={row.val_loss:.6f}"
+    print(f"iter {row.iteration}{val}", file=sys.stderr)
+
+
+def _fit_and_save(args, fit, save, **metadata) -> int:
+    """Load the training inputs, run ``fit(train_ts, val_ts, features,
+    cfg, progress)``, then write the checkpoint, the log and the report."""
     features = load_feature_set(args.features)
     train_ts = training.read_training_set(args.trainset)
     val_ts = training.read_training_set(args.valset)
     cfg = _train_config(args, v=train_ts.v)
 
-    identity = features.identity_map()
-    referenced = training.referenced_sequences(train_ts)
-    missing = sorted(i for i in referenced if i not in identity)
-    if missing:
-        raise MissingIdError(f"no features for sequence {missing[0]!r}")
-    num_classes = len({identity[i] for i in referenced})
-    model = RerankerConfig(
-        s=features.s,
-        d=features.d,
-        num_classes=num_classes,
-        heads=args.heads,
-        hidden=args.hidden,
-        blocks=args.blocks,
-        mlp_hidden=args.mlp_hidden,
-    )
-
-    progress = None
-    if not args.quiet:
-
-        def progress(row):
-            val = "" if row.val_loss is None else f" val={row.val_loss:.6f}"
-            print(f"iter {row.iteration}{val}", file=sys.stderr)
-
-    result = training.train(train_ts, val_ts, features, cfg, model=model, progress=progress)
-    save_checkpoint(
+    result = fit(train_ts, val_ts, features, cfg, None if args.quiet else _print_progress)
+    save(
         result.weights,
         args.out_checkpoint,
         metadata={
             "best_iteration": result.best_iteration,
             "best_val_loss": result.best_val_loss,
             "seed": cfg.seed,
-            "alpha": cfg.alpha,
-            "beta": cfg.beta,
+            **metadata,
         },
     )
     if args.log:
@@ -233,64 +210,51 @@ def _cmd_train(args) -> int:
         )
     )
     return 0
+
+
+def _add_train(sub) -> None:
+    p = sub.add_parser("train", help="train the cross-attention re-ranker")
+    _add_training_flags(p)
+    p.add_argument("--alpha", type=float, default=0.01)
+    p.add_argument("--beta", type=float, default=0.1)
+    p.add_argument("--heads", type=int, default=8)
+    p.add_argument("--blocks", type=int, default=1)
+    p.add_argument("--mlp-hidden", type=int, default=256)
+
+
+def _cmd_train(args) -> int:
+    def fit(train_ts, val_ts, features, cfg, progress):
+        identity = features.identity_map()
+        # an id missing from features counts once here; train() reports it
+        classes = {identity.get(i) for i in training.referenced_sequences(train_ts)}
+        model = RerankerConfig(
+            s=features.s,
+            d=features.d,
+            num_classes=len(classes),
+            heads=args.heads,
+            hidden=args.hidden,
+            blocks=args.blocks,
+            mlp_hidden=args.mlp_hidden,
+        )
+        return training.train(
+            train_ts, val_ts, features, cfg, model=model, progress=progress
+        )
+
+    return _fit_and_save(args, fit, save_checkpoint, alpha=args.alpha, beta=args.beta)
 
 
 def _add_train_baseline(sub) -> None:
     p = sub.add_parser("train-baseline", help="train the binary-classifier baseline")
-    p.add_argument("--trainset", required=True)
-    p.add_argument("--valset", required=True)
-    p.add_argument("--features", required=True)
-    p.add_argument("--hidden", type=int, default=256)
-    p.add_argument("--lr", type=float, default=1e-5)
-    p.add_argument("--wd", type=float, default=1e-2)
-    p.add_argument("--batch", default="32x4")
-    p.add_argument("--iters", type=int, default=100_000)
-    p.add_argument("--tval", type=int, default=10_000)
-    p.add_argument("--val-triplets", type=int, default=512)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out-checkpoint", required=True)
-    p.add_argument("--log", default=None)
-    p.add_argument("--quiet", action="store_true")
+    _add_training_flags(p)
 
 
 def _cmd_train_baseline(args) -> int:
-    features = load_feature_set(args.features)
-    train_ts = training.read_training_set(args.trainset)
-    val_ts = training.read_training_set(args.valset)
-    cfg = _train_config(args, v=train_ts.v)
-
-    progress = None
-    if not args.quiet:
-
-        def progress(row):
-            val = "" if row.val_loss is None else f" val={row.val_loss:.6f}"
-            print(f"iter {row.iteration}{val}", file=sys.stderr)
-
-    result = baseline.train_baseline(
-        train_ts, val_ts, features, cfg, hidden=args.hidden, progress=progress
-    )
-    baseline.save_baseline(
-        result.weights,
-        args.out_checkpoint,
-        metadata={
-            "best_iteration": result.best_iteration,
-            "best_val_loss": result.best_val_loss,
-            "seed": cfg.seed,
-        },
-    )
-    if args.log:
-        training.write_training_log(result.history, args.log)
-    print(
-        json.dumps(
-            {
-                "best_iteration": result.best_iteration,
-                "best_val_loss": result.best_val_loss,
-                "checkpoint": str(args.out_checkpoint),
-            },
-            sort_keys=True,
+    def fit(train_ts, val_ts, features, cfg, progress):
+        return baseline.train_baseline(
+            train_ts, val_ts, features, cfg, hidden=args.hidden, progress=progress
         )
-    )
-    return 0
+
+    return _fit_and_save(args, fit, baseline.save_baseline)
 
 
 def _add_rerank(sub) -> None:
@@ -303,7 +267,6 @@ def _add_rerank(sub) -> None:
     p.add_argument("--initial", required=True)
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument(
         "--timing",
         action="store_true",
@@ -323,17 +286,9 @@ def _cmd_rerank(args) -> int:
 
     if args.baseline_checkpoint:
         weights, _, _ = baseline.load_baseline(args.baseline_checkpoint)
-        lookup = {e.sequence_id: e.strips for e in gallery.entries}
-        lists, latencies = [], []
-        for probe, rl in zip(ordered_probes, initial):
-            t0 = time.perf_counter()
-            lists.append(baseline.baseline_rerank(probe, rl, lookup, weights, k=args.k))
-            latencies.append((time.perf_counter() - t0) * 1e3)
     else:
         weights, _, _ = load_checkpoint(args.checkpoint)
-        lists, latencies = inference.rerank_all(
-            ordered_probes, initial, gallery, weights, k=args.k, threads=args.threads
-        )
+    lists, latencies = inference.rerank_all(ordered_probes, initial, gallery, weights, k=args.k)
     write_ranked_lists(lists, args.out, latencies_ms=latencies if args.timing else None)
     print(
         json.dumps(

@@ -290,6 +290,5 @@ def load_feature_set(path) -> FeatureSet:
                 f"({manifest[sid].get('identity')!r} vs {iid!r})"
             )
         entries.append(FeatureMap(sequence_id=sid, identity_id=iid, strips=values))
-    fs = FeatureSet(entries=tuple(entries), s=s, d=d, partition=partition)
-    _require_valid(fs)
-    return fs
+    # the checks above already cover every invariant of _require_valid
+    return FeatureSet(entries=tuple(entries), s=s, d=d, partition=partition)

@@ -12,7 +12,6 @@ in that case.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -31,18 +30,11 @@ def _strips_lookup(features) -> Mapping[str, np.ndarray]:
     return features
 
 
-def rerank(
-    probe: FeatureMap,
-    initial: RankedList,
-    features,
-    weights: RerankerWeights,
-    k: int = DEFAULT_K,
-) -> RankedList:
-    """Re-order the first min(k, len) items of ``initial`` ascending by
-    the attended pair distance, sequence id as tie-break.
+def _rerank_with(score, probe: FeatureMap, initial: RankedList, features, k: int) -> RankedList:
+    """Guards, candidate lookup and splice shared by both re-rankers.
 
-    Items beyond k keep their original order and distances. The id set of
-    the prefix is preserved by construction.
+    ``score(probe_map, candidate_maps)`` returns one value per stacked
+    top-k candidate; the prefix is re-ordered ascending by it.
     """
     if k < 1:
         raise DataError(f"k must be >= 1, got {k}")
@@ -56,13 +48,31 @@ def rerank(
         raise DataError(f"probe {initial.probe_id!r}: empty initial list")
     lookup = _strips_lookup(features)
     kk = min(k, len(items))
-    prefix, tail = items[:kk], items[kk:]
     try:
-        cand = np.stack([np.asarray(lookup[cid], dtype=np.float32) for cid, _ in prefix])
+        cand = np.stack([np.asarray(lookup[cid], dtype=np.float32) for cid, _ in items[:kk]])
     except KeyError as exc:
         raise MissingIdError(f"no features for candidate {exc.args[0]!r}") from exc
-    dists = pair_distances(probe.strips, cand, weights)
-    return splice_reordered(initial, kk, dists)
+    return splice_reordered(initial, kk, score(probe.strips, cand))
+
+
+def rerank(
+    probe: FeatureMap,
+    initial: RankedList,
+    features,
+    weights: RerankerWeights,
+    k: int = DEFAULT_K,
+) -> RankedList:
+    """Re-order the first min(k, len) items of ``initial`` ascending by
+    the attended pair distance, sequence id as tie-break.
+
+    Items beyond k keep their original order and distances. The id set of
+    the prefix is preserved by construction.
+    """
+
+    def score(probe_map, candidate_maps):
+        return pair_distances(probe_map, candidate_maps, weights)
+
+    return _rerank_with(score, probe, initial, features, k)
 
 
 def splice_reordered(
@@ -98,31 +108,28 @@ def rerank_all(
     probes: Sequence[FeatureMap],
     initial_lists: Sequence[RankedList],
     features,
-    weights: RerankerWeights,
+    weights,
     k: int = DEFAULT_K,
-    threads: int = 1,
 ) -> tuple[list[RankedList], list[float]]:
-    """Elementwise rerank over aligned (probes, initial_lists); returns the
-    lists plus per-probe wall-clock latency in milliseconds."""
+    """Elementwise re-rank over aligned (probes, initial_lists) with either
+    model: ``rerank`` for RerankerWeights, ``baseline.baseline_rerank``
+    for BaselineWeights. Returns the lists plus per-probe wall-clock
+    latency in milliseconds."""
     if len(probes) != len(initial_lists):
         raise DataError(
             f"{len(probes)} probes but {len(initial_lists)} initial lists"
         )
+    if isinstance(weights, RerankerWeights):
+        one = rerank
+    else:
+        from .baseline import baseline_rerank as one  # baseline imports this module
     lookup = _strips_lookup(features)
-
-    def one(pair):
-        probe, initial = pair
+    lists, latencies = [], []
+    for probe, initial in zip(probes, initial_lists):
         t0 = time.perf_counter()
         try:
-            out = rerank(probe, initial, lookup, weights, k=k)
+            lists.append(one(probe, initial, lookup, weights, k=k))
         except Exception as exc:
             raise type(exc)(f"probe {probe.sequence_id!r}: {exc}") from exc
-        return out, (time.perf_counter() - t0) * 1e3
-
-    jobs = list(zip(probes, initial_lists))
-    if threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, jobs))
-    else:
-        results = [one(j) for j in jobs]
-    return [r for r, _ in results], [ms for _, ms in results]
+        latencies.append((time.perf_counter() - t0) * 1e3)
+    return lists, latencies

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -31,8 +31,9 @@ from .ranking import strip_mean_distance
 CHECKPOINT_MAGIC = b"CGRK"
 CHECKPOINT_VERSION = 1
 
-_CKPT_HEADER = struct.Struct("<4sII7I")
 _DTYPE_CODES = {4: np.dtype("<f4"), 8: np.dtype("<f8")}
+# RerankerConfig fields in CGRK header order
+_CKPT_FIELDS = ("s", "d", "heads", "hidden", "blocks", "num_classes", "mlp_hidden")
 
 
 @dataclass(frozen=True)
@@ -151,6 +152,22 @@ def _weights_from_params(
     )
 
 
+def _glorot_params(
+    shapes: dict[str, tuple[int, ...]], seed: int, dtype
+) -> dict[str, np.ndarray]:
+    # matrices drawn in canonical order from one seeded generator; vectors zero
+    rng = np.random.default_rng(seed)
+    params: dict[str, np.ndarray] = {}
+    for name, shape in shapes.items():
+        if len(shape) == 1:
+            params[name] = np.zeros(shape, dtype=dtype)
+        else:
+            fan_in, fan_out = shape
+            limit = float(np.sqrt(6.0 / (fan_in + fan_out)))
+            params[name] = rng.uniform(-limit, limit, size=shape).astype(dtype)
+    return params
+
+
 def init_weights(
     config: RerankerConfig, seed: int, dtype=np.float32
 ) -> RerankerWeights:
@@ -158,16 +175,7 @@ def init_weights(
 
     The same (config, seed) pair always produces bitwise-equal weights.
     """
-    rng = np.random.default_rng(seed)
-    params: dict[str, np.ndarray] = {}
-    for name, shape in _param_shapes(config).items():
-        if len(shape) == 1:
-            params[name] = np.zeros(shape, dtype=dtype)
-        else:
-            fan_in, fan_out = shape
-            limit = float(np.sqrt(6.0 / (fan_in + fan_out)))
-            params[name] = rng.uniform(-limit, limit, size=shape).astype(dtype)
-    return _weights_from_params(config, params)
+    return _weights_from_params(config, _glorot_params(_param_shapes(config), seed, dtype))
 
 
 def zero_gradients(config: RerankerConfig, dtype=np.float32) -> dict[str, np.ndarray]:
@@ -579,31 +587,23 @@ def _meta_path(path) -> Path:
     return Path(str(path) + ".meta.json")
 
 
-def save_checkpoint(
-    weights: RerankerWeights,
-    path,
-    metadata: dict | None = None,
+def _param_header(n_fields: int) -> struct.Struct:
+    # magic, version, dtype code, then the format's config fields
+    return struct.Struct(f"<4sII{n_fields}I")
+
+
+def _save_params(
+    path, magic: bytes, version: int, fields: tuple[str, ...], weights, metadata
 ) -> None:
-    """Binary checkpoint (magic CGRK) plus a JSON metadata sidecar."""
-    cfg = weights.config
+    """Write a parameter file: the header with the config's ``fields``,
+    then every array of ``weights.params()`` in canonical order; plus the
+    JSON metadata sidecar."""
     dtype = weights.dtype
     code = dtype.itemsize
     if code not in _DTYPE_CODES:
         raise FormatError(f"unsupported parameter dtype {dtype}")
-    blob = bytearray(
-        _CKPT_HEADER.pack(
-            CHECKPOINT_MAGIC,
-            CHECKPOINT_VERSION,
-            code,
-            cfg.s,
-            cfg.d,
-            cfg.heads,
-            cfg.hidden,
-            cfg.blocks,
-            cfg.num_classes,
-            cfg.mlp_hidden,
-        )
-    )
+    values = (getattr(weights.config, name) for name in fields)
+    blob = bytearray(_param_header(len(fields)).pack(magic, version, code, *values))
     for arr in weights.params().values():
         blob += np.ascontiguousarray(arr, dtype=_DTYPE_CODES[code]).tobytes()
     Path(path).write_bytes(bytes(blob))
@@ -612,38 +612,38 @@ def save_checkpoint(
     )
 
 
-def load_checkpoint(
-    path, expected_config: RerankerConfig | None = None
-) -> tuple[RerankerWeights, RerankerConfig, dict]:
+def _load_params(
+    path, magic: bytes, version: int, fields: tuple[str, ...], make_config, shapes
+):
+    """Read a file written by ``_save_params``.
+
+    ``make_config(**header_fields)`` builds the config (a ValueError there
+    is a FormatError) and ``shapes(config)`` gives the parameter shapes in
+    canonical order. Returns (config, params, meta).
+    """
     p = Path(path)
     if not p.exists():
         raise FileNotFoundError(str(p))
     blob = p.read_bytes()
-    if len(blob) < _CKPT_HEADER.size:
+    header = _param_header(len(fields))
+    if len(blob) < header.size:
         raise FormatError(f"{p}: truncated checkpoint header")
-    magic, version, code, s, d, heads, hidden, blocks, num_classes, mlp_hidden = (
-        _CKPT_HEADER.unpack_from(blob, 0)
-    )
-    if magic != CHECKPOINT_MAGIC:
-        raise FormatError(f"{p}: bad magic {magic!r}")
-    if version != CHECKPOINT_VERSION:
-        raise FormatError(f"{p}: unsupported version {version}")
+    got_magic, got_version, code, *values = header.unpack_from(blob, 0)
+    if got_magic != magic:
+        raise FormatError(f"{p}: bad magic {got_magic!r}")
+    if got_version != version:
+        raise FormatError(f"{p}: unsupported version {got_version}")
     if code not in _DTYPE_CODES:
         raise FormatError(f"{p}: unknown dtype code {code}")
     try:
-        cfg = RerankerConfig(
-            s=s, d=d, num_classes=num_classes, heads=heads,
-            hidden=hidden, blocks=blocks, mlp_hidden=mlp_hidden,
-        )
+        cfg = make_config(**dict(zip(fields, values)))
     except ValueError as exc:
         raise FormatError(f"{p}: invalid stored config ({exc})") from exc
-    if expected_config is not None and cfg != expected_config:
-        raise ShapeError(f"{p}: checkpoint config {cfg} does not match expected {expected_config}")
 
     dt = _DTYPE_CODES[code]
-    offset = _CKPT_HEADER.size
+    offset = header.size
     params: dict[str, np.ndarray] = {}
-    for name, shape in _param_shapes(cfg).items():
+    for name, shape in shapes(cfg).items():
         n = int(np.prod(shape))
         nbytes = n * dt.itemsize
         if offset + nbytes > len(blob):
@@ -660,4 +660,30 @@ def load_checkpoint(
             meta = json.loads(mp.read_text())
         except json.JSONDecodeError as exc:
             raise FormatError(f"{mp}: invalid JSON ({exc})") from exc
+    return cfg, params, meta
+
+
+def save_checkpoint(
+    weights: RerankerWeights,
+    path,
+    metadata: dict | None = None,
+) -> None:
+    """Binary checkpoint (magic CGRK) plus a JSON metadata sidecar."""
+    _save_params(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, _CKPT_FIELDS, weights, metadata)
+
+
+def load_checkpoint(
+    path, expected_config: RerankerConfig | None = None
+) -> tuple[RerankerWeights, RerankerConfig, dict]:
+    def make_config(**fields) -> RerankerConfig:
+        cfg = RerankerConfig(**fields)
+        if expected_config is not None and cfg != expected_config:
+            raise ShapeError(
+                f"{Path(path)}: checkpoint config {cfg} does not match expected {expected_config}"
+            )
+        return cfg
+
+    cfg, params, meta = _load_params(
+        path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, _CKPT_FIELDS, make_config, _param_shapes
+    )
     return _weights_from_params(cfg, params), cfg, meta

@@ -20,7 +20,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -301,12 +301,6 @@ def ranking_loss(d_pos, d_neg, beta: float = 0.1):
     return float(out) if out.ndim == 0 else out
 
 
-def total_loss(batch: TripletBatch, weights: RerankerWeights, cfg: TrainConfig) -> float:
-    """Summed ranking loss plus alpha times the mean identity CE over all
-    four conditioned maps of every triplet."""
-    return batch_loss(batch, weights, alpha=cfg.alpha, beta=cfg.beta)
-
-
 # ---------------------------------------------------------------------------
 # AdamW
 # ---------------------------------------------------------------------------
@@ -370,7 +364,10 @@ class LogRow:
 
 @dataclass
 class TrainResult:
-    weights: RerankerWeights
+    """What ``train`` and ``baseline.train_baseline`` return; ``weights``
+    is the validation-argmin snapshot, RerankerWeights or BaselineWeights."""
+
+    weights: Any
     best_iteration: int
     best_val_loss: float
     history: list[LogRow] = field(default_factory=list)
@@ -422,7 +419,6 @@ def train(
     of the train-side entries; validation triplets feed only the ranking
     loss, so unseen validation identities are fine.
     """
-    strips = {e.sequence_id: np.ascontiguousarray(e.strips) for e in features.entries}
     identity = features.identity_map()
 
     train_seq_ids = referenced_sequences(train_ts)
@@ -443,10 +439,41 @@ def train(
             f"{len(train_identities)} identities"
         )
 
+    return _train_loop(
+        train_ts,
+        val_ts,
+        features,
+        cfg,
+        labels,
+        init=lambda seed: weights if weights is not None else init_weights(model, seed=seed),
+        step=lambda batch, w: forward_backward(batch, w, alpha=cfg.alpha, beta=cfg.beta),
+        val_loss=lambda batch, w: validation_loss(batch, w, cfg.beta),
+        progress=progress,
+    )
+
+
+def _train_loop(
+    train_ts: TrainingSet,
+    val_ts: TrainingSet,
+    features: FeatureSet,
+    cfg: TrainConfig,
+    labels: Mapping[str, int],
+    init: Callable,
+    step: Callable,
+    val_loss: Callable,
+    progress: Callable[[LogRow], None] | None,
+) -> TrainResult:
+    """The loop both models train with: seeded triplet batches, AdamW, and
+    the argmin snapshot over validation evaluations every ``t_val``.
+
+    ``init(seed)`` returns the starting weights, ``step(batch, weights)``
+    the training loss and gradients, and ``val_loss(batch, weights)`` the
+    loss of the fixed validation batch.
+    """
+    strips = {e.sequence_id: np.ascontiguousarray(e.strips) for e in features.entries}
     ss = np.random.SeedSequence(cfg.seed)
     init_seed, batch_seed, val_seed = (int(s.generate_state(1)[0]) for s in ss.spawn(3))
-    if weights is None:
-        weights = init_weights(model, seed=init_seed)
+    weights = init(init_seed)
     batch_rng = np.random.default_rng(batch_seed)
     val_batch = _fixed_val_batch(val_ts, cfg, strips, np.random.default_rng(val_seed))
 
@@ -454,8 +481,8 @@ def train(
     history: list[LogRow] = []
     start = time.monotonic()
 
-    def evaluate(iteration: int, train_loss: float) -> float:
-        vl = validation_loss(val_batch, weights, cfg.beta)
+    def record(iteration: int, train_loss: float, evaluate: bool) -> float | None:
+        vl = val_loss(val_batch, weights) if evaluate else None
         row = LogRow(
             iteration=iteration,
             train_loss=train_loss,
@@ -463,34 +490,24 @@ def train(
             wall_time_ms=(time.monotonic() - start) * 1e3,
         )
         history.append(row)
-        if progress is not None:
+        if evaluate and progress is not None:
             progress(row)
         return vl
 
-    best_val = evaluate(0, float("nan"))
+    best_val = record(0, float("nan"), evaluate=True)
     best_weights = weights.copy()
     best_iteration = 0
 
     for it in range(1, cfg.iterations + 1):
         triplets = sample_triplets(train_ts, cfg, batch_rng)
         batch = make_batch(triplets, strips, labels)
-        loss, grads = forward_backward(batch, weights, alpha=cfg.alpha, beta=cfg.beta)
+        loss, grads = step(batch, weights)
         adamw_step(weights, grads, state, cfg)
-        if it % cfg.t_val == 0 or it == cfg.iterations:
-            vl = evaluate(it, loss)
-            if vl < best_val:
-                best_val = vl
-                best_weights = weights.copy()
-                best_iteration = it
-        else:
-            history.append(
-                LogRow(
-                    iteration=it,
-                    train_loss=loss,
-                    val_loss=None,
-                    wall_time_ms=(time.monotonic() - start) * 1e3,
-                )
-            )
+        vl = record(it, loss, evaluate=it % cfg.t_val == 0 or it == cfg.iterations)
+        if vl is not None and vl < best_val:
+            best_val = vl
+            best_weights = weights.copy()
+            best_iteration = it
 
     return TrainResult(
         weights=best_weights,

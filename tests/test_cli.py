@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from gaitrerank.baseline import BaselineConfig, init_baseline, save_baseline
 from gaitrerank.cli import main
 from gaitrerank.feature_store import load_feature_set, manifest_path
 from gaitrerank.metrics import read_report
@@ -151,6 +152,20 @@ def test_train_baseline_pipeline(tmp_path, capsys, workdir):
     assert len(read_ranked_lists(out)) == 36
 
 
+@pytest.mark.parametrize("command", ["train", "train-baseline"])
+def test_train_sequence_missing_from_features_exits_8(tmp_path, capsys, workdir, command):
+    ts = tmp_path / "train.jsonl"
+    ts.write_text('{"v": 2}\n{"probe_id": "id000-00", "candidates": ["id000-01", '
+                  '"ghost-00"], "distances": [0.1, 0.2], "positive": [true, false]}\n')
+    code, _, err = run(capsys, command, "--trainset", str(ts), "--valset", str(ts),
+                       "--features", str(workdir / "feats.gfm"), "--hidden", "8",
+                       "--iters", "2", "--out-checkpoint", str(tmp_path / "m.bin"),
+                       "--quiet")
+    assert code == 8
+    rec = json.loads(err)
+    assert rec == {"error": "missing-id", "message": "no features for sequence 'ghost-00'"}
+
+
 def test_rerank_timing_flag_gates_latency_field(tmp_path, capsys, workdir):
     feats = str(workdir / "feats.gfm")
     initial = str(workdir / "initial.jsonl")
@@ -184,6 +199,21 @@ def test_rerank_missing_probe_exits_8(tmp_path, capsys, workdir):
                        "--initial", str(rogue), "--out", str(tmp_path / "o.jsonl"))
     assert code == 8
     assert json.loads(err)["error"] == "missing-id"
+
+
+def test_rerank_baseline_missing_candidate_names_probe(tmp_path, capsys, workdir):
+    feats = str(workdir / "feats.gfm")
+    ckpt = tmp_path / "b.cgbl"
+    save_baseline(init_baseline(BaselineConfig(s=4, d=6, hidden=8), seed=0), ckpt)
+    rogue = tmp_path / "rogue.jsonl"
+    rogue.write_text('{"probe_id":"id000-00","items":[["ghost-00",0.5]]}\n')
+    code, _, err = run(capsys, "rerank", "--baseline-checkpoint", str(ckpt),
+                       "--probes", feats, "--gallery", feats,
+                       "--initial", str(rogue), "--out", str(tmp_path / "o.jsonl"))
+    assert code == 8
+    rec = json.loads(err)
+    assert rec["error"] == "missing-id"
+    assert "id000-00" in rec["message"] and "ghost-00" in rec["message"]
 
 
 def test_diag_strips_with_and_without_checkpoint(tmp_path, capsys, workdir):

@@ -125,6 +125,23 @@ def test_load_duplicate_id(tmp_path):
         load_feature_set(path)
 
 
+def test_load_non_finite_payload(tmp_path):
+    """A hand-built blob with a NaN strip value and a matching manifest."""
+    s, d = 2, 2
+    values = np.zeros((s, d), dtype="<f4")
+    values[1, 0] = np.nan
+    blob = struct.Struct("<4sIII").pack(b"GFM1", 1, s, d)
+    for text in (b"nan-00", b"nan"):
+        blob += struct.pack("<H", len(text)) + text
+    path = tmp_path / "feat.gfm"
+    path.write_bytes(blob + values.tobytes())
+    manifest_path(path).write_text(
+        json.dumps({"nan-00": {"identity": "nan", "partition": "train"}})
+    )
+    with pytest.raises(NonFiniteError, match="nan-00"):
+        load_feature_set(path)
+
+
 def test_save_rejects_non_finite(tmp_path):
     bad = FeatureMap("a-00", "a", np.array([[1.0, np.nan]], dtype=np.float32))
     fs = FeatureSet.from_entries([bad])
