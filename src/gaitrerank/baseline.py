@@ -19,7 +19,7 @@ from .errors import ShapeError
 from .feature_store import FeatureMap, FeatureSet
 from .inference import _rerank_with
 from .ranking import RankedList
-from .reranker import _glorot_params, _load_params, _save_params, _stable_sigmoid
+from .reranker import ParamStore, _glorot_params, _load_params, _save_params, _stable_sigmoid
 
 BASELINE_MAGIC = b"CGBL"
 BASELINE_VERSION = 1
@@ -44,25 +44,8 @@ class BaselineConfig:
         return 2 * self.s * self.d
 
 
-@dataclass
-class BaselineWeights:
+class BaselineWeights(ParamStore):
     config: BaselineConfig
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-
-    def params(self) -> dict[str, np.ndarray]:
-        return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
-
-    @property
-    def dtype(self) -> np.dtype:
-        return self.w1.dtype
-
-    def copy(self) -> "BaselineWeights":
-        return BaselineWeights(
-            self.config, self.w1.copy(), self.b1.copy(), self.w2.copy(), self.b2.copy()
-        )
 
 
 def _param_shapes(cfg: BaselineConfig) -> dict[str, tuple[int, ...]]:
@@ -77,7 +60,7 @@ def _param_shapes(cfg: BaselineConfig) -> dict[str, tuple[int, ...]]:
 def init_baseline(
     config: BaselineConfig, seed: int, dtype=np.float32
 ) -> BaselineWeights:
-    return BaselineWeights(config=config, **_glorot_params(_param_shapes(config), seed, dtype))
+    return BaselineWeights(config, _glorot_params(_param_shapes(config), seed, dtype))
 
 
 def _flatten_pairs(a: np.ndarray, b: np.ndarray, cfg: BaselineConfig) -> np.ndarray:
@@ -100,8 +83,9 @@ def baseline_scores(
     probe = np.asarray(probe_map, dtype=weights.dtype)
     tiled = np.broadcast_to(probe, cands.shape)
     x = _flatten_pairs(tiled, cands, cfg)
-    h = np.tanh(x @ weights.w1 + weights.b1)
-    return (h @ weights.w2 + weights.b2)[:, 0].astype(np.float64)
+    p = weights.params()
+    h = np.tanh(x @ p["w1"] + p["b1"])
+    return (h @ p["w2"] + p["b2"])[:, 0].astype(np.float64)
 
 
 def baseline_score(f_p: np.ndarray, f_c: np.ndarray, weights: BaselineWeights) -> float:
@@ -128,9 +112,10 @@ def bce_forward_backward(
     if y.shape != (a.shape[0],):
         raise ShapeError(f"labels must be ({a.shape[0]},), got {y.shape}")
     x = _flatten_pairs(a, b, cfg)
-    h_pre = x @ weights.w1 + weights.b1
+    p = weights.params()
+    h_pre = x @ p["w1"] + p["b1"]
     h = np.tanh(h_pre)
-    z = (h @ weights.w2 + weights.b2)[:, 0].astype(np.float64)
+    z = (h @ p["w2"] + p["b2"])[:, 0].astype(np.float64)
     loss = float(np.mean(np.maximum(z, 0.0) - y * z + np.log1p(np.exp(-np.abs(z)))))
     if not want_grads:
         return loss, None
@@ -139,7 +124,7 @@ def bce_forward_backward(
         "w2": h.T @ dz[:, None],
         "b2": np.array([dz.sum()], dtype=dtype),
     }
-    dh = dz[:, None] @ weights.w2.T
+    dh = dz[:, None] @ p["w2"].T
     dpre = dh * (1.0 - h * h)
     grads["w1"] = x.T @ dpre
     grads["b1"] = dpre.sum(axis=0)
@@ -226,4 +211,4 @@ def load_baseline(path) -> tuple[BaselineWeights, BaselineConfig, dict]:
     cfg, params, meta = _load_params(
         path, BASELINE_MAGIC, BASELINE_VERSION, _FIELDS, BaselineConfig, _param_shapes
     )
-    return BaselineWeights(config=cfg, **params), cfg, meta
+    return BaselineWeights(cfg, params), cfg, meta

@@ -12,13 +12,12 @@ import argparse
 import json
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 
 from . import __version__, baseline, inference, metrics, synth, training
-from .errors import ArtifactError, FormatError, MissingIdError
-from .feature_store import MAGIC, load_feature_set, save_feature_set
+from .errors import ArtifactError, MissingIdError
+from .feature_store import MAGIC, load_feature_set, read_manifest, save_feature_set
 from .ranking import rank_all, read_ranked_lists, write_ranked_lists
 from .reranker import (
     CHECKPOINT_MAGIC,
@@ -313,27 +312,9 @@ def _add_eval(sub) -> None:
     p.add_argument("--out", required=True)
 
 
-def _load_identities(manifest_path: str) -> dict[str, str]:
-    path = Path(manifest_path)
-    if not path.exists():
-        raise FileNotFoundError(str(path))
-    try:
-        payload = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(payload, dict):
-        raise FormatError(f"{path}: manifest must be a JSON object")
-    identities = {}
-    for seq, rec in payload.items():
-        if not isinstance(rec, dict) or "identity" not in rec:
-            raise FormatError(f"{path}: record {seq!r} has no \"identity\"")
-        identities[seq] = rec["identity"]
-    return identities
-
-
 def _cmd_eval(args) -> int:
     lists = read_ranked_lists(args.lists)
-    identities = _load_identities(args.manifest)
+    identities = {seq: rec["identity"] for seq, rec in read_manifest(args.manifest).items()}
     ks = [int(x) for x in args.ks.split(",") if x]
     fprs = [float(x) for x in args.fpr.split(",") if x]
     report = metrics.evaluate_lists(

@@ -164,6 +164,24 @@ def manifest_path(path) -> Path:
     return Path(str(path) + ".manifest.json")
 
 
+def read_manifest(path) -> dict[str, dict]:
+    """Read a manifest: a JSON object mapping each sequence id to a record
+    object with at least a string ``"identity"``."""
+    p = Path(path)
+    if not p.exists():
+        raise FileNotFoundError(str(p))
+    try:
+        payload = json.loads(p.read_text())
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{p}: invalid JSON ({exc})") from exc
+    if not isinstance(payload, dict):
+        raise FormatError(f"{p}: manifest must be a JSON object")
+    for seq, rec in payload.items():
+        if not isinstance(rec, dict) or not isinstance(rec.get("identity"), str):
+            raise FormatError(f"{p}: record {seq!r} has no string \"identity\"")
+    return payload
+
+
 def _violations(fs: FeatureSet) -> list[tuple[type, str]]:
     """Structured invariant check: list of (error class, message)."""
     out: list[tuple[type, str]] = []
@@ -269,25 +287,23 @@ def load_feature_set(path) -> FeatureSet:
     mpath = manifest_path(p)
     if not mpath.exists():
         raise FormatError(f"{p}: missing manifest sidecar {mpath.name}")
-    try:
-        manifest = json.loads(mpath.read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{mpath}: invalid JSON ({exc})") from exc
+    manifest = read_manifest(mpath)
     if set(manifest) != seen:
         raise FormatError(f"{mpath}: manifest ids do not match payload ids")
-    partitions = {rec.get("partition") for rec in manifest.values()}
+    for rec in manifest.values():
+        if rec.get("partition") not in PARTITIONS:
+            raise FormatError(f"{mpath}: unknown partition tag {rec.get('partition')!r}")
+    partitions = {rec["partition"] for rec in manifest.values()}
     if len(partitions) > 1:
         raise FormatError(f"{mpath}: mixed partition tags {sorted(partitions)}")
     partition = partitions.pop() if partitions else "train"
-    if partition not in PARTITIONS:
-        raise FormatError(f"{mpath}: unknown partition tag {partition!r}")
 
     entries = []
     for sid, iid, values in raw_entries:
-        if manifest[sid].get("identity") != iid:
+        if manifest[sid]["identity"] != iid:
             raise FormatError(
                 f"{mpath}: identity mismatch for {sid!r} "
-                f"({manifest[sid].get('identity')!r} vs {iid!r})"
+                f"({manifest[sid]['identity']!r} vs {iid!r})"
             )
         entries.append(FeatureMap(sequence_id=sid, identity_id=iid, strips=values))
     # the checks above already cover every invariant of _require_valid

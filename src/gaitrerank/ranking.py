@@ -151,14 +151,14 @@ def write_ranked_lists(
     path,
     latencies_ms: Sequence[float] | None = None,
 ) -> None:
-    """One JSON record per probe; optional per-probe latency field."""
-    lines = []
-    for i, rl in enumerate(lists):
-        rec: dict = {"probe_id": rl.probe_id, "items": [[cid, d] for cid, d in rl.items]}
-        if latencies_ms is not None:
-            rec["latency_ms"] = latencies_ms[i]
-        lines.append(json.dumps(rec, separators=(",", ":")))
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+    """One JSON record per probe, written as it is formatted; optional
+    per-probe latency field."""
+    with open(path, "w") as fh:
+        for i, rl in enumerate(lists):
+            rec: dict = {"probe_id": rl.probe_id, "items": [[cid, d] for cid, d in rl.items]}
+            if latencies_ms is not None:
+                rec["latency_ms"] = latencies_ms[i]
+            fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
 
 
 def read_ranked_lists(path) -> list[RankedList]:

@@ -11,9 +11,9 @@ order, so results are deterministic for a given platform and dtype.
 Parameters live in float32 for production use; float64 is used by the
 gradient-check tests.
 
-Canonical parameter order (checkpoint layout and gradient dict keys):
-per block ``block{i}.w_q, b_q, w_k, b_k, w_v, b_v, w_o, b_o``, then
-``cls.w1, cls.b1, cls.w2, cls.b2``.
+Parameters are read by canonical name through ``params()``. The names
+and their order (the checkpoint layout and the gradient dict's keys) are
+written once per model, in its ``_param_shapes``.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import json
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 
@@ -65,52 +66,44 @@ class RerankerConfig:
 
 
 @dataclass
-class AttentionBlock:
-    w_q: np.ndarray
-    b_q: np.ndarray
-    w_k: np.ndarray
-    b_k: np.ndarray
-    w_v: np.ndarray
-    b_v: np.ndarray
-    w_o: np.ndarray
-    b_o: np.ndarray
+class ParamStore:
+    """A model's config and its parameter arrays keyed by canonical name,
+    in the order of the model's ``_param_shapes``."""
 
-
-@dataclass
-class RerankerWeights:
-    config: RerankerConfig
-    blocks: list[AttentionBlock]
-    cls_w1: np.ndarray
-    cls_b1: np.ndarray
-    cls_w2: np.ndarray
-    cls_b2: np.ndarray
+    config: Any
+    _params: dict[str, np.ndarray]
 
     def params(self) -> dict[str, np.ndarray]:
-        """All parameter arrays keyed by canonical name, in canonical order."""
-        out: dict[str, np.ndarray] = {}
-        for i, blk in enumerate(self.blocks):
-            for name in ("w_q", "b_q", "w_k", "b_k", "w_v", "b_v", "w_o", "b_o"):
-                out[f"block{i}.{name}"] = getattr(blk, name)
-        out["cls.w1"] = self.cls_w1
-        out["cls.b1"] = self.cls_b1
-        out["cls.w2"] = self.cls_w2
-        out["cls.b2"] = self.cls_b2
-        return out
+        """The stored dict itself, not a copy: AdamW updates its arrays in place."""
+        return self._params
 
     @property
     def dtype(self) -> np.dtype:
-        return self.blocks[0].w_q.dtype
+        return next(iter(self._params.values())).dtype
 
-    def copy(self) -> "RerankerWeights":
-        return _weights_from_params(self.config, {k: v.copy() for k, v in self.params().items()})
+    def copy(self):
+        return type(self)(self.config, {k: v.copy() for k, v in self._params.items()})
+
+
+class RerankerWeights(ParamStore):
+    config: RerankerConfig
+
+    def block(self, i: int) -> dict[str, np.ndarray]:
+        """Attention block ``i``'s arrays keyed by short name (``w_q``, ...)."""
+        prefix = f"block{i}."
+        return {
+            name[len(prefix) :]: arr
+            for name, arr in self._params.items()
+            if name.startswith(prefix)
+        }
 
     def zero_attention(self) -> "RerankerWeights":
         """Copy with all attention projections and biases zeroed; the model
         then degenerates to the identity map on feature maps."""
         out = self.copy()
-        for blk in out.blocks:
-            for name in ("w_q", "b_q", "w_k", "b_k", "w_v", "b_v", "w_o", "b_o"):
-                getattr(blk, name)[:] = 0
+        for i in range(self.config.blocks):
+            for arr in out.block(i).values():
+                arr[:] = 0
         return out
 
 
@@ -130,26 +123,6 @@ def _param_shapes(config: RerankerConfig) -> dict[str, tuple[int, ...]]:
     shapes["cls.w2"] = (config.mlp_hidden, config.num_classes)
     shapes["cls.b2"] = (config.num_classes,)
     return shapes
-
-
-def _weights_from_params(
-    config: RerankerConfig, params: dict[str, np.ndarray]
-) -> RerankerWeights:
-    blocks = []
-    for i in range(config.blocks):
-        blocks.append(
-            AttentionBlock(
-                **{name: params[f"block{i}.{name}"] for name in ("w_q", "b_q", "w_k", "b_k", "w_v", "b_v", "w_o", "b_o")}
-            )
-        )
-    return RerankerWeights(
-        config=config,
-        blocks=blocks,
-        cls_w1=params["cls.w1"],
-        cls_b1=params["cls.b1"],
-        cls_w2=params["cls.w2"],
-        cls_b2=params["cls.b2"],
-    )
 
 
 def _glorot_params(
@@ -175,7 +148,7 @@ def init_weights(
 
     The same (config, seed) pair always produces bitwise-equal weights.
     """
-    return _weights_from_params(config, _glorot_params(_param_shapes(config), seed, dtype))
+    return RerankerWeights(config, _glorot_params(_param_shapes(config), seed, dtype))
 
 
 def zero_gradients(config: RerankerConfig, dtype=np.float32) -> dict[str, np.ndarray]:
@@ -212,15 +185,16 @@ def _attention_forward(
     kv_flat = kvs.reshape(B * s, d)
     x = queries
     caches = []
-    for blk in weights.blocks:
+    for i in range(cfg.blocks):
+        blk = weights.block(i)
         x_flat = x.reshape(B * s, d)
-        q = (x_flat @ blk.w_q + blk.b_q).reshape(B, s, H, dh).transpose(0, 2, 1, 3)
-        k = (kv_flat @ blk.w_k + blk.b_k).reshape(B, s, H, dh).transpose(0, 2, 1, 3)
-        v = (kv_flat @ blk.w_v + blk.b_v).reshape(B, s, H, dh).transpose(0, 2, 1, 3)
+        q = (x_flat @ blk["w_q"] + blk["b_q"]).reshape(B, s, H, dh).transpose(0, 2, 1, 3)
+        k = (kv_flat @ blk["w_k"] + blk["b_k"]).reshape(B, s, H, dh).transpose(0, 2, 1, 3)
+        v = (kv_flat @ blk["w_v"] + blk["b_v"]).reshape(B, s, H, dh).transpose(0, 2, 1, 3)
         attn = _softmax_rows((q @ k.transpose(0, 1, 3, 2)) * scale)  # (B,H,s,s)
         heads = attn @ v  # (B,H,s,dh)
         concat = heads.transpose(0, 2, 1, 3).reshape(B * s, H * dh)
-        out = x + (concat @ blk.w_o + blk.b_o).reshape(B, s, d)
+        out = x + (concat @ blk["w_o"] + blk["b_o"]).reshape(B, s, d)
         if want_cache:
             caches.append((x, q, k, v, attn, concat))
         x = out
@@ -246,13 +220,13 @@ def _attention_backward(
     scale = 1.0 / np.sqrt(dh)
     kv_flat = kvs.reshape(B * s, d)
     dx = grad_out
-    for i in range(len(weights.blocks) - 1, -1, -1):
-        blk = weights.blocks[i]
+    for i in range(cfg.blocks - 1, -1, -1):
+        blk = weights.block(i)
         x, q, k, v, attn, concat = caches[i]
         dproj = dx.reshape(B * s, d)
         grads[f"block{i}.w_o"] += concat.T @ dproj
         grads[f"block{i}.b_o"] += dproj.sum(axis=0)
-        dheads = (dproj @ blk.w_o.T).reshape(B, s, H, dh).transpose(0, 2, 1, 3)
+        dheads = (dproj @ blk["w_o"].T).reshape(B, s, H, dh).transpose(0, 2, 1, 3)
         dattn = dheads @ v.transpose(0, 1, 3, 2)  # (B,H,s,s)
         dv = attn.transpose(0, 1, 3, 2) @ dheads  # (B,H,s,dh)
         dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
@@ -270,7 +244,7 @@ def _attention_backward(
         grads[f"block{i}.b_v"] += dv_flat.sum(axis=0)
         if i > 0:
             # residual path plus the query projection path
-            dx = dx + (dq_flat @ blk.w_q.T).reshape(B, s, d)
+            dx = dx + (dq_flat @ blk["w_q"].T).reshape(B, s, d)
 
 
 def _pair_distances_and_cache(e_a: np.ndarray, e_b: np.ndarray):
@@ -299,21 +273,31 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _softplus_neg(x: np.ndarray) -> np.ndarray:
-    # softplus(-x) = -log(sigmoid(x)), computed without overflow
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = np.log1p(np.exp(-x[pos]))
-    out[~pos] = -x[~pos] + np.log1p(np.exp(x[~pos]))
-    return out
+def ranking_loss(d_pos, d_neg, beta: float = 0.1):
+    """Damped logistic ranking loss.
+
+    -log sigmoid(d_neg - d_pos), multiplied by beta whenever the triplet
+    is already ordered correctly (d_neg >= d_pos, equality included).
+    Computed in the softplus form so large |d_neg - d_pos| cannot
+    overflow. Accepts scalars or same-shape arrays.
+    """
+    x = np.asarray(d_neg, dtype=np.float64) - np.asarray(d_pos, dtype=np.float64)
+    sp = np.where(
+        x >= 0,
+        np.log1p(np.exp(-np.abs(x))),
+        -x + np.log1p(np.exp(-np.abs(x))),
+    )
+    out = np.where(x >= 0, beta, 1.0) * sp
+    return float(out) if out.ndim == 0 else out
 
 
 def _classifier_forward(e: np.ndarray, weights: RerankerWeights):
     # e: (N, s, d) -> logits (N, C)
+    p = weights.params()
     pooled = e.mean(axis=1)
-    h = pooled @ weights.cls_w1 + weights.cls_b1
+    h = pooled @ p["cls.w1"] + p["cls.b1"]
     a = np.tanh(h)
-    logits = a @ weights.cls_w2 + weights.cls_b2
+    logits = a @ p["cls.w2"] + p["cls.b2"]
     return logits, (pooled, a)
 
 
@@ -352,6 +336,8 @@ def _batch_forward(
     want_grads: bool,
 ):
     cfg = weights.config
+    # the weights' dtype, not the inference entry points' wider one: the
+    # gradients must match the parameters AdamW updates in place
     dtype = weights.dtype
     B = len(batch)
     if batch.probe.shape[1:] != (cfg.s, cfg.d):
@@ -380,10 +366,7 @@ def _batch_forward(
     d_pos, cache_pos = _pair_distances_and_cache(e64[:B], e64[B : 2 * B])
     d_neg, cache_neg = _pair_distances_and_cache(e64[2 * B : 3 * B], e64[3 * B :])
 
-    x = d_neg - d_pos
-    lstar = _softplus_neg(x)
-    damp = np.where(x >= 0, beta, 1.0)
-    per_triplet = damp * lstar
+    per_triplet = ranking_loss(d_pos, d_neg, beta)
     ranking_total = per_triplet.sum()
 
     labels = np.concatenate(
@@ -406,7 +389,8 @@ def _batch_forward(
 
     # ---- backward -------------------------------------------------------
     grads = zero_gradients(cfg, dtype=dtype)
-    dldx = damp * (_stable_sigmoid(x) - 1.0)  # d loss / d (d_neg - d_pos)
+    x = d_neg - d_pos
+    dldx = np.where(x >= 0, beta, 1.0) * (_stable_sigmoid(x) - 1.0)  # d loss / d (d_neg - d_pos)
 
     de = np.zeros_like(e64)
     g_pos = _pair_distances_backward(-dldx, cache_pos)
@@ -424,11 +408,11 @@ def _batch_forward(
     dlogits *= alpha / n_occ
     grads["cls.w2"] += act.T @ dlogits
     grads["cls.b2"] += dlogits.sum(axis=0)
-    da = dlogits @ weights.cls_w2.T
+    da = dlogits @ weights.params()["cls.w2"].T
     dh = da * (1.0 - act * act)
     grads["cls.w1"] += pooled.T @ dh
     grads["cls.b1"] += dh.sum(axis=0)
-    dpooled = dh @ weights.cls_w1.T
+    dpooled = dh @ weights.params()["cls.w1"].T
     de += dpooled[:, None, :] / cfg.s
 
     _attention_backward(de.astype(dtype), caches, kvs, weights, grads)
@@ -447,8 +431,7 @@ def forward_backward(
     the mean identity cross-entropy over all four conditioned maps of each
     triplet (probe and candidate side of both attended pairs).
     """
-    loss, grads = _batch_forward(batch, weights, alpha, beta, want_grads=True)
-    return loss, grads
+    return _batch_forward(batch, weights, alpha, beta, want_grads=True)
 
 
 def batch_loss(
@@ -458,8 +441,7 @@ def batch_loss(
     beta: float,
 ) -> float:
     """Forward-only evaluation of the combined loss."""
-    loss, _ = _batch_forward(batch, weights, alpha, beta, want_grads=False)
-    return loss
+    return _batch_forward(batch, weights, alpha, beta, want_grads=False)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -482,47 +464,50 @@ def _check_map(m: np.ndarray, cfg: RerankerConfig, name: str) -> np.ndarray:
     return arr
 
 
+def _attend(
+    queries: np.ndarray,
+    kvs: np.ndarray,
+    weights: RerankerWeights,
+    caller: str,
+) -> np.ndarray:
+    """The inference forward over stacked (B, s, d) queries and kvs.
+
+    Computes in the wider of the input and parameter dtypes, so the
+    residual path never rounds its input: with zeroed projections the
+    output is bitwise the queries. Non-finite output is an error that
+    names ``caller``.
+    """
+    dtype = np.result_type(queries.dtype, kvs.dtype, weights.dtype)
+    out, _ = _attention_forward(
+        np.ascontiguousarray(queries, dtype=dtype),
+        np.ascontiguousarray(kvs, dtype=dtype),
+        weights,
+    )
+    if not np.isfinite(out).all():
+        raise NonFiniteError(f"{caller} produced non-finite values")
+    return out
+
+
 def cross_attend(
     query_map: np.ndarray,
     kv_map: np.ndarray,
     weights: RerankerWeights,
-    config: RerankerConfig | None = None,
 ) -> np.ndarray:
-    """Condition ``query_map`` on ``kv_map``; output shape s x d.
-
-    Computes in the wider of the input and parameter dtypes, so the
-    residual path never rounds its input: with zeroed projections the
-    output is bitwise the query map.
-    """
-    cfg = config or weights.config
-    q = _check_map(query_map, cfg, "query_map")
-    kv = _check_map(kv_map, cfg, "kv_map")
-    dtype = np.result_type(q.dtype, kv.dtype, weights.dtype)
-    out, _ = _attention_forward(
-        q[None].astype(dtype), kv[None].astype(dtype), weights
-    )
-    result = out[0]
-    if not np.isfinite(result).all():
-        raise NonFiniteError("cross_attend produced non-finite values")
-    return result
+    """Condition ``query_map`` on ``kv_map``; output shape s x d."""
+    q = _check_map(query_map, weights.config, "query_map")
+    kv = _check_map(kv_map, weights.config, "kv_map")
+    return _attend(q[None], kv[None], weights, "cross_attend")[0]
 
 
 def attended_pair(
     f_p: np.ndarray,
     f_c: np.ndarray,
     weights: RerankerWeights,
-    config: RerankerConfig | None = None,
 ) -> AttendedPair:
     """Both conditioning directions with one shared weight set."""
-    cfg = config or weights.config
-    p = _check_map(f_p, cfg, "f_p")
-    c = _check_map(f_c, cfg, "f_c")
-    dtype = np.result_type(p.dtype, c.dtype, weights.dtype)
-    queries = np.stack([p, c]).astype(dtype)
-    kvs = np.stack([c, p]).astype(dtype)
-    out, _ = _attention_forward(queries, kvs, weights)
-    if not np.isfinite(out).all():
-        raise NonFiniteError("attended_pair produced non-finite values")
+    p = _check_map(f_p, weights.config, "f_p")
+    c = _check_map(f_c, weights.config, "f_c")
+    out = _attend(np.stack([p, c]), np.stack([c, p]), weights, "attended_pair")
     return AttendedPair(e_p=out[0], e_c=out[1])
 
 
@@ -530,10 +515,9 @@ def rerank_distance(
     f_p: np.ndarray,
     f_c: np.ndarray,
     weights: RerankerWeights,
-    config: RerankerConfig | None = None,
 ) -> float:
     """Strip distance between the conditioned representations."""
-    pair = attended_pair(f_p, f_c, weights, config)
+    pair = attended_pair(f_p, f_c, weights)
     return strip_mean_distance(pair.e_p, pair.e_c)
 
 
@@ -553,28 +537,23 @@ def pair_distances(
         raise ShapeError(f"candidate_maps must be (M, {cfg.s}, {cfg.d}), got {cands.shape}")
     probe = _check_map(probe_map, cfg, "probe_map")
     m = cands.shape[0]
-    dtype = weights.dtype
-    tiled = np.broadcast_to(probe.astype(dtype), (m, cfg.s, cfg.d))
-    cands = cands.astype(dtype)
-    queries = np.concatenate([tiled, cands])
-    kvs = np.concatenate([cands, tiled])
-    e, _ = _attention_forward(np.ascontiguousarray(queries), np.ascontiguousarray(kvs), weights)
-    if not np.isfinite(e).all():
-        raise NonFiniteError("pair_distances produced non-finite values")
-    diff = e[:m].astype(np.float64) - e[m:].astype(np.float64)
-    return np.sqrt((diff * diff).sum(axis=2)).mean(axis=1)
+    tiled = np.broadcast_to(probe, (m, cfg.s, cfg.d))
+    e = _attend(
+        np.concatenate([tiled, cands]), np.concatenate([cands, tiled]), weights, "pair_distances"
+    )
+    z, _ = _pair_distances_and_cache(e[:m].astype(np.float64), e[m:].astype(np.float64))
+    return z
 
 
 def classify(
     e: np.ndarray,
     weights: RerankerWeights,
-    config: RerankerConfig | None = None,
 ) -> np.ndarray:
     """Identity logits for one conditioned map: mean-pool strips, then a
-    two-layer tanh MLP."""
-    cfg = config or weights.config
-    arr = _check_map(e, cfg, "e")
-    logits, _ = _classifier_forward(arr[None].astype(weights.dtype), weights)
+    two-layer tanh MLP, in the wider of the map and parameter dtypes."""
+    arr = _check_map(e, weights.config, "e")
+    dtype = np.result_type(arr.dtype, weights.dtype)
+    logits, _ = _classifier_forward(arr[None].astype(dtype), weights)
     return logits[0]
 
 
@@ -686,4 +665,4 @@ def load_checkpoint(
     cfg, params, meta = _load_params(
         path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, _CKPT_FIELDS, make_config, _param_shapes
     )
-    return _weights_from_params(cfg, params), cfg, meta
+    return RerankerWeights(cfg, params), cfg, meta

@@ -1,4 +1,4 @@
-"""Training-set construction, triplet sampling, losses, AdamW, train loop.
+"""Training-set construction, triplet sampling, AdamW, train loop.
 
 Candidate lists come from the first-stage ranking: each probe keeps its
 top-v nearest sequences from the same partition, flagged positive when
@@ -34,6 +34,7 @@ from .reranker import (
     batch_loss,
     forward_backward,
     init_weights,
+    ranking_loss,  # re-exported: the loss lives with the model it trains
 )
 
 VAL_FRACTION = 0.10
@@ -211,7 +212,7 @@ def read_training_set(path) -> TrainingSet:
                     positive=tuple(bool(x) for x in rec["positive"]),
                 )
             )
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise FormatError(f"{p}: invalid training-set record ({exc})") from exc
     return TrainingSet(entries=tuple(entries), v=v)
 
@@ -265,40 +266,6 @@ def make_batch(
     except KeyError as exc:
         raise MissingIdError(f"no features for sequence {exc.args[0]!r}") from exc
     return TripletBatch(probe=probe, pos=pos, neg=neg, labels=lab)
-
-
-def class_labels(features: FeatureSet) -> dict[str, int]:
-    """identity_id -> class index, sorted for stability."""
-    return {ident: i for i, ident in enumerate(features.identities())}
-
-
-def sequence_labels(features: FeatureSet) -> dict[str, int]:
-    """sequence_id -> class index of its identity."""
-    by_identity = class_labels(features)
-    return {e.sequence_id: by_identity[e.identity_id] for e in features.entries}
-
-
-# ---------------------------------------------------------------------------
-# losses
-# ---------------------------------------------------------------------------
-
-
-def ranking_loss(d_pos, d_neg, beta: float = 0.1):
-    """Damped logistic ranking loss.
-
-    -log sigmoid(d_neg - d_pos), multiplied by beta whenever the triplet
-    is already ordered correctly (d_neg >= d_pos, equality included).
-    Computed in the softplus form so large |d_neg - d_pos| cannot
-    overflow. Accepts scalars or same-shape arrays.
-    """
-    x = np.asarray(d_neg, dtype=np.float64) - np.asarray(d_pos, dtype=np.float64)
-    sp = np.where(
-        x >= 0,
-        np.log1p(np.exp(-np.abs(x))),
-        -x + np.log1p(np.exp(-np.abs(x))),
-    )
-    out = np.where(x >= 0, beta, 1.0) * sp
-    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,9 @@ def ref_score(f_p, f_c, weights):
     x = np.concatenate(
         [np.asarray(f_p, dtype=np.float64), np.asarray(f_c, dtype=np.float64)]
     ).reshape(-1)
-    h = np.tanh(x @ weights.w1.astype(np.float64) + weights.b1.astype(np.float64))
-    return float((h @ weights.w2.astype(np.float64) + weights.b2.astype(np.float64))[0])
+    p = weights.params()
+    h = np.tanh(x @ p["w1"].astype(np.float64) + p["b1"].astype(np.float64))
+    return float((h @ p["w2"].astype(np.float64) + p["b2"].astype(np.float64))[0])
 
 
 def test_config_in_dim_and_validation():

@@ -266,6 +266,42 @@ def test_eval_bad_manifest_exits_4(tmp_path, capsys, workdir, manifest):
 
 
 @pytest.mark.parametrize(
+    "target, edit",
+    [
+        ("manifest", lambda m: list(m)),
+        ("manifest", lambda m: {**m, next(iter(m)): "id000"}),
+        ("manifest", lambda m: {k: {**r, "partition": ["train"]} for k, r in m.items()}),
+        ("trainset", lambda recs: [["v", 5]] + recs[1:]),
+        ("trainset", lambda recs: recs[:1] + [{**recs[1], "candidates": 5}] + recs[2:]),
+        ("trainset", lambda recs: recs[:1] + [{**recs[1], "positive": 5}] + recs[2:]),
+    ],
+    ids=["manifest-array", "record-string", "partition-list",
+         "header-array", "candidates-number", "positive-number"],
+)
+def test_malformed_manifest_or_trainset_exits_4(tmp_path, capsys, workdir, target, edit):
+    feats = tmp_path / "feats.gfm"
+    feats.write_bytes((workdir / "feats.gfm").read_bytes())
+    manifest = json.loads(manifest_path(workdir / "feats.gfm").read_text())
+    if target == "manifest":
+        manifest = edit(manifest)
+    manifest_path(feats).write_text(json.dumps(manifest))
+    if target == "manifest":
+        argv = ["rank", "--probes", str(feats), "--gallery", str(feats),
+                "--out", str(tmp_path / "o.jsonl")]
+    else:
+        ts, vs = tmp_path / "train.jsonl", tmp_path / "val.jsonl"
+        assert main(["build-trainset", "--features", str(feats), "--v", "5",
+                     "--val-split", "0.25", "--out-train", str(ts), "--out-val", str(vs)]) == 0
+        recs = [json.loads(line) for line in ts.read_text().splitlines()]
+        ts.write_text("".join(json.dumps(r) + "\n" for r in edit(recs)))
+        argv = ["train", "--trainset", str(ts), "--valset", str(vs), "--features", str(feats),
+                "--iters", "1", "--out-checkpoint", str(tmp_path / "m.cgrk"), "--quiet"]
+    code, _, err = run(capsys, *argv)
+    assert code == 4
+    assert json.loads(err)["error"] == "format"
+
+
+@pytest.mark.parametrize(
     "items, code",
     [
         ('[["id000-01",NaN],["id001-00",0.5]]', 7),

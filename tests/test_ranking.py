@@ -185,6 +185,14 @@ def test_ranked_lists_roundtrip(tmp_path):
     assert '"latency_ms":0.1' in text
 
 
+def test_ranked_lists_exact_bytes(tmp_path):
+    path = tmp_path / "lists.jsonl"
+    write_ranked_lists(iter([RankedList("p", (("a", 0.5),)), RankedList("q", ())]), path)
+    assert path.read_bytes() == b'{"probe_id":"p","items":[["a",0.5]]}\n{"probe_id":"q","items":[]}\n'
+    write_ranked_lists([], path)
+    assert path.read_bytes() == b""
+
+
 def test_ranked_lists_bad_record(tmp_path):
     path = tmp_path / "lists.jsonl"
     path.write_text('{"probe_id": "p"}\n')

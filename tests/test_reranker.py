@@ -39,10 +39,13 @@ def ref_cross_attend(x, kv, weights):
     dh = cfg.head_dim
     cur = np.asarray(x, dtype=np.float64)
     kv = np.asarray(kv, dtype=np.float64)
-    for blk in weights.blocks:
-        q = cur @ blk.w_q.astype(np.float64) + blk.b_q.astype(np.float64)
-        k = kv @ blk.w_k.astype(np.float64) + blk.b_k.astype(np.float64)
-        v = kv @ blk.w_v.astype(np.float64) + blk.b_v.astype(np.float64)
+    for b in range(cfg.blocks):
+        prefix = f"block{b}."
+        blk = {name[len(prefix):]: arr.astype(np.float64)
+               for name, arr in weights.params().items() if name.startswith(prefix)}
+        q = cur @ blk["w_q"] + blk["b_q"]
+        k = kv @ blk["w_k"] + blk["b_k"]
+        v = kv @ blk["w_v"] + blk["b_v"]
         cols = []
         for h in range(cfg.heads):
             sl = slice(h * dh, (h + 1) * dh)
@@ -50,15 +53,16 @@ def ref_cross_attend(x, kv, weights):
             attn = np.array([ref_softmax(list(r)) for r in scores])
             cols.append(attn @ v[:, sl])
         concat = np.concatenate(cols, axis=1)
-        cur = cur + concat @ blk.w_o.astype(np.float64) + blk.b_o.astype(np.float64)
+        cur = cur + concat @ blk["w_o"] + blk["b_o"]
     return cur
 
 
 def ref_batch_loss(batch, weights, alpha, beta):
-    w1 = weights.cls_w1.astype(np.float64)
-    b1 = weights.cls_b1.astype(np.float64)
-    w2 = weights.cls_w2.astype(np.float64)
-    b2 = weights.cls_b2.astype(np.float64)
+    params = weights.params()
+    w1 = params["cls.w1"].astype(np.float64)
+    b1 = params["cls.b1"].astype(np.float64)
+    w2 = params["cls.w2"].astype(np.float64)
+    b2 = params["cls.b2"].astype(np.float64)
     total = 0.0
     ces = []
     for i in range(len(batch)):
@@ -118,10 +122,11 @@ def test_init_weights_deterministic_and_shaped():
     for (na, a), (nb, b) in zip(w1.params().items(), w2.params().items()):
         assert na == nb
         assert a.tobytes() == b.tobytes()
-    assert w1.blocks[0].w_q.shape == (5, 6)
-    assert w1.blocks[0].w_o.shape == (6, 5)
-    assert w1.cls_w2.shape == (7, 4)
-    assert all(np.all(getattr(b, n) == 0) for b in w1.blocks for n in ("b_q", "b_k", "b_v", "b_o"))
+    params = w1.params()
+    assert params["block0.w_q"].shape == (5, 6)
+    assert params["block0.w_o"].shape == (6, 5)
+    assert params["cls.w2"].shape == (7, 4)
+    assert all(np.all(params[f"block{b}.{n}"] == 0) for b in range(2) for n in ("b_q", "b_k", "b_v", "b_o"))
 
 
 @pytest.mark.parametrize("heads,blocks", [(1, 1), (2, 1), (2, 2)])
@@ -160,12 +165,14 @@ def test_zeroed_attention_is_identity(dtype):
     assert rerank_distance(x, kv, w) == strip_mean_distance(x, kv)
 
 
-def test_pair_distances_matches_per_pair_calls():
+@pytest.mark.parametrize("w_dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("map_dtype", [np.float32, np.float64])
+def test_pair_distances_matches_per_pair_calls(w_dtype, map_dtype):
     cfg = RerankerConfig(s=3, d=4, num_classes=2, heads=2, hidden=6, mlp_hidden=4)
-    w = init_weights(cfg, seed=9)
+    w = init_weights(cfg, seed=9, dtype=w_dtype)
     rng = np.random.default_rng(4)
-    probe = rng.standard_normal((3, 4)).astype(np.float32)
-    cands = rng.standard_normal((7, 3, 4)).astype(np.float32)
+    probe = rng.standard_normal((3, 4)).astype(map_dtype)
+    cands = rng.standard_normal((7, 3, 4)).astype(map_dtype)
     batched = pair_distances(probe, cands, w)
     assert batched.dtype == np.float64
     singles = [rerank_distance(probe, c, w) for c in cands]
@@ -188,7 +195,8 @@ def test_classify_matches_hand_mlp():
     w = init_weights(cfg, seed=11, dtype=np.float64)
     e = np.random.default_rng(0).standard_normal((2, 3))
     logits = classify(e, w)
-    want = np.tanh(e.mean(axis=0) @ w.cls_w1 + w.cls_b1) @ w.cls_w2 + w.cls_b2
+    p = w.params()
+    want = np.tanh(e.mean(axis=0) @ p["cls.w1"] + p["cls.b1"]) @ p["cls.w2"] + p["cls.b2"]
     np.testing.assert_allclose(logits, want, rtol=1e-12)
     assert logits.shape == (4,)
 

@@ -14,7 +14,6 @@ from gaitrerank.training import (
     Triplet,
     adamw_step,
     build_training_set,
-    class_labels,
     init_adamw,
     make_batch,
     ranking_loss,
@@ -22,7 +21,6 @@ from gaitrerank.training import (
     read_training_set,
     referenced_sequences,
     sample_triplets,
-    sequence_labels,
     split_train_val,
     train,
     validation_loss,
@@ -159,14 +157,6 @@ def test_make_batch_shapes_and_missing_id():
     assert batch.labels.tolist() == [[0, 1, 0], [1, 0, 0]]
     with pytest.raises(MissingIdError):
         make_batch([Triplet("a", "b", "zzz")], strips, labels)
-
-
-def test_label_helpers():
-    fs = FeatureSet.from_entries(make_maps(3, 2, 2, 2))
-    assert class_labels(fs) == {"id000": 0, "id001": 1, "id002": 2}
-    sl = sequence_labels(fs)
-    assert sl == {"id000-00": 0, "id000-01": 0, "id001-00": 1,
-                  "id001-01": 1, "id002-00": 2, "id002-01": 2}
 
 
 # ---------------------------------------------------------------------------
