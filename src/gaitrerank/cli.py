@@ -395,22 +395,29 @@ _COMMANDS = {
 }
 
 
+def _report(error: str, exc: Exception) -> None:
+    # notes added on the way up (such as the probe a re-rank failed on)
+    # lead the message
+    message = ": ".join([*getattr(exc, "__notes__", ()), str(exc)])
+    print(json.dumps({"error": error, "message": message}), file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except FileNotFoundError as exc:
-        print(json.dumps({"error": "missing-file", "message": str(exc)}), file=sys.stderr)
+        _report("missing-file", exc)
         return 3
     except ValueError as exc:
-        print(json.dumps({"error": "invalid-value", "message": str(exc)}), file=sys.stderr)
+        _report("invalid-value", exc)
         return 2
     except KeyError as exc:
-        print(json.dumps({"error": "missing-id", "message": str(exc)}), file=sys.stderr)
+        _report("missing-id", exc)
         return EXIT_CODES["missing-id"]
     except ArtifactError as exc:
-        print(json.dumps({"error": exc.kind, "message": str(exc)}), file=sys.stderr)
+        _report(exc.kind, exc)
         return EXIT_CODES.get(exc.kind, EXIT_CODES["error"])
 
 

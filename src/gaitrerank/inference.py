@@ -130,6 +130,7 @@ def rerank_all(
         try:
             lists.append(one(probe, initial, lookup, weights, k=k))
         except Exception as exc:
-            raise type(exc)(f"probe {probe.sequence_id!r}: {exc}") from exc
+            exc.add_note(f"probe {probe.sequence_id!r}")
+            raise
         latencies.append((time.perf_counter() - t0) * 1e3)
     return lists, latencies

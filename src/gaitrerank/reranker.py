@@ -19,6 +19,7 @@ written once per model, in its ``_param_shapes``.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -160,43 +161,94 @@ def zero_gradients(config: RerankerConfig, dtype=np.float32) -> dict[str, np.nda
 # ---------------------------------------------------------------------------
 
 
-def _softmax_rows(scores: np.ndarray) -> np.ndarray:
-    # last-axis softmax with row-max subtraction for overflow safety
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    # sum over the last axis as elementwise passes over its columns, in a
+    # fixed order: at small s this is far cheaper than sum(axis=-1)
+    total = a[..., 0].copy()
+    for j in range(1, a.shape[-1]):
+        total += a[..., j]
+    return total
+
+
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # (a * b).sum(axis=-1) the same way, without an a-sized temporary
+    total = a[..., 0] * b[..., 0]
+    tmp = np.empty_like(total)
+    for j in range(1, a.shape[-1]):
+        np.multiply(a[..., j], b[..., j], out=tmp)
+        total += tmp
+    return total
+
+
+def _softmax_rows(scores: np.ndarray, scale) -> None:
+    """In place: ``scores`` becomes softmax(scale * scores) over its last
+    axis, with the row max subtracted first for overflow safety."""
+    top = scores[..., 0].copy()
+    for j in range(1, scores.shape[-1]):
+        np.maximum(top, scores[..., j], out=top)
+    scores -= top[..., None]
+    scores *= scale
+    np.exp(scores, out=scores)
+    scores /= _row_sum(scores)[..., None]
 
 
 def _attention_forward(
-    queries: np.ndarray,
-    kvs: np.ndarray,
+    maps: np.ndarray,
+    query_idx: np.ndarray,
+    partner_idx: np.ndarray,
     weights: RerankerWeights,
     want_cache: bool = False,
 ):
-    """Apply all attention blocks. queries/kvs: (B, s, d) in weights dtype.
+    """Apply all attention blocks to N directed pairs of stacked maps.
 
-    Within each block the query side is updated through the residual; the
-    key/value side is the raw partner map for every block.
+    ``maps`` is a (U, s, d) stack of distinct maps; direction n conditions
+    ``maps[query_idx[n]]`` on ``maps[partner_idx[n]]``. Each block projects
+    every distinct map once (block 0 through one fused Q/K/V GEMM, later
+    blocks K and V only) and gathers the rows each direction needs; later
+    blocks project Q from the residual. The key/value side is the raw
+    partner map for every block.
+
+    Everything computes in the maps' dtype: the weights and every scalar
+    are cast to it, so nothing widens. Returns the (N, s, d) conditioned
+    queries and, with ``want_cache``, one tuple per block for
+    ``_attention_backward``.
     """
     cfg = weights.config
-    B, s, d = queries.shape
+    U, s, d = maps.shape
+    N = len(query_idx)
     H, dh = cfg.heads, cfg.head_dim
-    scale = 1.0 / np.sqrt(dh)
-    kv_flat = kvs.reshape(B * s, d)
-    x = queries
+    scale = maps.dtype.type(1.0 / np.sqrt(dh))
+    flat = maps.reshape(U * s, d)
+    x = maps[query_idx]
+    kv = maps[partner_idx] if want_cache else None
     caches = []
     for i in range(cfg.blocks):
-        blk = weights.block(i)
-        x_flat = x.reshape(B * s, d)
-        q = (x_flat @ blk["w_q"] + blk["b_q"]).reshape(B, s, H, dh).transpose(0, 2, 1, 3)
-        k = (kv_flat @ blk["w_k"] + blk["b_k"]).reshape(B, s, H, dh).transpose(0, 2, 1, 3)
-        v = (kv_flat @ blk["w_v"] + blk["b_v"]).reshape(B, s, H, dh).transpose(0, 2, 1, 3)
-        attn = _softmax_rows((q @ k.transpose(0, 1, 3, 2)) * scale)  # (B,H,s,s)
-        heads = attn @ v  # (B,H,s,dh)
-        concat = heads.transpose(0, 2, 1, 3).reshape(B * s, H * dh)
-        out = x + (concat @ blk["w_o"] + blk["b_o"]).reshape(B, s, d)
+        blk = {name: arr.astype(maps.dtype, copy=False) for name, arr in weights.block(i).items()}
+        parts = ("q", "k", "v") if i == 0 else ("k", "v")
+        proj = flat @ np.concatenate([blk[f"w_{p}"] for p in parts], axis=1)
+        proj += np.concatenate([blk[f"b_{p}"] for p in parts])
+        # per part, a contiguous (U, H, s, dh) stack, so that each gather
+        # below is contiguous too
+        per_map = np.ascontiguousarray(
+            proj.reshape(U, s, len(parts), H, dh).transpose(2, 0, 3, 1, 4)
+        )
+        if i == 0:
+            q = per_map[0][query_idx]
+        else:
+            q = (x.reshape(N * s, d) @ blk["w_q"] + blk["b_q"]).reshape(N, s, H, dh)
+            q = np.ascontiguousarray(q.transpose(0, 2, 1, 3))
+        k_maps, v_maps = per_map[-2], per_map[-1]
+        # K^T (and V^T below) laid out contiguously: as matmul's second
+        # operand a transposed view runs about 2.5x slower
+        k_t = np.ascontiguousarray(k_maps.transpose(0, 1, 3, 2))[partner_idx]
+        attn = q @ k_t  # (N,H,s,s) scores
+        _softmax_rows(attn, scale)
+        concat = np.empty((N * s, H * dh), dtype=maps.dtype)
+        np.matmul(attn, v_maps[partner_idx], out=concat.reshape(N, s, H, dh).transpose(0, 2, 1, 3))
+        out = x + (concat @ blk["w_o"] + blk["b_o"]).reshape(N, s, d)
         if want_cache:
-            caches.append((x, q, k, v, attn, concat))
+            v_t = np.ascontiguousarray(v_maps.transpose(0, 1, 3, 2))[partner_idx]
+            caches.append((x, kv, q, k_maps[partner_idx], v_t, attn, concat))
         x = out
     return x, caches
 
@@ -204,47 +256,53 @@ def _attention_forward(
 def _attention_backward(
     grad_out: np.ndarray,
     caches: list,
-    kvs: np.ndarray,
     weights: RerankerWeights,
     grads: dict[str, np.ndarray],
 ) -> None:
     """Accumulate parameter gradients for the stacked blocks.
 
-    Input-feature gradients are propagated through the residual chain
-    between blocks but not returned: the upstream feature extractor is
-    frozen.
+    Weight gradients come from the gathered rows of each direction, so no
+    scatter back to the distinct maps is needed. Input-feature gradients
+    are propagated through the residual chain between blocks but not
+    returned: the upstream feature extractor is frozen.
     """
     cfg = weights.config
-    B, s, d = grad_out.shape
+    N, s, d = grad_out.shape
     H, dh = cfg.heads, cfg.head_dim
-    scale = 1.0 / np.sqrt(dh)
-    kv_flat = kvs.reshape(B * s, d)
+    hidden = cfg.hidden
+    scale = grad_out.dtype.type(1.0 / np.sqrt(dh))
+    ones = np.ones(N * s, dtype=grad_out.dtype)  # bias gradients as GEMVs
     dx = grad_out
     for i in range(cfg.blocks - 1, -1, -1):
         blk = weights.block(i)
-        x, q, k, v, attn, concat = caches[i]
-        dproj = dx.reshape(B * s, d)
+        x, kv, q, k, v_t, attn, concat = caches[i]
+        dproj = dx.reshape(N * s, d)
         grads[f"block{i}.w_o"] += concat.T @ dproj
-        grads[f"block{i}.b_o"] += dproj.sum(axis=0)
-        dheads = (dproj @ blk["w_o"].T).reshape(B, s, H, dh).transpose(0, 2, 1, 3)
-        dattn = dheads @ v.transpose(0, 1, 3, 2)  # (B,H,s,s)
-        dv = attn.transpose(0, 1, 3, 2) @ dheads  # (B,H,s,dh)
-        dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
-        dq = (dscores @ k) * scale
-        dk = (dscores.transpose(0, 1, 3, 2) @ q) * scale
-        dq_flat = dq.transpose(0, 2, 1, 3).reshape(B * s, H * dh)
-        dk_flat = dk.transpose(0, 2, 1, 3).reshape(B * s, H * dh)
-        dv_flat = dv.transpose(0, 2, 1, 3).reshape(B * s, H * dh)
-        x_flat = x.reshape(B * s, d)
-        grads[f"block{i}.w_q"] += x_flat.T @ dq_flat
-        grads[f"block{i}.b_q"] += dq_flat.sum(axis=0)
-        grads[f"block{i}.w_k"] += kv_flat.T @ dk_flat
-        grads[f"block{i}.b_k"] += dk_flat.sum(axis=0)
-        grads[f"block{i}.w_v"] += kv_flat.T @ dv_flat
-        grads[f"block{i}.b_v"] += dv_flat.sum(axis=0)
+        grads[f"block{i}.b_o"] += ones @ dproj
+        dheads = (dproj @ blk["w_o"].T).reshape(N, s, H, dh).transpose(0, 2, 1, 3)
+        # d attn, turned in place into d scores (softmax backward, then scale)
+        dscores = dheads @ v_t
+        dscores -= _row_dot(dscores, attn)[..., None]
+        dscores *= attn
+        dscores *= scale
+        # each gradient written straight into its (N*s, width) row layout
+        dq_flat = np.empty((N * s, hidden), dtype=grad_out.dtype)
+        np.matmul(dscores, k, out=dq_flat.reshape(N, s, H, dh).transpose(0, 2, 1, 3))
+        dkv_flat = np.empty((N * s, 2 * hidden), dtype=grad_out.dtype)
+        dkv = dkv_flat.reshape(N, s, 2, H, dh).transpose(2, 0, 3, 1, 4)
+        np.matmul(dscores.transpose(0, 1, 3, 2), q, out=dkv[0])
+        np.matmul(attn.transpose(0, 1, 3, 2), dheads, out=dkv[1])
+        grads[f"block{i}.w_q"] += x.reshape(N * s, d).T @ dq_flat
+        grads[f"block{i}.b_q"] += ones @ dq_flat
+        dw_kv = kv.reshape(N * s, d).T @ dkv_flat
+        db_kv = ones @ dkv_flat
+        grads[f"block{i}.w_k"] += dw_kv[:, :hidden]
+        grads[f"block{i}.b_k"] += db_kv[:hidden]
+        grads[f"block{i}.w_v"] += dw_kv[:, hidden:]
+        grads[f"block{i}.b_v"] += db_kv[hidden:]
         if i > 0:
             # residual path plus the query projection path
-            dx = dx + (dq_flat @ blk["w_q"].T).reshape(B, s, d)
+            dx = dx + (dq_flat @ blk["w_q"].T).reshape(N, s, d)
 
 
 def _pair_distances_and_cache(e_a: np.ndarray, e_b: np.ndarray):
@@ -327,9 +385,49 @@ class TripletBatch:
     def __len__(self) -> int:
         return self.probe.shape[0]
 
+    def unique_maps(self) -> tuple[np.ndarray, np.ndarray]:
+        """A (U, s, d) stack of maps and the (B, 3) rows of each triplet's
+        probe, positive and negative in it; explicit maps count as distinct."""
+        b = len(self)
+        return np.concatenate([self.probe, self.pos, self.neg]), np.arange(3 * b).reshape(3, b).T
+
+
+@dataclass(frozen=True)
+class IndexedBatch:
+    """A triplet batch as rows into a shared stack of maps, so each
+    distinct map is projected once however many triplets use it.
+
+    maps: (n, s, d); index: (B, 3) rows of probe, positive, negative;
+    labels: (B, 3) as in TripletBatch.
+    """
+
+    maps: np.ndarray
+    index: np.ndarray
+    labels: np.ndarray
+
+    def __len__(self) -> int:
+        return self.index.shape[0]
+
+    @property
+    def probe(self) -> np.ndarray:
+        return self.maps[self.index[:, 0]]
+
+    @property
+    def pos(self) -> np.ndarray:
+        return self.maps[self.index[:, 1]]
+
+    @property
+    def neg(self) -> np.ndarray:
+        return self.maps[self.index[:, 2]]
+
+    def unique_maps(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct rows the batch uses, and its index into them."""
+        rows, local = np.unique(self.index, return_inverse=True)
+        return self.maps[rows], local.reshape(self.index.shape)
+
 
 def _batch_forward(
-    batch: TripletBatch,
+    batch: TripletBatch | IndexedBatch,
     weights: RerankerWeights,
     alpha: float,
     beta: float,
@@ -340,9 +438,10 @@ def _batch_forward(
     # gradients must match the parameters AdamW updates in place
     dtype = weights.dtype
     B = len(batch)
-    if batch.probe.shape[1:] != (cfg.s, cfg.d):
+    maps, index = batch.unique_maps()
+    if maps.shape[1:] != (cfg.s, cfg.d):
         raise ShapeError(
-            f"batch maps are {batch.probe.shape[1:]}, config declares ({cfg.s}, {cfg.d})"
+            f"batch maps are {maps.shape[1:]}, config declares ({cfg.s}, {cfg.d})"
         )
     if batch.labels.shape != (B, 3):
         raise ShapeError(f"labels must be (B, 3), got {batch.labels.shape}")
@@ -352,14 +451,15 @@ def _batch_forward(
             f"got range [{batch.labels.min()}, {batch.labels.max()}]"
         )
 
-    p = np.ascontiguousarray(batch.probe, dtype=dtype)
-    pos = np.ascontiguousarray(batch.pos, dtype=dtype)
-    neg = np.ascontiguousarray(batch.neg, dtype=dtype)
-
     # directed attention layout: [p|pos, pos|p, p|neg, neg|p]
-    queries = np.concatenate([p, pos, p, neg])
-    kvs = np.concatenate([pos, p, neg, p])
-    e, caches = _attention_forward(queries, kvs, weights, want_cache=want_grads)
+    p, pos, neg = index.T
+    e, caches = _attention_forward(
+        np.ascontiguousarray(maps, dtype=dtype),
+        np.concatenate([p, pos, p, neg]),
+        np.concatenate([pos, p, neg, p]),
+        weights,
+        want_cache=want_grads,
+    )
 
     # losses in float64 so ranking distances keep their precision contract
     e64 = e.astype(np.float64)
@@ -415,7 +515,7 @@ def _batch_forward(
     dpooled = dh @ weights.params()["cls.w1"].T
     de += dpooled[:, None, :] / cfg.s
 
-    _attention_backward(de.astype(dtype), caches, kvs, weights, grads)
+    _attention_backward(de.astype(dtype), caches, weights, grads)
     return loss, grads
 
 
@@ -465,22 +565,25 @@ def _check_map(m: np.ndarray, cfg: RerankerConfig, name: str) -> np.ndarray:
 
 
 def _attend(
-    queries: np.ndarray,
-    kvs: np.ndarray,
+    maps: np.ndarray,
+    query_idx,
+    partner_idx,
     weights: RerankerWeights,
     caller: str,
 ) -> np.ndarray:
-    """The inference forward over stacked (B, s, d) queries and kvs.
+    """The inference forward: condition ``maps[query_idx[n]]`` on
+    ``maps[partner_idx[n]]`` for every n, each distinct map projected once.
 
     Computes in the wider of the input and parameter dtypes, so the
     residual path never rounds its input: with zeroed projections the
     output is bitwise the queries. Non-finite output is an error that
     names ``caller``.
     """
-    dtype = np.result_type(queries.dtype, kvs.dtype, weights.dtype)
+    dtype = np.result_type(maps.dtype, weights.dtype)
     out, _ = _attention_forward(
-        np.ascontiguousarray(queries, dtype=dtype),
-        np.ascontiguousarray(kvs, dtype=dtype),
+        np.ascontiguousarray(maps, dtype=dtype),
+        np.asarray(query_idx, dtype=np.intp),
+        np.asarray(partner_idx, dtype=np.intp),
         weights,
     )
     if not np.isfinite(out).all():
@@ -496,7 +599,7 @@ def cross_attend(
     """Condition ``query_map`` on ``kv_map``; output shape s x d."""
     q = _check_map(query_map, weights.config, "query_map")
     kv = _check_map(kv_map, weights.config, "kv_map")
-    return _attend(q[None], kv[None], weights, "cross_attend")[0]
+    return _attend(np.stack([q, kv]), [0], [1], weights, "cross_attend")[0]
 
 
 def attended_pair(
@@ -507,7 +610,7 @@ def attended_pair(
     """Both conditioning directions with one shared weight set."""
     p = _check_map(f_p, weights.config, "f_p")
     c = _check_map(f_c, weights.config, "f_c")
-    out = _attend(np.stack([p, c]), np.stack([c, p]), weights, "attended_pair")
+    out = _attend(np.stack([p, c]), [0, 1], [1, 0], weights, "attended_pair")
     return AttendedPair(e_p=out[0], e_c=out[1])
 
 
@@ -537,9 +640,16 @@ def pair_distances(
         raise ShapeError(f"candidate_maps must be (M, {cfg.s}, {cfg.d}), got {cands.shape}")
     probe = _check_map(probe_map, cfg, "probe_map")
     m = cands.shape[0]
-    tiled = np.broadcast_to(probe, (m, cfg.s, cfg.d))
+    # row 0 is the probe, rows 1..m the candidates: the probe is projected
+    # once, not once per candidate
+    probe_rows = np.zeros(m, dtype=np.intp)
+    cand_rows = np.arange(1, m + 1)
     e = _attend(
-        np.concatenate([tiled, cands]), np.concatenate([cands, tiled]), weights, "pair_distances"
+        np.concatenate([probe[None], cands]),
+        np.concatenate([probe_rows, cand_rows]),
+        np.concatenate([cand_rows, probe_rows]),
+        weights,
+        "pair_distances",
     )
     z, _ = _pair_distances_and_cache(e[:m].astype(np.float64), e[m:].astype(np.float64))
     return z
@@ -585,10 +695,22 @@ def _save_params(
     blob = bytearray(_param_header(len(fields)).pack(magic, version, code, *values))
     for arr in weights.params().values():
         blob += np.ascontiguousarray(arr, dtype=_DTYPE_CODES[code]).tobytes()
-    Path(path).write_bytes(bytes(blob))
-    _meta_path(path).write_text(
-        json.dumps(metadata or {}, indent=2, sort_keys=True) + "\n"
-    )
+    meta = json.dumps(metadata or {}, indent=2, sort_keys=True) + "\n"
+    _write_atomic(Path(path), bytes(blob))
+    _write_atomic(_meta_path(path), meta.encode())
+
+
+def _write_atomic(path: Path, data: bytes) -> None:
+    """Write ``data`` to a temp file beside ``path``, then rename it over
+    ``path``: an interrupted write leaves the previous file or none."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _load_params(

@@ -19,6 +19,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
@@ -28,6 +29,7 @@ from .errors import DataError, FormatError, MissingIdError
 from .feature_store import FeatureSet
 from .ranking import rank_gallery
 from .reranker import (
+    IndexedBatch,
     RerankerConfig,
     RerankerWeights,
     TripletBatch,
@@ -69,11 +71,12 @@ class TrainingEntry:
         if len(self.distances) != n or len(self.positive) != n:
             raise ValueError("candidate_ids, distances and positive must align")
 
-    @property
+    # cached: the sampler reads them for every drawn probe
+    @cached_property
     def positives(self) -> tuple[str, ...]:
         return tuple(c for c, p in zip(self.candidate_ids, self.positive) if p)
 
-    @property
+    @cached_property
     def negatives(self) -> tuple[str, ...]:
         return tuple(c for c, p in zip(self.candidate_ids, self.positive) if not p)
 
@@ -94,6 +97,10 @@ class TrainingSet:
         return iter(self.entries)
 
     def eligible_entries(self) -> tuple[TrainingEntry, ...]:
+        return self._eligible
+
+    @cached_property
+    def _eligible(self) -> tuple[TrainingEntry, ...]:
         return tuple(e for e in self.entries if e.eligible)
 
 
@@ -200,7 +207,10 @@ def read_training_set(path) -> TrainingSet:
         raise FormatError(f"{p}: empty training-set file")
     try:
         header = json.loads(lines[0])
-        v = int(header["v"])
+        v = header["v"]
+        # a JSON integer: int() would also take "30", 30.5 and true
+        if type(v) is not int or v < 2:
+            raise FormatError(f"{p}: header \"v\" must be an integer >= 2, got {v!r}")
         entries = []
         for line in lines[1:]:
             rec = json.loads(line)
@@ -234,38 +244,54 @@ def sample_triplets(
         raise DataError("training set has no entry with both a positive and a negative")
     replace = len(eligible) < cfg.batch_probes
     probe_idx = rng.choice(len(eligible), size=cfg.batch_probes, replace=replace)
-    triplets = []
-    for i in probe_idx:
-        entry = eligible[int(i)]
-        pos, neg = entry.positives, entry.negatives
-        for _ in range(cfg.triplets_per_probe):
-            triplets.append(
-                Triplet(
-                    probe_id=entry.probe_id,
-                    pos_id=pos[int(rng.integers(len(pos)))],
-                    neg_id=neg[int(rng.integers(len(neg)))],
-                )
-            )
-    return triplets
+    entries = [eligible[i] for i in probe_idx.tolist() for _ in range(cfg.triplets_per_probe)]
+    # one positive then one negative index per triplet, in one call: each
+    # element of an array bound draws from the generator exactly as a
+    # scalar rng.integers(bound) call would, so the draws are those of a
+    # per-triplet loop
+    bounds = np.array([(len(e.positives), len(e.negatives)) for e in entries], dtype=np.int64)
+    picks = rng.integers(bounds).tolist()
+    return [
+        Triplet(probe_id=e.probe_id, pos_id=e.positives[p], neg_id=e.negatives[n])
+        for e, (p, n) in zip(entries, picks)
+    ]
+
+
+@dataclass(frozen=True)
+class MapStack:
+    """Feature maps stacked once, ``maps[row[sequence_id]]``, so that a
+    batch is index arrays rather than copies of its maps."""
+
+    maps: np.ndarray
+    row: dict[str, int]
+
+    @classmethod
+    def of(cls, strips: Mapping[str, np.ndarray], ids: Iterable[str]) -> "MapStack":
+        """Stack ``strips[i]`` for every id in ``ids`` that ``strips`` holds."""
+        present = [i for i in ids if i in strips]
+        maps = np.stack([strips[i] for i in present]) if present else np.empty((0, 0, 0))
+        return cls(maps=maps, row={i: r for r, i in enumerate(present)})
 
 
 def make_batch(
     triplets: Sequence[Triplet],
-    strips: Mapping[str, np.ndarray],
+    strips: MapStack | Mapping[str, np.ndarray],
     labels: Mapping[str, int],
-) -> TripletBatch:
-    """Assemble (B, s, d) arrays and (B, 3) labels from id mappings."""
+) -> IndexedBatch:
+    """(B, 3) rows of each triplet's maps in ``strips`` and (B, 3) labels.
+
+    ``strips`` is a MapStack or a mapping of sequence id -> map, which is
+    then stacked for these triplets.
+    """
+    ids = [i for t in triplets for i in (t.probe_id, t.pos_id, t.neg_id)]
+    if not isinstance(strips, MapStack):
+        strips = MapStack.of(strips, dict.fromkeys(ids))
     try:
-        probe = np.stack([strips[t.probe_id] for t in triplets])
-        pos = np.stack([strips[t.pos_id] for t in triplets])
-        neg = np.stack([strips[t.neg_id] for t in triplets])
-        lab = np.array(
-            [(labels[t.probe_id], labels[t.pos_id], labels[t.neg_id]) for t in triplets],
-            dtype=np.int64,
-        )
+        index = np.array([strips.row[i] for i in ids], dtype=np.intp).reshape(-1, 3)
+        lab = np.array([labels[i] for i in ids], dtype=np.int64).reshape(-1, 3)
     except KeyError as exc:
         raise MissingIdError(f"no features for sequence {exc.args[0]!r}") from exc
-    return TripletBatch(probe=probe, pos=pos, neg=neg, labels=lab)
+    return IndexedBatch(maps=strips.maps, index=index, labels=lab)
 
 
 # ---------------------------------------------------------------------------
@@ -343,9 +369,9 @@ class TrainResult:
 def _fixed_val_batch(
     val_ts: TrainingSet,
     cfg: TrainConfig,
-    strips: Mapping[str, np.ndarray],
+    strips: MapStack,
     rng: np.random.Generator,
-) -> TripletBatch:
+) -> IndexedBatch:
     eligible = val_ts.eligible_entries()
     if not eligible:
         raise DataError("validation set has no entry with both a positive and a negative")
@@ -365,7 +391,9 @@ def _fixed_val_batch(
     return make_batch(triplets, strips, zeros)
 
 
-def validation_loss(batch: TripletBatch, weights: RerankerWeights, beta: float) -> float:
+def validation_loss(
+    batch: TripletBatch | IndexedBatch, weights: RerankerWeights, beta: float
+) -> float:
     """Summed ranking loss of a triplet batch (no CE term)."""
     return batch_loss(batch, weights, alpha=0.0, beta=beta)
 
@@ -437,7 +465,10 @@ def _train_loop(
     the training loss and gradients, and ``val_loss(batch, weights)`` the
     loss of the fixed validation batch.
     """
-    strips = {e.sequence_id: np.ascontiguousarray(e.strips) for e in features.entries}
+    strips = MapStack.of(
+        {e.sequence_id: e.strips for e in features.entries},
+        sorted(referenced_sequences(train_ts) | referenced_sequences(val_ts)),
+    )
     ss = np.random.SeedSequence(cfg.seed)
     init_seed, batch_seed, val_seed = (int(s.generate_state(1)[0]) for s in ss.spawn(3))
     weights = init(init_seed)

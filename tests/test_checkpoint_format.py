@@ -8,6 +8,8 @@ canonical order. Loading it must give exactly those arrays, and saving
 the loaded weights must give exactly those bytes.
 """
 
+import builtins
+import errno
 import struct
 from dataclasses import dataclass
 from typing import Callable
@@ -16,6 +18,7 @@ import numpy as np
 import pytest
 
 from gaitrerank.baseline import load_baseline, save_baseline
+from gaitrerank import reranker
 from gaitrerank.errors import FormatError
 from gaitrerank.reranker import load_checkpoint, save_checkpoint
 
@@ -125,3 +128,68 @@ def test_corrupt_files_are_format_errors(tmp_path, fmt, edit, sidecar, message):
         (tmp_path / "params.bin.meta.json").write_text(sidecar)
     with pytest.raises(FormatError, match=message):
         fmt.load(path)
+
+
+class DiskFullAfter:
+    """``open`` for the writer: the ``fail_at``-th file opened takes half
+    of what it is given, then fails as a full disk would."""
+
+    def __init__(self, fail_at: int):
+        self.fail_at = fail_at
+        self.opened = 0
+
+    def __call__(self, path, mode):
+        fh = builtins.open(path, mode)
+        self.opened += 1
+        if self.opened - 1 != self.fail_at:
+            return fh
+
+        class Failing:
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                fh.close()
+
+            def write(self, data):
+                fh.write(data[: len(data) // 2])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        return Failing()
+
+
+@FORMATS
+@pytest.mark.parametrize("fail_at", [0, 1], ids=["parameters", "sidecar"])
+@pytest.mark.parametrize("previous", [True, False], ids=["over-previous", "fresh"])
+def test_interrupted_save_leaves_the_previous_file_or_none(
+    tmp_path, monkeypatch, fmt, fail_at, previous
+):
+    source = tmp_path / "source.bin"
+    source.write_bytes(pack(fmt, expected_arrays(fmt, np.float32), 4))
+    weights, _, _ = fmt.load(source)
+    source.unlink()
+    path = tmp_path / "params.bin"
+    sidecar = tmp_path / "params.bin.meta.json"
+    if previous:
+        fmt.save(weights, path, metadata={"run": 1})
+    before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+
+    for arr in weights.params().values():
+        arr *= 2
+    monkeypatch.setattr(reranker, "open", DiskFullAfter(fail_at), raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        fmt.save(weights, path, metadata={"run": 2})
+    monkeypatch.undo()
+
+    # no temp file is left behind, and the failed target is as it was
+    after = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+    failed = [path, sidecar][fail_at]
+    assert after.get(failed.name) == before.get(failed.name)
+    if fail_at == 0:
+        assert after == before
+    else:
+        # the parameter file was complete when its rename ran
+        assert set(after) == {path.name} | ({sidecar.name} if previous else set())
+        doubled, _, _ = fmt.load(path)
+        for name, arr in weights.params().items():
+            assert doubled.params()[name].tobytes() == arr.tobytes()

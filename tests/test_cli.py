@@ -301,6 +301,21 @@ def test_malformed_manifest_or_trainset_exits_4(tmp_path, capsys, workdir, targe
     assert json.loads(err)["error"] == "format"
 
 
+@pytest.mark.parametrize("command", ["train", "train-baseline"])
+@pytest.mark.parametrize("v", ["1", "true", '"30"'], ids=["one", "bool", "string"])
+def test_trainset_header_v_must_be_an_integer_at_least_2(tmp_path, capsys, workdir, command, v):
+    ts, vs = tmp_path / "train.jsonl", tmp_path / "val.jsonl"
+    assert main(["build-trainset", "--features", str(workdir / "feats.gfm"), "--v", "5",
+                 "--val-split", "0.25", "--out-train", str(ts), "--out-val", str(vs)]) == 0
+    lines = ts.read_text().splitlines()
+    ts.write_text("\n".join([f'{{"v": {v}}}', *lines[1:]]) + "\n")
+    code, _, err = run(capsys, command, "--trainset", str(ts), "--valset", str(vs),
+                       "--features", str(workdir / "feats.gfm"), "--iters", "1",
+                       "--out-checkpoint", str(tmp_path / "m.bin"), "--quiet")
+    assert code == 4
+    assert json.loads(err)["error"] == "format"
+
+
 @pytest.mark.parametrize(
     "items, code",
     [

@@ -160,3 +160,23 @@ def test_rerank_all_error_names_probe(setup):
     bad = [RankedList(fs.entries[0].sequence_id, (("ghost-００", 1.0),))]
     with pytest.raises(MissingIdError, match=fs.entries[0].sequence_id):
         rerank_all(probes, bad, fs, weights)
+
+
+class _TwoArgError(Exception):
+    def __init__(self, code, detail):
+        super().__init__(f"{code}: {detail}")
+
+
+class _FailingLookup(dict):
+    def __getitem__(self, key):
+        raise _TwoArgError(5, key)
+
+
+def test_rerank_all_reraises_the_original_exception_with_the_probe(setup):
+    fs, weights = setup
+    probe = fs.entries[0]
+    lists = rank_all([probe], fs, k=3)
+    with pytest.raises(_TwoArgError) as info:
+        rerank_all([probe], lists, _FailingLookup(), weights)
+    assert str(info.value).startswith("5: ")
+    assert info.value.__notes__ == [f"probe {probe.sequence_id!r}"]

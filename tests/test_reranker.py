@@ -8,6 +8,7 @@ from gaitrerank.ranking import strip_mean_distance
 from gaitrerank.reranker import (
     RerankerConfig,
     TripletBatch,
+    _attention_forward,
     attended_pair,
     batch_loss,
     classify,
@@ -19,6 +20,7 @@ from gaitrerank.reranker import (
     rerank_distance,
     save_checkpoint,
 )
+from gaitrerank.training import MapStack, Triplet, make_batch
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +298,75 @@ def test_non_finite_input_names_a_triplet():
     batch.probe[1, 0, 0] = np.nan
     with pytest.raises(NonFiniteError, match="triplet"):
         batch_loss(batch, w, alpha=0.01, beta=0.1)
+
+
+# ---------------------------------------------------------------------------
+# one compute dtype; each distinct map projected once
+# ---------------------------------------------------------------------------
+
+
+def _arrays(obj):
+    if isinstance(obj, np.ndarray):
+        yield obj
+    else:
+        for item in obj:
+            yield from _arrays(item)
+
+
+def test_engine_computes_in_the_parameters_dtype():
+    cfg = RerankerConfig(s=4, d=6, num_classes=3, heads=2, hidden=8, blocks=2, mlp_hidden=5)
+    w = init_weights(cfg, seed=3)
+    batch = random_batch(cfg, B=3, seed=4, dtype=np.float32)
+    maps, index = batch.unique_maps()
+    out, caches = _attention_forward(maps, index[:, 0], index[:, 1], w, want_cache=True)
+    arrays = [out, *_arrays(caches)]
+    assert len(arrays) == 1 + 7 * cfg.blocks
+    assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
+    _, grads = forward_backward(batch, w, alpha=0.01, beta=0.1)
+    assert {g.dtype for g in grads.values()} == {np.dtype(np.float32)}
+
+    x, kv = batch.probe[0], batch.pos[0]
+    for dtype in (np.float32, np.float64):
+        # float32 weights: float32 maps stay float32, float64 maps widen
+        pair = attended_pair(x.astype(dtype), kv.astype(dtype), w)
+        assert cross_attend(x.astype(dtype), kv.astype(dtype), w).dtype == dtype
+        assert pair.e_p.dtype == pair.e_c.dtype == dtype
+
+
+def test_indexed_batch_matches_explicit_maps_and_reference():
+    cfg = RerankerConfig(s=3, d=4, num_classes=4, heads=2, hidden=6, blocks=2, mlp_hidden=5)
+    w = init_weights(cfg, seed=8, dtype=np.float64)
+    rng = np.random.default_rng(12)
+    strips = {name: rng.standard_normal((3, 4)) for name in "abcdefgh"}
+    labels = {name: i % 4 for i, name in enumerate(strips)}
+    # "a" probes three triplets; "c" is a negative, then a positive
+    triplets = [
+        Triplet("a", "b", "c"),
+        Triplet("a", "c", "d"),
+        Triplet("e", "a", "b"),
+        Triplet("a", "b", "f"),
+    ]
+    # "g" and "h" are stacked but unused, so unused rows must not matter
+    stack = MapStack.of(strips, sorted(strips))
+    indexed = make_batch(triplets, stack, labels)
+    assert len(indexed.unique_maps()[0]) == 6
+    explicit = TripletBatch(
+        probe=np.stack([strips[t.probe_id].copy() for t in triplets]),
+        pos=np.stack([strips[t.pos_id].copy() for t in triplets]),
+        neg=np.stack([strips[t.neg_id].copy() for t in triplets]),
+        labels=indexed.labels.copy(),
+    )
+    loss, grads = forward_backward(indexed, w, alpha=0.3, beta=0.2)
+    want_loss, want_grads = forward_backward(explicit, w, alpha=0.3, beta=0.2)
+    assert loss == pytest.approx(want_loss, rel=1e-12)
+    assert loss == pytest.approx(ref_batch_loss(explicit, w, 0.3, 0.2), rel=1e-12)
+    assert batch_loss(indexed, w, alpha=0.3, beta=0.2) == loss
+    assert list(grads) == list(want_grads)
+    for name, want in want_grads.items():
+        # the true b_k gradient is zero (softmax ignores a key bias): only
+        # rounding noise remains there, hence the absolute floor
+        np.testing.assert_allclose(grads[name], want, rtol=1e-12, atol=1e-15, err_msg=name)
+    assert np.abs(want_grads["block0.w_k"]).max() > 1e-3
 
 
 # ---------------------------------------------------------------------------

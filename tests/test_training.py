@@ -142,6 +142,36 @@ def test_sample_triplets_deterministic():
     assert a == b
 
 
+def test_sample_triplets_draws_as_the_uncached_sampler():
+    def uncached(ts, cfg, rng):
+        eligible = tuple(e for e in ts.entries if any(e.positive) and not all(e.positive))
+        replace = len(eligible) < cfg.batch_probes
+        idx = rng.choice(len(eligible), size=cfg.batch_probes, replace=replace)
+        out = []
+        for i in idx:
+            e = eligible[int(i)]
+            pos = [c for c, p in zip(e.candidate_ids, e.positive) if p]
+            neg = [c for c, p in zip(e.candidate_ids, e.positive) if not p]
+            for _ in range(cfg.triplets_per_probe):
+                out.append(Triplet(e.probe_id, pos[int(rng.integers(len(pos)))],
+                                   neg[int(rng.integers(len(neg)))]))
+        return out
+
+    # entries of differing positive and negative counts, plus one ineligible
+    entries = [
+        entry(f"p{i}", [f"c{i}-{j}" for j in range(2 + i % 5)], [0.1] * (2 + i % 5),
+              [j <= i % 3 for j in range(2 + i % 5)])
+        for i in range(12)
+    ]
+    ts = TrainingSet(entries=tuple(entries) + (entry("x", ["a"], [0.1], [True]),), v=6)
+    assert len({(len(e.positives), len(e.negatives)) for e in ts.eligible_entries()}) > 4
+    for batch_probes in (4, 20):
+        cfg = TrainConfig(batch_probes=batch_probes, triplets_per_probe=3)
+        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+        for _ in range(3):
+            assert sample_triplets(ts, cfg, rng) == uncached(ts, cfg, ref)
+
+
 def test_sample_triplets_no_eligible():
     ts = TrainingSet(entries=(entry("p", ["a"], [0.1], [True]),), v=1)
     with pytest.raises(DataError):
