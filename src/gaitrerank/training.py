@@ -15,11 +15,13 @@ when it strictly improves.
 from __future__ import annotations
 
 import csv
+import ctypes
 import json
 import math
+import platform
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
@@ -447,6 +449,37 @@ def train(
     )
 
 
+# glibc mallopt parameters
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+@cache
+def _retain_freed_memory() -> None:
+    """Have glibc keep freed heap memory for reuse instead of returning it.
+
+    Every iteration allocates and frees the same few megabytes of
+    temporaries. Under glibc's default thresholds the heap top is trimmed
+    as they are freed, so the next iteration faults its working set back
+    in: about 2,000 minor faults per iteration at the acceptance harness
+    size, a quarter of the wall time in the kernel, and a fault count that
+    depends on the heap's history, so the same run varied by 10-20% in
+    speed. Serving arrays up to 32 MiB from the heap and trimming only
+    above 256 MiB free removes the faults. Set once per process; a no-op
+    off glibc.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 256 << 20)
+
+
 def _train_loop(
     train_ts: TrainingSet,
     val_ts: TrainingSet,
@@ -465,6 +498,7 @@ def _train_loop(
     the training loss and gradients, and ``val_loss(batch, weights)`` the
     loss of the fixed validation batch.
     """
+    _retain_freed_memory()
     strips = MapStack.of(
         {e.sequence_id: e.strips for e in features.entries},
         sorted(referenced_sequences(train_ts) | referenced_sequences(val_ts)),

@@ -1,4 +1,5 @@
 import math
+import platform
 
 import numpy as np
 import pytest
@@ -354,6 +355,27 @@ def test_training_does_not_mutate_input_features(tiny_pipeline):
     train(train_ts, val_ts, fs, cfg, model=model)
     for e, b in zip(fs.entries, before):
         assert e.strips.tobytes() == b.tobytes()
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap setting is glibc's")
+def test_training_iterations_reuse_freed_memory():
+    # at the acceptance harness size an iteration allocates and frees about
+    # 10 MB of temporaries; without the heap setting glibc hands them back
+    # to the kernel and each iteration faults 1,000-2,000 pages back in
+    import resource
+
+    fs = FeatureSet.from_entries(make_maps(40, 6, 8, 16, seed=5))
+    tr_fs, va_fs = split_train_val(fs)
+    train_ts = build_training_set(tr_fs, v=30)
+    val_ts = build_training_set(va_fs, v=30)
+    cfg = TrainConfig(lr=3e-4, iterations=40, t_val=20, val_triplets=256,
+                      batch_probes=32, triplets_per_probe=4, seed=1)
+    model = RerankerConfig(s=8, d=16, num_classes=40, heads=4, hidden=64, mlp_hidden=64)
+    train(train_ts, val_ts, fs, cfg, model=model)  # the heap grows to its peak once
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    train(train_ts, val_ts, fs, cfg, model=model)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 10 * cfg.iterations
 
 
 def test_training_log_roundtrip(tmp_path, tiny_pipeline):
