@@ -190,7 +190,7 @@ def train_baseline(
         features,
         cfg,
         # class labels go unused: the BCE targets come from the triplet roles
-        labels={e.sequence_id: 0 for e in features.entries},
+        labels=dict.fromkeys(features.sequence_ids, 0),
         init=init,
         step=_pair_bce,
         val_loss=lambda batch, w: _pair_bce(batch, w, want_grads=False)[0],

@@ -93,7 +93,7 @@ def _add_rank(sub) -> None:
 def _cmd_rank(args) -> int:
     probes = load_feature_set(args.probes)
     gallery = load_feature_set(args.gallery)
-    lists = rank_all(list(probes.entries), gallery, k=args.k, threads=args.threads)
+    lists = rank_all(probes, gallery, k=args.k, threads=args.threads)
     write_ranked_lists(lists, args.out)
     print(json.dumps({"probes": len(lists), "out": str(args.out)}, sort_keys=True))
     return 0
@@ -277,11 +277,10 @@ def _cmd_rerank(args) -> int:
     probes = load_feature_set(args.probes)
     gallery = load_feature_set(args.gallery)
     initial = read_ranked_lists(args.initial)
-    probe_by_id = {e.sequence_id: e for e in probes.entries}
-    missing = [rl.probe_id for rl in initial if rl.probe_id not in probe_by_id]
+    missing = [rl.probe_id for rl in initial if rl.probe_id not in probes.row_of]
     if missing:
         raise MissingIdError(f"no probe features for {missing[0]!r}")
-    ordered_probes = [probe_by_id[rl.probe_id] for rl in initial]
+    ordered_probes = [probes.get(rl.probe_id) for rl in initial]
 
     if args.baseline_checkpoint:
         weights, _, _ = baseline.load_baseline(args.baseline_checkpoint)

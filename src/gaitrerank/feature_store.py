@@ -14,6 +14,7 @@ to ``{"identity": ..., "partition": ...}`` and is required on load.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -66,32 +67,32 @@ class FeatureMap:
         return self.strips.shape[1]
 
 
-@dataclass(frozen=True)
-class RankIndex:
-    """A gallery laid out for ranking: what ``FeatureSet.rank_index``
-    caches.
+@dataclass(frozen=True, eq=False)
+class FeatureSet:
+    """An ordered, immutable set of same-shape strip maps in one array.
 
-    ``stack`` is the read-only float32 ``(n, s, d)`` array of all strips in
-    entry order, ``ids`` the sequence ids in the same order, and
-    ``id_rank[i]`` the position of ``ids[i]`` among the sorted distinct ids,
-    which ``rank_of`` maps each distinct id to. Equal ids share a rank, so
-    ``id_rank`` is both the tie-break key and the self-exclusion key.
+    ``strips`` is the read-only float32 ``(n, s, d)`` array of all maps in
+    entry order, ``sequence_ids`` and ``identity_ids`` the ids in that
+    order. The rest (the FeatureMap views in ``entries``, the id -> row
+    index, the ranking keys) is derived on first use and cached: every
+    layer reads ``strips`` itself instead of copying it.
     """
 
-    stack: np.ndarray
-    ids: tuple[str, ...]
-    id_rank: np.ndarray
-    rank_of: dict[str, int]
-
-
-@dataclass(frozen=True)
-class FeatureSet:
-    """An ordered, immutable collection of FeatureMaps with uniform shape."""
-
-    entries: tuple[FeatureMap, ...]
-    s: int
-    d: int
+    strips: np.ndarray
+    sequence_ids: tuple[str, ...]
+    identity_ids: tuple[str, ...]
     partition: str = "train"
+
+    def __post_init__(self) -> None:
+        # a read-only view, so the caller's own array stays writeable
+        strips = np.ascontiguousarray(self.strips, dtype=np.float32).view()
+        if strips.ndim != 3 or not len(strips) == len(self.sequence_ids) == len(self.identity_ids):
+            raise ShapeError(
+                f"strips of shape {strips.shape} for {len(self.sequence_ids)} sequence "
+                f"and {len(self.identity_ids)} identity ids; need (n, s, d) and n of each"
+            )
+        strips.flags.writeable = False
+        object.__setattr__(self, "strips", strips)
 
     @classmethod
     def from_entries(
@@ -101,67 +102,92 @@ class FeatureSet:
         s: int | None = None,
         d: int | None = None,
     ) -> "FeatureSet":
-        """Build a set, inferring s and d from the first entry if present."""
+        """Stack the entries into a new set, inferring s and d from the
+        first entry if present."""
         entries = tuple(entries)
         if s is None or d is None:
             if not entries:
                 raise ShapeError("empty set requires explicit s and d")
             s, d = entries[0].s, entries[0].d
-        return cls(entries=entries, s=s, d=d, partition=partition)
+        for e in entries:
+            if e.strips.shape != (s, d):
+                raise ShapeError(
+                    f"entry {e.sequence_id!r} has shape {e.strips.shape}, set declares ({s}, {d})"
+                )
+        strips = np.stack([e.strips for e in entries]) if entries else np.empty((0, s, d))
+        sequence_ids = tuple(e.sequence_id for e in entries)
+        identity_ids = tuple(e.identity_id for e in entries)
+        return cls(strips, sequence_ids, identity_ids, partition)
+
+    @property
+    def s(self) -> int:
+        return self.strips.shape[1]
+
+    @property
+    def d(self) -> int:
+        return self.strips.shape[2]
+
+    @cached_property
+    def entries(self) -> tuple[FeatureMap, ...]:
+        """One FeatureMap per entry, its strips a view into ``strips``."""
+        return tuple(map(FeatureMap, self.sequence_ids, self.identity_ids, self.strips))
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.sequence_ids)
 
     def __iter__(self) -> Iterator[FeatureMap]:
         return iter(self.entries)
 
     def ids(self) -> list[str]:
-        return [e.sequence_id for e in self.entries]
+        return list(self.sequence_ids)
+
+    @cached_property
+    def row_of(self) -> dict[str, int]:
+        """sequence_id -> row of ``strips``; a repeated id maps to its last
+        row."""
+        return {sid: row for row, sid in enumerate(self.sequence_ids)}
 
     def get(self, sequence_id: str) -> FeatureMap:
-        for e in self.entries:
-            if e.sequence_id == sequence_id:
-                return e
-        raise KeyError(sequence_id)
+        return self.entries[self.row_of[sequence_id]]
 
     def identity_map(self) -> dict[str, str]:
         """sequence_id -> identity_id for every entry."""
-        return {e.sequence_id: e.identity_id for e in self.entries}
+        return dict(zip(self.sequence_ids, self.identity_ids))
 
     def identities(self) -> list[str]:
         """Sorted unique identity ids."""
-        return sorted({e.identity_id for e in self.entries})
-
-    def stacked(self, dtype=np.float64) -> np.ndarray:
-        """All strips as one new (n, s, d) array in the requested dtype."""
-        return self.rank_index.stack.astype(dtype)
+        return sorted(set(self.identity_ids))
 
     @cached_property
-    def rank_index(self) -> RankIndex:
-        """The set stacked for ranking, built on first use and kept for the
-        life of the set: in-place edits to an entry's strips after that
-        are not seen by ranking."""
-        if self.entries:
-            stack = np.stack([e.strips for e in self.entries])
-        else:
-            stack = np.zeros((0, self.s, self.d), dtype=np.float32)
-        stack.flags.writeable = False
-        ids = tuple(e.sequence_id for e in self.entries)
-        # Python's str ordering, the order rankings have always tie-broken
-        # in; a numpy "U" array would drop trailing NULs and compare wrong.
-        rank_of = {sid: i for i, sid in enumerate(sorted(set(ids)))}
-        id_rank = np.array([rank_of[sid] for sid in ids], dtype=np.intp)
-        return RankIndex(stack=stack, ids=ids, id_rank=id_rank, rank_of=rank_of)
+    def rank_of(self) -> dict[str, int]:
+        """Each distinct sequence id's position in Python's str order, the
+        order rankings tie-break in (numpy "U" arrays drop trailing NULs)."""
+        return {sid: i for i, sid in enumerate(sorted(set(self.sequence_ids)))}
+
+    @cached_property
+    def id_rank(self) -> np.ndarray:
+        """``rank_of`` of every entry: the ranking tie-break key, and, as
+        equal ids share it, the self-exclusion key."""
+        return np.array([self.rank_of[sid] for sid in self.sequence_ids], dtype=np.intp)
 
     def manifest(self) -> dict[str, dict[str, str]]:
         return {
-            e.sequence_id: {"identity": e.identity_id, "partition": self.partition}
-            for e in self.entries
+            sid: {"identity": iid, "partition": self.partition}
+            for sid, iid in zip(self.sequence_ids, self.identity_ids)
         }
 
 
 def manifest_path(path) -> Path:
     return Path(str(path) + ".manifest.json")
+
+
+def _read_text(p: Path) -> str:
+    """The text of ``p``, which must be UTF-8: other bytes are a
+    FormatError, not a ValueError."""
+    try:
+        return p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{p}: not UTF-8 text ({exc})") from exc
 
 
 def read_manifest(path) -> dict[str, dict]:
@@ -171,7 +197,7 @@ def read_manifest(path) -> dict[str, dict]:
     if not p.exists():
         raise FileNotFoundError(str(p))
     try:
-        payload = json.loads(p.read_text())
+        payload = json.loads(_read_text(p))
     except json.JSONDecodeError as exc:
         raise FormatError(f"{p}: invalid JSON ({exc})") from exc
     if not isinstance(payload, dict):
@@ -189,21 +215,16 @@ def _violations(fs: FeatureSet) -> list[tuple[type, str]]:
         out.append((ShapeError, f"set header requires s >= 1 and d >= 1, got s={fs.s} d={fs.d}"))
     if fs.partition not in PARTITIONS:
         out.append((FormatError, f"unknown partition tag {fs.partition!r}"))
+    finite = np.isfinite(fs.strips).all(axis=(1, 2)).tolist()
     seen: set[str] = set()
     dup_reported: set[str] = set()
-    for idx, e in enumerate(fs.entries):
-        if e.strips.shape != (fs.s, fs.d):
-            out.append(
-                (ShapeError, f"entry {e.sequence_id!r} has shape {e.strips.shape}, set declares ({fs.s}, {fs.d})")
-            )
-        if not np.isfinite(e.strips).all():
-            out.append(
-                (NonFiniteError, f"entry {idx} ({e.sequence_id!r}) contains NaN or Inf")
-            )
-        if e.sequence_id in seen and e.sequence_id not in dup_reported:
-            out.append((DuplicateIdError, f"duplicate sequence_id {e.sequence_id!r}"))
-            dup_reported.add(e.sequence_id)
-        seen.add(e.sequence_id)
+    for idx, (sid, ok) in enumerate(zip(fs.sequence_ids, finite)):
+        if not ok:
+            out.append((NonFiniteError, f"entry {idx} ({sid!r}) contains NaN or Inf"))
+        if sid in seen and sid not in dup_reported:
+            out.append((DuplicateIdError, f"duplicate sequence_id {sid!r}"))
+            dup_reported.add(sid)
+        seen.add(sid)
     return out
 
 
@@ -222,26 +243,46 @@ def _require_valid(fs: FeatureSet) -> None:
         raise err_cls(msg)
 
 
+def _write_atomic(path, data: bytes) -> None:
+    """Write ``data`` to a temp file beside ``path``, then rename it over
+    ``path``: an interrupted write leaves the previous file or none."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_feature_set(fs: FeatureSet, path) -> None:
-    """Write the GFM1 binary file plus its JSON manifest sidecar."""
+    """Write the GFM1 binary file plus its JSON manifest sidecar, each
+    atomically."""
     _require_valid(fs)
-    blob = bytearray(_HEADER.pack(MAGIC, len(fs.entries), fs.s, fs.d))
-    for e in fs.entries:
-        for text in (e.sequence_id, e.identity_id):
+    blob = bytearray(_HEADER.pack(MAGIC, len(fs), fs.s, fs.d))
+    rows = fs.strips.astype("<f4", copy=False)
+    for sid, iid, row in zip(fs.sequence_ids, fs.identity_ids, rows):
+        for text in (sid, iid):
             raw = text.encode("utf-8")
             if len(raw) > 0xFFFF:
-                raise FormatError(f"id longer than 65535 bytes in {e.sequence_id!r}")
+                raise FormatError(f"id longer than 65535 bytes in {sid!r}")
             blob += _U16.pack(len(raw))
             blob += raw
-        blob += np.ascontiguousarray(e.strips, dtype="<f4").tobytes()
-    Path(path).write_bytes(bytes(blob))
-    manifest_path(path).write_text(
-        json.dumps(fs.manifest(), indent=2, sort_keys=True) + "\n"
-    )
+        blob += row.tobytes()
+    _write_atomic(path, bytes(blob))
+    manifest = json.dumps(fs.manifest(), indent=2, sort_keys=True) + "\n"
+    _write_atomic(manifest_path(path), manifest.encode())
 
 
 def load_feature_set(path) -> FeatureSet:
-    """Read a GFM1 file and its manifest; verify all invariants."""
+    """Read a GFM1 file and its manifest; verify all invariants.
+
+    The values are copied once, straight from the file into the set's
+    array. When a file has several defects, the first defective entry in
+    file order decides the error.
+    """
     p = Path(path)
     if not p.exists():
         raise FileNotFoundError(str(p))
@@ -253,36 +294,52 @@ def load_feature_set(path) -> FeatureSet:
         raise FormatError(f"{p}: bad magic {magic!r}")
     if s < 1 or d < 1:
         raise FormatError(f"{p}: header declares s={s} d={d}")
-
-    offset = _HEADER.size
     payload = s * d * 4
-    raw_entries: list[tuple[str, str, np.ndarray]] = []
+    if payload > np.iinfo(np.intp).max:
+        raise FormatError(f"{p}: header declares s={s} d={d}, too large for one array")
+    # every entry holds at least two id lengths and its values: the header
+    # must not size an array the file cannot fill
+    rest = len(blob) - _HEADER.size
+    if count * (2 * _U16.size + payload) > rest:
+        raise FormatError(f"{p}: truncated: {count} entries of {s}x{d} need over {rest} bytes")
+
+    strips = np.empty((count, s, d), dtype="<f4")
+    dst = memoryview(strips.reshape(-1).view(np.uint8))
+    src = memoryview(blob)
+    sids: list[str] = []
+    iids: list[str] = []
+    seen: set[str] = set()
+    first_dup = count
+    offset = _HEADER.size
     for i in range(count):
-        ids: list[str] = []
-        for _ in range(2):
+        for ids in (sids, iids):
             if offset + _U16.size > len(blob):
                 raise FormatError(f"{p}: truncated at entry {i}")
             (n,) = _U16.unpack_from(blob, offset)
             offset += _U16.size
             if offset + n > len(blob):
                 raise FormatError(f"{p}: truncated at entry {i}")
-            ids.append(blob[offset : offset + n].decode("utf-8"))
+            try:
+                ids.append(blob[offset : offset + n].decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"{p}: id of entry {i} is not UTF-8 ({exc})") from exc
             offset += n
         if offset + payload > len(blob):
             raise FormatError(f"{p}: truncated payload at entry {i}")
-        values = np.frombuffer(blob, dtype="<f4", count=s * d, offset=offset)
+        dst[i * payload : (i + 1) * payload] = src[offset : offset + payload]
         offset += payload
-        raw_entries.append((ids[0], ids[1], values.reshape(s, d).copy()))
+        if first_dup == count and sids[i] in seen:
+            first_dup = i
+        seen.add(sids[i])
     if offset != len(blob):
         raise FormatError(f"{p}: {len(blob) - offset} trailing bytes")
 
-    seen: set[str] = set()
-    for i, (sid, _, values) in enumerate(raw_entries):
-        if sid in seen:
-            raise DuplicateIdError(f"{p}: duplicate sequence_id {sid!r}")
-        seen.add(sid)
-        if not np.isfinite(values).all():
-            raise NonFiniteError(f"{p}: NaN or Inf in entry {i} ({sid!r})")
+    finite = np.isfinite(strips).all(axis=(1, 2))
+    first_bad = int(np.argmin(finite)) if not finite.all() else count
+    if first_dup < count and first_dup <= first_bad:
+        raise DuplicateIdError(f"{p}: duplicate sequence_id {sids[first_dup]!r}")
+    if first_bad < count:
+        raise NonFiniteError(f"{p}: NaN or Inf in entry {first_bad} ({sids[first_bad]!r})")
 
     mpath = manifest_path(p)
     if not mpath.exists():
@@ -298,13 +355,11 @@ def load_feature_set(path) -> FeatureSet:
         raise FormatError(f"{mpath}: mixed partition tags {sorted(partitions)}")
     partition = partitions.pop() if partitions else "train"
 
-    entries = []
-    for sid, iid, values in raw_entries:
+    for sid, iid in zip(sids, iids):
         if manifest[sid]["identity"] != iid:
             raise FormatError(
                 f"{mpath}: identity mismatch for {sid!r} "
                 f"({manifest[sid]['identity']!r} vs {iid!r})"
             )
-        entries.append(FeatureMap(sequence_id=sid, identity_id=iid, strips=values))
     # the checks above already cover every invariant of _require_valid
-    return FeatureSet(entries=tuple(entries), s=s, d=d, partition=partition)
+    return FeatureSet(strips, tuple(sids), tuple(iids), partition)

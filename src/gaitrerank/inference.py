@@ -12,7 +12,7 @@ in that case.
 from __future__ import annotations
 
 import time
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -24,17 +24,13 @@ from .reranker import RerankerWeights, pair_distances
 DEFAULT_K = 10
 
 
-def _strips_lookup(features) -> Mapping[str, np.ndarray]:
-    if isinstance(features, FeatureSet):
-        return {e.sequence_id: e.strips for e in features.entries}
-    return features
-
-
 def _rerank_with(score, probe: FeatureMap, initial: RankedList, features, k: int) -> RankedList:
     """Guards, candidate lookup and splice shared by both re-rankers.
 
-    ``score(probe_map, candidate_maps)`` returns one value per stacked
-    top-k candidate; the prefix is re-ordered ascending by it.
+    ``features`` is a FeatureSet, whose rows are gathered in one index,
+    or a mapping of sequence id -> map. ``score(probe_map,
+    candidate_maps)`` returns one value per stacked top-k candidate; the
+    prefix is re-ordered ascending by it.
     """
     if k < 1:
         raise DataError(f"k must be >= 1, got {k}")
@@ -46,10 +42,14 @@ def _rerank_with(score, probe: FeatureMap, initial: RankedList, features, k: int
     items = initial.items
     if not items:
         raise DataError(f"probe {initial.probe_id!r}: empty initial list")
-    lookup = _strips_lookup(features)
     kk = min(k, len(items))
+    ids = [cid for cid, _ in items[:kk]]
     try:
-        cand = np.stack([np.asarray(lookup[cid], dtype=np.float32) for cid, _ in items[:kk]])
+        if isinstance(features, FeatureSet):
+            row = features.row_of
+            cand = features.strips[[row[cid] for cid in ids]]
+        else:
+            cand = np.stack([np.asarray(features[cid], dtype=np.float32) for cid in ids])
     except KeyError as exc:
         raise MissingIdError(f"no features for candidate {exc.args[0]!r}") from exc
     return splice_reordered(initial, kk, score(probe.strips, cand))
@@ -123,12 +123,11 @@ def rerank_all(
         one = rerank
     else:
         from .baseline import baseline_rerank as one  # baseline imports this module
-    lookup = _strips_lookup(features)
     lists, latencies = [], []
     for probe, initial in zip(probes, initial_lists):
         t0 = time.perf_counter()
         try:
-            lists.append(one(probe, initial, lookup, weights, k=k))
+            lists.append(one(probe, initial, features, weights, k=k))
         except Exception as exc:
             exc.add_note(f"probe {probe.sequence_id!r}")
             raise

@@ -1,12 +1,12 @@
 """First-stage gallery ranking by the strip-averaged Euclidean distance.
 
-Each gallery is stacked once, as float32, into the rank index its
-``FeatureSet`` caches (``FeatureSet.rank_index``); every later probe ranks
-against that stack. Distances are exact float64, computed over fixed
-blocks of gallery rows in one summation order, so rankings are
-reproducible bit-for-bit and do not depend on the block size or thread
-count. Candidates are selected and ordered by (distance, sequence_id)
-with numpy, not Python sorts.
+Every probe ranks against the gallery ``FeatureSet``'s own float32 array
+(``FeatureSet.strips``); nothing is stacked or copied per gallery.
+Distances are exact float64, computed over fixed blocks of gallery rows
+in one summation order, so rankings are reproducible bit-for-bit and do
+not depend on the block size or thread count. Candidates are selected and
+ordered by (distance, sequence_id) with numpy, not Python sorts, using the
+id keys the set caches (``FeatureSet.id_rank``).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DataError, FormatError, NonFiniteError, ShapeError
-from .feature_store import FeatureMap, FeatureSet
+from .feature_store import FeatureMap, FeatureSet, _read_text
 
 
 @dataclass(frozen=True)
@@ -99,9 +99,9 @@ def rank_gallery(
             f"probe {probe.sequence_id!r} is {probe.strips.shape}, "
             f"gallery declares ({gallery.s}, {gallery.d})"
         )
-    index = gallery.rank_index
-    dists = _distances_to_stack(probe.strips.astype(np.float64), index.stack)
-    rows = np.flatnonzero(index.id_rank != index.rank_of.get(probe.sequence_id, -1))
+    id_rank = gallery.id_rank
+    dists = _distances_to_stack(probe.strips.astype(np.float64), gallery.strips)
+    rows = np.flatnonzero(id_rank != gallery.rank_of.get(probe.sequence_id, -1))
     dists = dists[rows]
     if not len(rows):
         raise DataError(
@@ -115,8 +115,8 @@ def rank_gallery(
             # break by id below
             keep = dists <= np.partition(dists, k - 1)[k - 1]
             rows, dists = rows[keep], dists[keep]
-    order = np.lexsort((index.id_rank[rows], dists))[:k]
-    ids = index.ids
+    order = np.lexsort((id_rank[rows], dists))[:k]
+    ids = gallery.sequence_ids
     return RankedList(
         probe_id=probe.sequence_id,
         items=tuple(zip([ids[i] for i in rows[order].tolist()], dists[order].tolist())),
@@ -131,8 +131,8 @@ def rank_all(
 ) -> list[RankedList]:
     """rank_gallery for every probe (a FeatureSet or a sequence of
     FeatureMaps), preserving probe input order."""
-    entries = probes.entries if isinstance(probes, FeatureSet) else tuple(probes)
-    gallery.rank_index  # built once here, not by racing worker threads
+    entries = tuple(probes)
+    gallery.id_rank  # built once here, not by racing worker threads
 
     def one(probe: FeatureMap) -> RankedList:
         try:
@@ -168,7 +168,7 @@ def read_ranked_lists(path) -> list[RankedList]:
     if not p.exists():
         raise FileNotFoundError(str(p))
     out = []
-    for lineno, line in enumerate(p.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(p).splitlines(), start=1):
         if not line.strip():
             continue
         try:

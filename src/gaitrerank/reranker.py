@@ -19,7 +19,6 @@ written once per model, in its ``_param_shapes``.
 from __future__ import annotations
 
 import json
-import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,6 +27,7 @@ from typing import Any
 import numpy as np
 
 from .errors import FormatError, NonFiniteError, ShapeError
+from .feature_store import _read_text, _write_atomic
 from .ranking import strip_mean_distance
 
 CHECKPOINT_MAGIC = b"CGRK"
@@ -700,19 +700,6 @@ def _save_params(
     _write_atomic(_meta_path(path), meta.encode())
 
 
-def _write_atomic(path: Path, data: bytes) -> None:
-    """Write ``data`` to a temp file beside ``path``, then rename it over
-    ``path``: an interrupted write leaves the previous file or none."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
 def _load_params(
     path, magic: bytes, version: int, fields: tuple[str, ...], make_config, shapes
 ):
@@ -758,7 +745,7 @@ def _load_params(
     mp = _meta_path(p)
     if mp.exists():
         try:
-            meta = json.loads(mp.read_text())
+            meta = json.loads(_read_text(mp))
         except json.JSONDecodeError as exc:
             raise FormatError(f"{mp}: invalid JSON ({exc})") from exc
     return cfg, params, meta

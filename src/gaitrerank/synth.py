@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .feature_store import FeatureMap, FeatureSet
+from .feature_store import FeatureSet
 from .metrics import rank_k_accuracy
 from .ranking import rank_all
 
@@ -74,21 +74,18 @@ def generate(
             bases.append(center + np.roll(rows, 1, axis=0))
 
     covariate = COVARIATE_SCALE * hardness * noise
-    entries = []
+    # each map is rounded to float32 straight into its row of the set
+    strips = np.empty((identities * per_identity, s, d), dtype=np.float32)
+    sequence_ids, identity_ids = [], []
     for i, base in enumerate(bases):
         blended = (1.0 - hardness) * base + hardness * base.mean(axis=0)
         ident = f"id{i:03d}"
         for t in range(per_identity):
             shift = covariate * rng.standard_normal(d)
-            strips = blended + shift + noise * rng.standard_normal((s, d))
-            entries.append(
-                FeatureMap(
-                    sequence_id=f"{ident}-{t:02d}",
-                    identity_id=ident,
-                    strips=strips.astype(np.float32),
-                )
-            )
-    return FeatureSet.from_entries(entries, s=s, d=d)
+            strips[i * per_identity + t] = blended + shift + noise * rng.standard_normal((s, d))
+            sequence_ids.append(f"{ident}-{t:02d}")
+            identity_ids.append(ident)
+    return FeatureSet(strips, tuple(sequence_ids), tuple(identity_ids))
 
 
 @dataclass(frozen=True)
@@ -106,8 +103,8 @@ def describe(features: FeatureSet) -> SynthSummary:
     by the ranker, so the numbers measure real identity confusion.
     """
     counts: dict[str, int] = {}
-    for e in features.entries:
-        counts[e.identity_id] = counts.get(e.identity_id, 0) + 1
+    for ident in features.identity_ids:
+        counts[ident] = counts.get(ident, 0) + 1
     lists = rank_all(features, features, k=10)
     acc = rank_k_accuracy(lists, features.identity_map(), [1, 10])
     return SynthSummary(

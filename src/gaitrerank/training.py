@@ -28,7 +28,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import DataError, FormatError, MissingIdError
-from .feature_store import FeatureSet
+from .feature_store import FeatureSet, _read_text
 from .ranking import rank_gallery
 from .reranker import (
     IndexedBatch,
@@ -204,7 +204,7 @@ def read_training_set(path) -> TrainingSet:
     p = Path(path)
     if not p.exists():
         raise FileNotFoundError(str(p))
-    lines = p.read_text().splitlines()
+    lines = _read_text(p).splitlines()
     if not lines:
         raise FormatError(f"{p}: empty training-set file")
     try:
@@ -259,41 +259,21 @@ def sample_triplets(
     ]
 
 
-@dataclass(frozen=True)
-class MapStack:
-    """Feature maps stacked once, ``maps[row[sequence_id]]``, so that a
-    batch is index arrays rather than copies of its maps."""
-
-    maps: np.ndarray
-    row: dict[str, int]
-
-    @classmethod
-    def of(cls, strips: Mapping[str, np.ndarray], ids: Iterable[str]) -> "MapStack":
-        """Stack ``strips[i]`` for every id in ``ids`` that ``strips`` holds."""
-        present = [i for i in ids if i in strips]
-        maps = np.stack([strips[i] for i in present]) if present else np.empty((0, 0, 0))
-        return cls(maps=maps, row={i: r for r, i in enumerate(present)})
-
-
 def make_batch(
     triplets: Sequence[Triplet],
-    strips: MapStack | Mapping[str, np.ndarray],
+    features: FeatureSet,
     labels: Mapping[str, int],
 ) -> IndexedBatch:
-    """(B, 3) rows of each triplet's maps in ``strips`` and (B, 3) labels.
-
-    ``strips`` is a MapStack or a mapping of sequence id -> map, which is
-    then stacked for these triplets.
-    """
+    """Each triplet's rows in ``features.strips``, (B, 3), and its (B, 3)
+    labels; the batch indexes the set's array rather than copying maps."""
     ids = [i for t in triplets for i in (t.probe_id, t.pos_id, t.neg_id)]
-    if not isinstance(strips, MapStack):
-        strips = MapStack.of(strips, dict.fromkeys(ids))
+    row = features.row_of
     try:
-        index = np.array([strips.row[i] for i in ids], dtype=np.intp).reshape(-1, 3)
+        index = np.array([row[i] for i in ids], dtype=np.intp).reshape(-1, 3)
         lab = np.array([labels[i] for i in ids], dtype=np.int64).reshape(-1, 3)
     except KeyError as exc:
         raise MissingIdError(f"no features for sequence {exc.args[0]!r}") from exc
-    return IndexedBatch(maps=strips.maps, index=index, labels=lab)
+    return IndexedBatch(maps=features.strips, index=index, labels=lab)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +351,7 @@ class TrainResult:
 def _fixed_val_batch(
     val_ts: TrainingSet,
     cfg: TrainConfig,
-    strips: MapStack,
+    features: FeatureSet,
     rng: np.random.Generator,
 ) -> IndexedBatch:
     eligible = val_ts.eligible_entries()
@@ -390,7 +370,7 @@ def _fixed_val_batch(
         )
     # labels are unused for the ranking-only validation loss
     zeros = {tid: 0 for t in triplets for tid in (t.probe_id, t.pos_id, t.neg_id)}
-    return make_batch(triplets, strips, zeros)
+    return make_batch(triplets, features, zeros)
 
 
 def validation_loss(
@@ -499,15 +479,11 @@ def _train_loop(
     loss of the fixed validation batch.
     """
     _retain_freed_memory()
-    strips = MapStack.of(
-        {e.sequence_id: e.strips for e in features.entries},
-        sorted(referenced_sequences(train_ts) | referenced_sequences(val_ts)),
-    )
     ss = np.random.SeedSequence(cfg.seed)
     init_seed, batch_seed, val_seed = (int(s.generate_state(1)[0]) for s in ss.spawn(3))
     weights = init(init_seed)
     batch_rng = np.random.default_rng(batch_seed)
-    val_batch = _fixed_val_batch(val_ts, cfg, strips, np.random.default_rng(val_seed))
+    val_batch = _fixed_val_batch(val_ts, cfg, features, np.random.default_rng(val_seed))
 
     state = init_adamw(weights)
     history: list[LogRow] = []
@@ -532,7 +508,7 @@ def _train_loop(
 
     for it in range(1, cfg.iterations + 1):
         triplets = sample_triplets(train_ts, cfg, batch_rng)
-        batch = make_batch(triplets, strips, labels)
+        batch = make_batch(triplets, features, labels)
         loss, grads = step(batch, weights)
         adamw_step(weights, grads, state, cfg)
         vl = record(it, loss, evaluate=it % cfg.t_val == 0 or it == cfg.iterations)

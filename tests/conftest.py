@@ -1,3 +1,6 @@
+import builtins
+import errno
+
 import numpy as np
 import pytest
 
@@ -24,3 +27,31 @@ def make_maps(n_ids, per_id, s, d, seed=0, prefix="id"):
 def small_set():
     """Six identities, three sequences each, 4x6 strips."""
     return FeatureSet.from_entries(make_maps(6, 3, 4, 6, seed=11))
+
+
+class DiskFullAfter:
+    """``open`` for the writer: the ``fail_at``-th file opened takes half
+    of what it is given, then fails as a full disk would."""
+
+    def __init__(self, fail_at: int):
+        self.fail_at = fail_at
+        self.opened = 0
+
+    def __call__(self, path, mode):
+        fh = builtins.open(path, mode)
+        self.opened += 1
+        if self.opened - 1 != self.fail_at:
+            return fh
+
+        class Failing:
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                fh.close()
+
+            def write(self, data):
+                fh.write(data[: len(data) // 2])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        return Failing()

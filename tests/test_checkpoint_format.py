@@ -8,8 +8,6 @@ canonical order. Loading it must give exactly those arrays, and saving
 the loaded weights must give exactly those bytes.
 """
 
-import builtins
-import errno
 import struct
 from dataclasses import dataclass
 from typing import Callable
@@ -18,9 +16,11 @@ import numpy as np
 import pytest
 
 from gaitrerank.baseline import load_baseline, save_baseline
-from gaitrerank import reranker
+from gaitrerank import feature_store
 from gaitrerank.errors import FormatError
 from gaitrerank.reranker import load_checkpoint, save_checkpoint
+
+from conftest import DiskFullAfter
 
 
 @dataclass(frozen=True)
@@ -130,34 +130,6 @@ def test_corrupt_files_are_format_errors(tmp_path, fmt, edit, sidecar, message):
         fmt.load(path)
 
 
-class DiskFullAfter:
-    """``open`` for the writer: the ``fail_at``-th file opened takes half
-    of what it is given, then fails as a full disk would."""
-
-    def __init__(self, fail_at: int):
-        self.fail_at = fail_at
-        self.opened = 0
-
-    def __call__(self, path, mode):
-        fh = builtins.open(path, mode)
-        self.opened += 1
-        if self.opened - 1 != self.fail_at:
-            return fh
-
-        class Failing:
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                fh.close()
-
-            def write(self, data):
-                fh.write(data[: len(data) // 2])
-                raise OSError(errno.ENOSPC, "No space left on device")
-
-        return Failing()
-
-
 @FORMATS
 @pytest.mark.parametrize("fail_at", [0, 1], ids=["parameters", "sidecar"])
 @pytest.mark.parametrize("previous", [True, False], ids=["over-previous", "fresh"])
@@ -176,7 +148,7 @@ def test_interrupted_save_leaves_the_previous_file_or_none(
 
     for arr in weights.params().values():
         arr *= 2
-    monkeypatch.setattr(reranker, "open", DiskFullAfter(fail_at), raising=False)
+    monkeypatch.setattr(feature_store, "open", DiskFullAfter(fail_at), raising=False)
     with pytest.raises(OSError, match="No space left"):
         fmt.save(weights, path, metadata={"run": 2})
     monkeypatch.undo()

@@ -333,3 +333,41 @@ def test_eval_bad_ranked_list_exits(tmp_path, capsys, workdir, items, code):
                       "--out", str(tmp_path / "r.json"))
     assert got == code
     assert json.loads(err)["error"] == {7: "non-finite", 4: "format"}[code]
+
+
+@pytest.mark.parametrize(
+    "target", ["features-id", "manifest", "ranked-list", "trainset", "checkpoint-meta"]
+)
+def test_non_utf8_input_exits_4(tmp_path, capsys, workdir, target):
+    feats, lists = tmp_path / "feats.gfm", tmp_path / "initial.jsonl"
+    for name, dst in [("feats.gfm", feats), ("feats.gfm.manifest.json", manifest_path(feats)),
+                      ("initial.jsonl", lists)]:
+        dst.write_bytes((workdir / name).read_bytes())
+    rank = ["rank", "--probes", str(feats), "--gallery", str(feats),
+            "--out", str(tmp_path / "o.jsonl")]
+    spoiled, argv = {
+        # 16 header bytes and the u16 length lead to the first sequence id
+        "features-id": ((feats, 18), rank),
+        "manifest": ((manifest_path(feats), 0), rank),
+        "ranked-list": ((lists, 0), ["eval", "--lists", str(lists), "--manifest",
+                                     str(manifest_path(feats)), "--out", str(tmp_path / "r.json")]),
+        "trainset": ((tmp_path / "train.jsonl", 0), [
+            "train", "--trainset", str(tmp_path / "train.jsonl"),
+            "--valset", str(tmp_path / "val.jsonl"), "--features", str(feats),
+            "--iters", "1", "--out-checkpoint", str(tmp_path / "m.cgrk"), "--quiet"]),
+        "checkpoint-meta": ((tmp_path / "m.cgrk.meta.json", 0), [
+            "rerank", "--checkpoint", str(tmp_path / "m.cgrk"), "--probes", str(feats),
+            "--gallery", str(feats), "--initial", str(lists), "--out", str(tmp_path / "o.jsonl")]),
+    }[target]
+    assert main(["build-trainset", "--features", str(feats), "--v", "5", "--val-split", "0.25",
+                 "--out-train", str(tmp_path / "train.jsonl"),
+                 "--out-val", str(tmp_path / "val.jsonl")]) == 0
+    model = RerankerConfig(s=4, d=6, num_classes=12, heads=2, hidden=8, mlp_hidden=8)
+    save_checkpoint(init_weights(model, seed=0), tmp_path / "m.cgrk", metadata={"run": 1})
+    path, offset = spoiled
+    blob = bytearray(path.read_bytes())
+    blob[offset] = 0xFF  # never valid in UTF-8
+    path.write_bytes(bytes(blob))
+    code, _, err = run(capsys, *argv)
+    assert code == 4, err
+    assert json.loads(err)["error"] == "format"

@@ -1,9 +1,11 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from gaitrerank import feature_store
 from gaitrerank.errors import (
     DuplicateIdError,
     FormatError,
@@ -18,8 +20,11 @@ from gaitrerank.feature_store import (
     save_feature_set,
     validate,
 )
+from gaitrerank.ranking import rank_gallery
+from gaitrerank.synth import generate
+from gaitrerank.training import Triplet, make_batch
 
-from conftest import make_maps
+from conftest import DiskFullAfter, make_maps
 
 
 def test_feature_map_coerces_to_float32():
@@ -155,12 +160,15 @@ def test_validate_reports_all_violations():
         FeatureMap("a-00", "a", np.full((2, 2), np.inf, dtype=np.float32)),
         FeatureMap("b-00", "b", np.ones((3, 2), dtype=np.float32)),
     ]
-    fs = FeatureSet(entries=tuple(entries), s=2, d=2)
+    # one array cannot hold a mismatched shape: construction refuses it,
+    # naming the entry
+    with pytest.raises(ShapeError, match="'b-00' has shape"):
+        FeatureSet.from_entries(entries, s=2, d=2)
+    fs = FeatureSet.from_entries(entries[:2], s=2, d=2)
     msgs = validate(fs)
-    assert len(msgs) == 3
+    assert len(msgs) == 2
     assert any("duplicate" in m for m in msgs)
     assert any("NaN or Inf" in m for m in msgs)
-    assert any("shape" in m for m in msgs)
     assert validate(FeatureSet.from_entries(entries[:1])) == []
 
 
@@ -168,7 +176,7 @@ def test_from_entries_empty_requires_dims():
     with pytest.raises(ShapeError):
         FeatureSet.from_entries([])
     fs = FeatureSet.from_entries([], s=4, d=8)
-    assert fs.stacked().shape == (0, 4, 8)
+    assert fs.strips.shape == (0, 4, 8)
 
 
 def test_accessors(small_set):
@@ -177,9 +185,9 @@ def test_accessors(small_set):
     assert small_set.get("id003-00").sequence_id == "id003-00"
     with pytest.raises(KeyError):
         small_set.get("missing")
-    stack = small_set.stacked()
+    stack = small_set.strips
     assert stack.shape == (18, 4, 6)
-    assert stack.dtype == np.float64
+    assert stack.dtype == np.float32
 
 
 def test_unicode_ids_roundtrip(tmp_path):
@@ -188,3 +196,134 @@ def test_unicode_ids_roundtrip(tmp_path):
     path = tmp_path / "feat.gfm"
     save_feature_set(fs, path)
     assert load_feature_set(path).ids() == ["プローブ-00"]
+
+
+# ---------------------------------------------------------------------------
+# one array per set
+# ---------------------------------------------------------------------------
+
+
+def _assert_entries_view_the_array(fs):
+    assert fs.strips.dtype == np.float32 and not fs.strips.flags.writeable
+    assert fs.strips.shape == (len(fs), fs.s, fs.d)
+    for row, e in zip(fs.strips, fs.entries):
+        assert np.shares_memory(e.strips, fs.strips)
+        assert e.strips.tobytes() == row.tobytes()
+
+
+def test_entries_are_views_into_one_read_only_array(tmp_path, small_set):
+    _assert_entries_view_the_array(small_set)
+    path = tmp_path / "feat.gfm"
+    save_feature_set(small_set, path)
+    _assert_entries_view_the_array(load_feature_set(path))
+    _assert_entries_view_the_array(generate(3, 2, 4, 5, hardness=0.5, noise=0.2, seed=0))
+
+
+def test_get_and_make_batch_resolve_ids_through_the_index():
+    strips = np.arange(3 * 2 * 2, dtype=np.float32).reshape(3, 2, 2)
+    # a repeated id resolves to its last row, in both
+    fs = FeatureSet(strips, ("a", "b", "a"), ("x", "y", "x"))
+    assert fs.row_of == {"a": 2, "b": 1}
+    assert fs.get("a") is fs.entries[2]
+    assert fs.get("b").strips.tobytes() == strips[1].tobytes()
+    batch = make_batch([Triplet("a", "b", "a")], fs, {"a": 0, "b": 1})
+    assert batch.maps is fs.strips
+    assert batch.index.tolist() == [[2, 1, 2]]
+
+
+def test_rank_gallery_allocates_no_copy_of_the_gallery():
+    gallery = FeatureSet.from_entries(make_maps(200, 5, 16, 64, seed=2))
+    probe = gallery.entries[0]
+    tracemalloc.start()
+    try:
+        rank_gallery(probe, gallery)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a float32 copy would take all of strips.nbytes (4 MB), a float64
+    # one twice that; the 1 MB distance block buffer stays below half
+    assert peak < gallery.strips.nbytes / 2, (peak, gallery.strips.nbytes)
+
+
+# ---------------------------------------------------------------------------
+# header values that must not size an allocation
+# ---------------------------------------------------------------------------
+
+
+def _write_header(path, count, s, d, body=b""):
+    path.write_bytes(struct.Struct("<4sIII").pack(b"GFM1", count, s, d) + body)
+    manifest_path(path).write_text("{}")
+
+
+def test_header_strip_shape_too_large_for_one_array(tmp_path):
+    path = tmp_path / "feat.gfm"
+    _write_header(path, 0, 2**32 - 1, 2**32 - 1)
+    with pytest.raises(FormatError, match="too large"):
+        load_feature_set(path)
+
+
+def test_header_count_larger_than_the_file(tmp_path):
+    path = tmp_path / "feat.gfm"
+    # 4 + 4 * 64 * 64 bytes per entry, a little over 16 KB
+    _write_header(path, 2**32 - 1, 64, 64, body=bytes(20_000))
+    with pytest.raises(FormatError, match="truncated"):
+        load_feature_set(path)
+
+
+# ---------------------------------------------------------------------------
+# atomic save
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("fail_at", [0, 1], ids=["features", "manifest"])
+@pytest.mark.parametrize("previous", [True, False], ids=["over-previous", "fresh"])
+def test_interrupted_save_leaves_the_previous_files_or_none(
+    tmp_path, monkeypatch, small_set, fail_at, previous
+):
+    path = tmp_path / "feat.gfm"
+    if previous:
+        save_feature_set(small_set, path)
+    before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+
+    doubled = FeatureSet(small_set.strips * 2, small_set.sequence_ids, small_set.identity_ids)
+    monkeypatch.setattr(feature_store, "open", DiskFullAfter(fail_at), raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        save_feature_set(doubled, path)
+    monkeypatch.undo()
+
+    # no temp file is left behind, and the failed target is as it was
+    after = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+    failed = [path, manifest_path(path)][fail_at]
+    assert after.get(failed.name) == before.get(failed.name)
+    if fail_at == 0:
+        assert after == before
+    else:
+        # the features file was complete when its rename ran
+        assert set(after) == {path.name} | ({manifest_path(path).name} if previous else set())
+        blob = after[path.name]
+        assert blob[-doubled.strips[-1].nbytes :] == doubled.strips[-1].tobytes()
+
+
+@pytest.mark.parametrize(
+    "entries, error",
+    [
+        ([("a-00", np.nan), ("a-00", 0.0)], NonFiniteError),
+        ([("a-00", 0.0), ("a-00", np.nan)], DuplicateIdError),
+        ([("a-00", 0.0), ("b-00", np.inf), ("b-00", 0.0)], NonFiniteError),
+        ([("a-00", 0.0), ("a-00", 0.0), ("b-00", np.nan)], DuplicateIdError),
+    ],
+    ids=["nan-then-duplicate", "duplicate-and-nan", "inf-then-duplicate", "duplicate-then-nan"],
+)
+def test_first_defective_entry_decides_the_load_error(tmp_path, entries, error):
+    blob = struct.Struct("<4sIII").pack(b"GFM1", len(entries), 2, 2)
+    for sid, value in entries:
+        for text in (sid.encode(), sid[0].encode()):
+            blob += struct.pack("<H", len(text)) + text
+        blob += np.full((2, 2), value, dtype="<f4").tobytes()
+    path = tmp_path / "feat.gfm"
+    path.write_bytes(blob)
+    manifest_path(path).write_text(
+        json.dumps({sid: {"identity": sid[0], "partition": "train"} for sid, _ in entries})
+    )
+    with pytest.raises(error):
+        load_feature_set(path)

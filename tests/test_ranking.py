@@ -151,12 +151,16 @@ def test_rank_matches_original_formula_bit_for_bit(monkeypatch, n, s, d, levels,
         assert rank_all(probes, gallery, k, threads=2) == want
 
 
-def test_rank_index_is_cached_read_only_float32(small_set):
-    index = small_set.rank_index
-    assert index is small_set.rank_index
-    assert index.stack.dtype == np.float32 and not index.stack.flags.writeable
-    assert index.ids == tuple(small_set.ids())
-    assert small_set.stacked().flags.writeable
+def test_strips_are_read_only_float32_and_id_keys_cached(small_set):
+    assert small_set.id_rank is small_set.id_rank
+    assert small_set.rank_of is small_set.rank_of
+    stack = small_set.strips
+    assert stack.dtype == np.float32 and not stack.flags.writeable
+    assert small_set.sequence_ids == tuple(small_set.ids())
+    # the set's view is read-only; the array it was built from is not
+    values = np.zeros((1, 2, 2), dtype=np.float32)
+    assert not FeatureSet(values, ("a",), ("a",)).strips.flags.writeable
+    assert values.flags.writeable
 
 
 def test_rank_tie_break_uses_python_str_order():

@@ -6,6 +6,7 @@ import pytest
 from gaitrerank.errors import FormatError, NonFiniteError, ShapeError
 from gaitrerank.ranking import strip_mean_distance
 from gaitrerank.reranker import (
+    IndexedBatch,
     RerankerConfig,
     TripletBatch,
     _attention_forward,
@@ -20,7 +21,7 @@ from gaitrerank.reranker import (
     rerank_distance,
     save_checkpoint,
 )
-from gaitrerank.training import MapStack, Triplet, make_batch
+from gaitrerank.training import Triplet
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +348,14 @@ def test_indexed_batch_matches_explicit_maps_and_reference():
         Triplet("a", "b", "f"),
     ]
     # "g" and "h" are stacked but unused, so unused rows must not matter
-    stack = MapStack.of(strips, sorted(strips))
-    indexed = make_batch(triplets, stack, labels)
+    names = sorted(strips)
+    row = {name: r for r, name in enumerate(names)}
+    ids = [i for t in triplets for i in (t.probe_id, t.pos_id, t.neg_id)]
+    indexed = IndexedBatch(
+        maps=np.stack([strips[name] for name in names]),
+        index=np.array([row[i] for i in ids]).reshape(-1, 3),
+        labels=np.array([labels[i] for i in ids]).reshape(-1, 3),
+    )
     assert len(indexed.unique_maps()[0]) == 6
     explicit = TripletBatch(
         probe=np.stack([strips[t.probe_id].copy() for t in triplets]),

@@ -180,14 +180,15 @@ def test_sample_triplets_no_eligible():
 
 
 def test_make_batch_shapes_and_missing_id():
-    strips = {k: np.full((2, 3), i, dtype=np.float32) for i, k in enumerate("abc")}
+    strips = np.arange(3, dtype=np.float32)[:, None, None] + np.zeros((3, 2, 3), np.float32)
+    features = FeatureSet(strips, tuple("abc"), tuple("abc"))
     labels = {"a": 0, "b": 1, "c": 0}
     trips = [Triplet("a", "b", "c"), Triplet("b", "a", "c")]
-    batch = make_batch(trips, strips, labels)
+    batch = make_batch(trips, features, labels)
     assert batch.probe.shape == (2, 2, 3)
     assert batch.labels.tolist() == [[0, 1, 0], [1, 0, 0]]
     with pytest.raises(MissingIdError):
-        make_batch([Triplet("a", "b", "zzz")], strips, labels)
+        make_batch([Triplet("a", "b", "zzz")], features, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -311,11 +312,10 @@ def test_train_snapshot_is_validation_argmin(tiny_pipeline):
     )
     # returned weights really are the snapshot: re-scoring them on the same
     # fixed validation batch reproduces best_val_loss
-    strips = {e.sequence_id: e.strips for e in fs.entries}
     ss = np.random.SeedSequence(cfg.seed)
     val_seed = int(ss.spawn(3)[2].generate_state(1)[0])
     val_batch = training._fixed_val_batch(
-        val_ts, cfg, strips, np.random.default_rng(val_seed)
+        val_ts, cfg, fs, np.random.default_rng(val_seed)
     )
     assert validation_loss(val_batch, res.weights, cfg.beta) == res.best_val_loss
 
