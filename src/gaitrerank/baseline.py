@@ -11,6 +11,7 @@ arguments; the probe always occupies the first block.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -48,13 +49,11 @@ class BaselineWeights(ParamStore):
     config: BaselineConfig
 
 
-def _param_shapes(cfg: BaselineConfig) -> dict[str, tuple[int, ...]]:
-    return {
-        "w1": (cfg.in_dim, cfg.hidden),
-        "b1": (cfg.hidden,),
-        "w2": (cfg.hidden, 1),
-        "b2": (1,),
-    }
+def _param_shapes(cfg: BaselineConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
+    yield "w1", (cfg.in_dim, cfg.hidden)
+    yield "b1", (cfg.hidden,)
+    yield "w2", (cfg.hidden, 1)
+    yield "b2", (1,)
 
 
 def init_baseline(

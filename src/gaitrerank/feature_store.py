@@ -16,10 +16,11 @@ from __future__ import annotations
 import json
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterator
+from typing import IO, Iterator
 
 import numpy as np
 
@@ -181,30 +182,34 @@ def manifest_path(path) -> Path:
     return Path(str(path) + ".manifest.json")
 
 
-def _read_text(p: Path) -> str:
-    """The text of ``p``, which must be UTF-8: other bytes are a
-    FormatError, not a ValueError."""
+def _read_bytes(path) -> bytes:
+    """The bytes of input ``path``: the one place a missing input is named."""
+    p = Path(path)
+    if not p.exists():
+        raise FileNotFoundError(str(p))
+    return p.read_bytes()
+
+
+def _read_text(path) -> str:
+    """The text of input ``path``; bytes that are not UTF-8 are a FormatError."""
     try:
-        return p.read_text(encoding="utf-8")
+        return _read_bytes(path).decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise FormatError(f"{p}: not UTF-8 text ({exc})") from exc
+        raise FormatError(f"{path}: not UTF-8 text ({exc})") from exc
 
 
 def read_manifest(path) -> dict[str, dict]:
     """Read a manifest: a JSON object mapping each sequence id to a record
     object with at least a string ``"identity"``."""
-    p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(str(p))
     try:
-        payload = json.loads(_read_text(p))
+        payload = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
-        raise FormatError(f"{p}: invalid JSON ({exc})") from exc
+        raise FormatError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(payload, dict):
-        raise FormatError(f"{p}: manifest must be a JSON object")
+        raise FormatError(f"{path}: manifest must be a JSON object")
     for seq, rec in payload.items():
         if not isinstance(rec, dict) or not isinstance(rec.get("identity"), str):
-            raise FormatError(f"{p}: record {seq!r} has no string \"identity\"")
+            raise FormatError(f"{path}: record {seq!r} has no string \"identity\"")
     return payload
 
 
@@ -243,17 +248,29 @@ def _require_valid(fs: FeatureSet) -> None:
         raise err_cls(msg)
 
 
-def _write_atomic(path, data: bytes) -> None:
-    """Write ``data`` to a temp file beside ``path``, then rename it over
-    ``path``: an interrupted write leaves the previous file or none."""
+@contextmanager
+def _write_atomic(path, mode: str) -> Iterator[IO]:
+    """The one way an artefact is written: a handle (mode "w", UTF-8 with
+    newlines as given, or "wb") on a temp file beside ``path``'s resolved
+    target, renamed over it when the block ends and removed on any error,
+    so an interrupted write leaves the previous file or none. A FIFO or
+    device (/dev/stdout) is written in place. Errors name ``path``."""
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    text = {} if "b" in mode else {"encoding": "utf-8", "newline": ""}
+    if path.exists() and not path.is_file():
+        with open(path, mode, **text) as fh:
+            yield fh
+        return
+    target = path.resolve()
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
+        with open(tmp, mode, **text) as fh:
+            yield fh
+        os.replace(tmp, target)
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise
 
 
@@ -261,19 +278,18 @@ def save_feature_set(fs: FeatureSet, path) -> None:
     """Write the GFM1 binary file plus its JSON manifest sidecar, each
     atomically."""
     _require_valid(fs)
-    blob = bytearray(_HEADER.pack(MAGIC, len(fs), fs.s, fs.d))
-    rows = fs.strips.astype("<f4", copy=False)
-    for sid, iid, row in zip(fs.sequence_ids, fs.identity_ids, rows):
-        for text in (sid, iid):
-            raw = text.encode("utf-8")
-            if len(raw) > 0xFFFF:
-                raise FormatError(f"id longer than 65535 bytes in {sid!r}")
-            blob += _U16.pack(len(raw))
-            blob += raw
-        blob += row.tobytes()
-    _write_atomic(path, bytes(blob))
-    manifest = json.dumps(fs.manifest(), indent=2, sort_keys=True) + "\n"
-    _write_atomic(manifest_path(path), manifest.encode())
+    with _write_atomic(path, "wb") as fh:
+        fh.write(_HEADER.pack(MAGIC, len(fs), fs.s, fs.d))
+        rows = fs.strips.astype("<f4", copy=False)
+        for sid, iid, row in zip(fs.sequence_ids, fs.identity_ids, rows):
+            for text in (sid, iid):
+                raw = text.encode("utf-8")
+                if len(raw) > 0xFFFF:
+                    raise FormatError(f"id longer than 65535 bytes in {sid!r}")
+                fh.write(_U16.pack(len(raw)) + raw)
+            fh.write(row)
+    with _write_atomic(manifest_path(path), "w") as fh:
+        fh.write(json.dumps(fs.manifest(), indent=2, sort_keys=True) + "\n")
 
 
 def load_feature_set(path) -> FeatureSet:
@@ -284,9 +300,7 @@ def load_feature_set(path) -> FeatureSet:
     file order decides the error.
     """
     p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(str(p))
-    blob = p.read_bytes()
+    blob = _read_bytes(p)
     if len(blob) < _HEADER.size:
         raise FormatError(f"{p}: truncated header ({len(blob)} bytes)")
     magic, count, s, d = _HEADER.unpack_from(blob, 0)

@@ -10,12 +10,12 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import DataError, FormatError, MissingIdError
+from .feature_store import _read_text, _write_atomic
 from .ranking import RankedList
 
 
@@ -143,10 +143,8 @@ def strip_cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def write_cosine_csv(matrix: np.ndarray, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in matrix:
-            writer.writerow([repr(float(x)) for x in row])
+    with _write_atomic(path, "w") as fh:
+        csv.writer(fh).writerows([repr(float(x)) for x in row] for row in matrix)
 
 
 @dataclass(frozen=True)
@@ -200,15 +198,13 @@ def evaluate_lists(
 
 
 def write_report(report: MetricsReport, path) -> None:
-    Path(path).write_text(report.to_json())
+    with _write_atomic(path, "w") as fh:
+        fh.write(report.to_json())
 
 
 def read_report(path) -> MetricsReport:
-    p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(str(p))
     try:
-        payload = json.loads(p.read_text())
+        payload = json.loads(_read_text(path))
         return MetricsReport(
             rank_k={int(k): float(v) for k, v in payload["rank_k"].items()},
             map_score=float(payload["map"]),
@@ -216,5 +212,5 @@ def read_report(path) -> MetricsReport:
             probe_count=int(payload["probe_count"]),
             oracle_rank1_ceiling=float(payload["oracle_rank1_ceiling"]),
         )
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
-        raise FormatError(f"{p}: invalid metrics report ({exc})") from exc
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: invalid metrics report ({exc})") from exc

@@ -15,13 +15,12 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import DataError, FormatError, NonFiniteError, ShapeError
-from .feature_store import FeatureMap, FeatureSet, _read_text
+from .feature_store import FeatureMap, FeatureSet, _read_text, _write_atomic
 
 
 @dataclass(frozen=True)
@@ -153,7 +152,7 @@ def write_ranked_lists(
 ) -> None:
     """One JSON record per probe, written as it is formatted; optional
     per-probe latency field."""
-    with open(path, "w") as fh:
+    with _write_atomic(path, "w") as fh:
         for i, rl in enumerate(lists):
             rec: dict = {"probe_id": rl.probe_id, "items": [[cid, d] for cid, d in rl.items]}
             if latencies_ms is not None:
@@ -161,28 +160,40 @@ def write_ranked_lists(
             fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
 
 
+# the parsed JSON types a record field of each kind accepts: nothing is
+# converted into a string, and a bool is no number
+_JSON_TYPES = {str: (str,), bool: (bool,), float: (int, float), list: (list,)}
+
+
+def _json_values(values, kind: type) -> tuple:
+    """A parsed JSON array of ``kind`` values as a tuple (numbers as float);
+    any other value is a TypeError."""
+    if type(values) is not list or not all(type(v) in _JSON_TYPES[kind] for v in values):
+        raise TypeError(f"expected an array of {kind.__name__} values, got {values!r:.60}")
+    return tuple(map(float, values)) if kind is float else tuple(values)
+
+
 def read_ranked_lists(path) -> list[RankedList]:
     """Read lists written by write_ranked_lists. Each list's distances must
     be finite and non-decreasing, and its candidate ids distinct."""
-    p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(str(p))
     out = []
-    for lineno, line in enumerate(_read_text(p).splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         try:
             rec = json.loads(line)
-            items = tuple((str(cid), float(d)) for cid, d in rec["items"])
-            rl = RankedList(probe_id=str(rec["probe_id"]), items=items)
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"{p}:{lineno}: bad ranked-list record ({exc})") from exc
+            probe_id = _json_values([rec["probe_id"]], str)[0]
+            pairs = _json_values(rec["items"], list)
+            ids = _json_values([cid for cid, _ in pairs], str)  # a ValueError unless pairs
+            rl = RankedList(probe_id, tuple(zip(ids, _json_values([d for _, d in pairs], float))))
+        except (json.JSONDecodeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+            raise FormatError(f"{path}:{lineno}: bad ranked-list record ({exc})") from exc
         dists = rl.distances()
         if not all(math.isfinite(d) for d in dists):
-            raise NonFiniteError(f"{p}:{lineno}: NaN or Inf distance")
+            raise NonFiniteError(f"{path}:{lineno}: NaN or Inf distance")
         if any(b < a for a, b in zip(dists, dists[1:])):
-            raise FormatError(f"{p}:{lineno}: distances are not ascending")
-        if len(set(rl.ids())) != len(items):
-            raise FormatError(f"{p}:{lineno}: duplicate candidate id")
+            raise FormatError(f"{path}:{lineno}: distances are not ascending")
+        if len(set(rl.ids())) != len(pairs):
+            raise FormatError(f"{path}:{lineno}: duplicate candidate id")
         out.append(rl)
     return out

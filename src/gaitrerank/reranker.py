@@ -19,15 +19,16 @@ written once per model, in its ``_param_shapes``.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable, Iterator
 
 import numpy as np
 
 from .errors import FormatError, NonFiniteError, ShapeError
-from .feature_store import _read_text, _write_atomic
+from .feature_store import _read_bytes, _read_text, _write_atomic
 from .ranking import strip_mean_distance
 
 CHECKPOINT_MAGIC = b"CGRK"
@@ -108,31 +109,29 @@ class RerankerWeights(ParamStore):
         return out
 
 
-def _param_shapes(config: RerankerConfig) -> dict[str, tuple[int, ...]]:
-    shapes: dict[str, tuple[int, ...]] = {}
+def _param_shapes(config: RerankerConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
     for i in range(config.blocks):
-        shapes[f"block{i}.w_q"] = (config.d, config.hidden)
-        shapes[f"block{i}.b_q"] = (config.hidden,)
-        shapes[f"block{i}.w_k"] = (config.d, config.hidden)
-        shapes[f"block{i}.b_k"] = (config.hidden,)
-        shapes[f"block{i}.w_v"] = (config.d, config.hidden)
-        shapes[f"block{i}.b_v"] = (config.hidden,)
-        shapes[f"block{i}.w_o"] = (config.hidden, config.d)
-        shapes[f"block{i}.b_o"] = (config.d,)
-    shapes["cls.w1"] = (config.d, config.mlp_hidden)
-    shapes["cls.b1"] = (config.mlp_hidden,)
-    shapes["cls.w2"] = (config.mlp_hidden, config.num_classes)
-    shapes["cls.b2"] = (config.num_classes,)
-    return shapes
+        yield f"block{i}.w_q", (config.d, config.hidden)
+        yield f"block{i}.b_q", (config.hidden,)
+        yield f"block{i}.w_k", (config.d, config.hidden)
+        yield f"block{i}.b_k", (config.hidden,)
+        yield f"block{i}.w_v", (config.d, config.hidden)
+        yield f"block{i}.b_v", (config.hidden,)
+        yield f"block{i}.w_o", (config.hidden, config.d)
+        yield f"block{i}.b_o", (config.d,)
+    yield "cls.w1", (config.d, config.mlp_hidden)
+    yield "cls.b1", (config.mlp_hidden,)
+    yield "cls.w2", (config.mlp_hidden, config.num_classes)
+    yield "cls.b2", (config.num_classes,)
 
 
 def _glorot_params(
-    shapes: dict[str, tuple[int, ...]], seed: int, dtype
+    shapes: Iterable[tuple[str, tuple[int, ...]]], seed: int, dtype
 ) -> dict[str, np.ndarray]:
     # matrices drawn in canonical order from one seeded generator; vectors zero
     rng = np.random.default_rng(seed)
     params: dict[str, np.ndarray] = {}
-    for name, shape in shapes.items():
+    for name, shape in shapes:
         if len(shape) == 1:
             params[name] = np.zeros(shape, dtype=dtype)
         else:
@@ -153,7 +152,7 @@ def init_weights(
 
 
 def zero_gradients(config: RerankerConfig, dtype=np.float32) -> dict[str, np.ndarray]:
-    return {name: np.zeros(shape, dtype=dtype) for name, shape in _param_shapes(config).items()}
+    return {name: np.zeros(shape, dtype=dtype) for name, shape in _param_shapes(config)}
 
 
 # ---------------------------------------------------------------------------
@@ -692,12 +691,12 @@ def _save_params(
     if code not in _DTYPE_CODES:
         raise FormatError(f"unsupported parameter dtype {dtype}")
     values = (getattr(weights.config, name) for name in fields)
-    blob = bytearray(_param_header(len(fields)).pack(magic, version, code, *values))
-    for arr in weights.params().values():
-        blob += np.ascontiguousarray(arr, dtype=_DTYPE_CODES[code]).tobytes()
-    meta = json.dumps(metadata or {}, indent=2, sort_keys=True) + "\n"
-    _write_atomic(Path(path), bytes(blob))
-    _write_atomic(_meta_path(path), meta.encode())
+    with _write_atomic(path, "wb") as fh:
+        fh.write(_param_header(len(fields)).pack(magic, version, code, *values))
+        for arr in weights.params().values():
+            fh.write(np.ascontiguousarray(arr, dtype=_DTYPE_CODES[code]))
+    with _write_atomic(_meta_path(path), "w") as fh:
+        fh.write(json.dumps(metadata or {}, indent=2, sort_keys=True) + "\n")
 
 
 def _load_params(
@@ -706,13 +705,11 @@ def _load_params(
     """Read a file written by ``_save_params``.
 
     ``make_config(**header_fields)`` builds the config (a ValueError there
-    is a FormatError) and ``shapes(config)`` gives the parameter shapes in
-    canonical order. Returns (config, params, meta).
+    is a FormatError) and ``shapes(config)`` yields the parameter names and
+    shapes in canonical order. Returns (config, params, meta).
     """
     p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(str(p))
-    blob = p.read_bytes()
+    blob = _read_bytes(p)
     header = _param_header(len(fields))
     if len(blob) < header.size:
         raise FormatError(f"{p}: truncated checkpoint header")
@@ -731,8 +728,9 @@ def _load_params(
     dt = _DTYPE_CODES[code]
     offset = header.size
     params: dict[str, np.ndarray] = {}
-    for name, shape in shapes(cfg).items():
-        n = int(np.prod(shape))
+    # drawn one at a time: a huge header stops at the first shape past the end
+    for name, shape in shapes(cfg):
+        n = math.prod(shape)
         nbytes = n * dt.itemsize
         if offset + nbytes > len(blob):
             raise FormatError(f"{p}: truncated at parameter {name}")

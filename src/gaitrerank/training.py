@@ -22,14 +22,13 @@ import platform
 import time
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DataError, FormatError, MissingIdError
-from .feature_store import FeatureSet, _read_text
-from .ranking import rank_gallery
+from .errors import DataError, FormatError, MissingIdError, NonFiniteError
+from .feature_store import FeatureSet, _read_text, _write_atomic
+from .ranking import _json_values, rank_gallery
 from .reranker import (
     IndexedBatch,
     RerankerConfig,
@@ -184,48 +183,39 @@ def build_training_set(partition: FeatureSet, v: int = 30) -> TrainingSet:
 
 
 def write_training_set(ts: TrainingSet, path) -> None:
-    with open(path, "w") as fh:
+    with _write_atomic(path, "w") as fh:
         fh.write(json.dumps({"v": ts.v}) + "\n")
         for e in ts.entries:
-            fh.write(
-                json.dumps(
-                    {
-                        "probe_id": e.probe_id,
-                        "candidates": list(e.candidate_ids),
-                        "distances": list(e.distances),
-                        "positive": list(e.positive),
-                    }
-                )
-                + "\n"
-            )
+            rec = {"probe_id": e.probe_id, "candidates": list(e.candidate_ids),
+                   "distances": list(e.distances), "positive": list(e.positive)}
+            fh.write(json.dumps(rec) + "\n")
 
 
 def read_training_set(path) -> TrainingSet:
-    p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(str(p))
-    lines = _read_text(p).splitlines()
+    lines = _read_text(path).splitlines()
     if not lines:
-        raise FormatError(f"{p}: empty training-set file")
+        raise FormatError(f"{path}: empty training-set file")
     try:
         header = json.loads(lines[0])
         v = header["v"]
         # a JSON integer: int() would also take "30", 30.5 and true
         if type(v) is not int or v < 2:
-            raise FormatError(f"{p}: header \"v\" must be an integer >= 2, got {v!r}")
+            raise FormatError(f"{path}: header \"v\" must be an integer >= 2, got {v!r}")
         entries = []
         for line in lines[1:]:
             rec = json.loads(line)
             entries.append(
                 TrainingEntry(
-                    probe_id=rec["probe_id"],
-                    candidate_ids=tuple(rec["candidates"]),
-                    distances=tuple(float(x) for x in rec["distances"]),
-                    positive=tuple(bool(x) for x in rec["positive"]),
+                    probe_id=_json_values([rec["probe_id"]], str)[0],
+                    candidate_ids=_json_values(rec["candidates"], str),
+                    distances=_json_values(rec["distances"], float),
+                    positive=_json_values(rec["positive"], bool),
                 )
             )
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-        raise FormatError(f"{p}: invalid training-set record ({exc})") from exc
+            if not all(map(math.isfinite, entries[-1].distances)):
+                raise NonFiniteError(f"{path}: NaN or Inf distance for probe {rec['probe_id']!r}")
+    except (KeyError, OverflowError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        raise FormatError(f"{path}: invalid training-set record ({exc})") from exc
     return TrainingSet(entries=tuple(entries), v=v)
 
 
@@ -526,37 +516,28 @@ def _train_loop(
 
 
 def write_training_log(history: Iterable[LogRow], path) -> None:
-    with open(path, "w", newline="") as fh:
+    with _write_atomic(path, "w") as fh:
         writer = csv.writer(fh)
         writer.writerow(["iteration", "train_loss", "val_loss", "wall_time_ms"])
-        for row in history:
-            writer.writerow(
-                [
-                    row.iteration,
-                    repr(row.train_loss),
-                    "" if row.val_loss is None else repr(row.val_loss),
-                    f"{row.wall_time_ms:.3f}",
-                ]
-            )
+        writer.writerows(
+            [r.iteration, repr(r.train_loss), "" if r.val_loss is None else repr(r.val_loss),
+             f"{r.wall_time_ms:.3f}"]
+            for r in history
+        )
 
 
 def read_training_log(path) -> list[LogRow]:
-    p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(str(p))
     rows = []
-    with open(p, newline="") as fh:
-        reader = csv.DictReader(fh)
-        try:
-            for rec in reader:
-                rows.append(
-                    LogRow(
-                        iteration=int(rec["iteration"]),
-                        train_loss=float(rec["train_loss"]),
-                        val_loss=None if rec["val_loss"] == "" else float(rec["val_loss"]),
-                        wall_time_ms=float(rec["wall_time_ms"]),
-                    )
+    try:
+        for rec in csv.DictReader(_read_text(path).splitlines()):
+            rows.append(
+                LogRow(
+                    iteration=int(rec["iteration"]),
+                    train_loss=float(rec["train_loss"]),
+                    val_loss=None if rec["val_loss"] == "" else float(rec["val_loss"]),
+                    wall_time_ms=float(rec["wall_time_ms"]),
                 )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"{p}: invalid training log ({exc})") from exc
+            )
+    except (KeyError, TypeError, ValueError, csv.Error) as exc:
+        raise FormatError(f"{path}: invalid training log ({exc})") from exc
     return rows

@@ -37,8 +37,8 @@ class DiskFullAfter:
         self.fail_at = fail_at
         self.opened = 0
 
-    def __call__(self, path, mode):
-        fh = builtins.open(path, mode)
+    def __call__(self, path, mode, **kwargs):
+        fh = builtins.open(path, mode, **kwargs)
         self.opened += 1
         if self.opened - 1 != self.fail_at:
             return fh

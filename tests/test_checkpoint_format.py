@@ -113,6 +113,11 @@ CORRUPTIONS = [
     ("truncated-parameter", lambda b, fmt: b[:-1], None, "truncated at parameter"),
     ("trailing-bytes", lambda b, fmt: b + b"\0", None, "1 trailing bytes"),
     ("invalid-sidecar", lambda b, fmt: b, '{"seed": ', "invalid JSON"),
+    # 2**31 blocks (CGRK) or strips (CGBL): the loader stops at the first
+    # parameter past the end instead of listing every declared shape
+    ("huge-header-field",
+     lambda b, fmt: with_u32(b, 12 + 4 * (len(fmt.header_fields) - 3), 1 << 31), None,
+     "truncated at parameter"),
 ]
 
 

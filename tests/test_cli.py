@@ -265,20 +265,39 @@ def test_eval_bad_manifest_exits_4(tmp_path, capsys, workdir, manifest):
     assert json.loads(err)["error"] == "format"
 
 
+def _first_record(**fields):
+    """Edit for a training set's parsed records: replace ``fields`` of the
+    first entry, each given as a function of its old value."""
+    return lambda recs: [recs[0], {**recs[1], **{k: f(recs[1][k]) for k, f in fields.items()}},
+                         *recs[2:]]
+
+
 @pytest.mark.parametrize(
-    "target, edit",
+    "target, edit, code",
     [
-        ("manifest", lambda m: list(m)),
-        ("manifest", lambda m: {**m, next(iter(m)): "id000"}),
-        ("manifest", lambda m: {k: {**r, "partition": ["train"]} for k, r in m.items()}),
-        ("trainset", lambda recs: [["v", 5]] + recs[1:]),
-        ("trainset", lambda recs: recs[:1] + [{**recs[1], "candidates": 5}] + recs[2:]),
-        ("trainset", lambda recs: recs[:1] + [{**recs[1], "positive": 5}] + recs[2:]),
+        ("manifest", lambda m: list(m), 4),
+        ("manifest", lambda m: {**m, next(iter(m)): "id000"}, 4),
+        ("manifest", lambda m: {k: {**r, "partition": ["train"]} for k, r in m.items()}, 4),
+        ("trainset", lambda recs: [["v", 5]] + recs[1:], 4),
+        ("trainset", _first_record(candidates=lambda c: 5), 4),
+        ("trainset", _first_record(positive=lambda p: 5), 4),
+        # every field must hold its own JSON type: no string, number or
+        # bool is converted into another
+        ("trainset", _first_record(positive=lambda p: ["false" if x else "no" for x in p]), 4),
+        ("trainset", _first_record(distances=lambda d: [str(x) for x in d]), 4),
+        ("trainset", _first_record(distances=lambda d: [True, *d[1:]]), 4),
+        ("trainset", _first_record(candidates=lambda c: [7, *c[1:]]), 4),
+        ("trainset", _first_record(probe_id=lambda p: 7), 4),
+        # a non-finite distance exits 7, as in a ranked list
+        ("trainset", _first_record(distances=lambda d: [float("nan"), *d[1:]]), 7),
+        ("trainset", _first_record(distances=lambda d: [*d[:-1], float("inf")]), 7),
     ],
     ids=["manifest-array", "record-string", "partition-list",
-         "header-array", "candidates-number", "positive-number"],
+         "header-array", "candidates-number", "positive-number",
+         "positive-strings", "distances-strings", "distance-bool", "candidate-number",
+         "probe-number", "distance-nan", "distance-inf"],
 )
-def test_malformed_manifest_or_trainset_exits_4(tmp_path, capsys, workdir, target, edit):
+def test_malformed_manifest_or_trainset_exits_4(tmp_path, capsys, workdir, target, edit, code):
     feats = tmp_path / "feats.gfm"
     feats.write_bytes((workdir / "feats.gfm").read_bytes())
     manifest = json.loads(manifest_path(workdir / "feats.gfm").read_text())
@@ -296,9 +315,9 @@ def test_malformed_manifest_or_trainset_exits_4(tmp_path, capsys, workdir, targe
         ts.write_text("".join(json.dumps(r) + "\n" for r in edit(recs)))
         argv = ["train", "--trainset", str(ts), "--valset", str(vs), "--features", str(feats),
                 "--iters", "1", "--out-checkpoint", str(tmp_path / "m.cgrk"), "--quiet"]
-    code, _, err = run(capsys, *argv)
-    assert code == 4
-    assert json.loads(err)["error"] == "format"
+    got, _, err = run(capsys, *argv)
+    assert got == code
+    assert json.loads(err)["error"] == {7: "non-finite", 4: "format"}[code]
 
 
 @pytest.mark.parametrize("command", ["train", "train-baseline"])
@@ -322,8 +341,14 @@ def test_trainset_header_v_must_be_an_integer_at_least_2(tmp_path, capsys, workd
         ('[["id000-01",NaN],["id001-00",0.5]]', 7),
         ('[["id000-01",0.5],["id001-00",0.25]]', 4),
         ('[["id000-01",0.25],["id000-01",0.5]]', 4),
+        ('[[5,0.25],["id001-00",0.5]]', 4),
+        ('[["id000-01","0.25"],["id001-00",0.5]]', 4),
+        ('[["id000-01",false],["id001-00",0.5]]', 4),
+        ('[["id000-01",0.25,1],["id001-00",0.5]]', 4),
+        ('"ab"', 4),
     ],
-    ids=["nan", "descending", "duplicate"],
+    ids=["nan", "descending", "duplicate", "number-id", "string-distance", "bool-distance",
+         "triple", "string-items"],
 )
 def test_eval_bad_ranked_list_exits(tmp_path, capsys, workdir, items, code):
     lists = tmp_path / "lists.jsonl"
@@ -371,3 +396,39 @@ def test_non_utf8_input_exits_4(tmp_path, capsys, workdir, target):
     code, _, err = run(capsys, *argv)
     assert code == 4, err
     assert json.loads(err)["error"] == "format"
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["synth", "rank", "build-trainset", "train", "train-baseline", "rerank", "eval", "diag-strips"],
+)
+def test_write_into_missing_directory_exits_3_naming_the_target(tmp_path, capsys, workdir, command):
+    feats, lists = str(workdir / "feats.gfm"), str(workdir / "initial.jsonl")
+    ts, vs, ckpt = tmp_path / "train.jsonl", tmp_path / "val.jsonl", tmp_path / "m.cgrk"
+    out = str(tmp_path / "missing" / "out")
+    if command in ("train", "train-baseline"):
+        assert main(["build-trainset", "--features", feats, "--v", "5", "--val-split", "0.25",
+                     "--out-train", str(ts), "--out-val", str(vs)]) == 0
+    if command == "rerank":
+        model = RerankerConfig(s=4, d=6, num_classes=9, heads=2, hidden=8, mlp_hidden=8)
+        save_checkpoint(init_weights(model, seed=0), ckpt)
+    fit = ["--trainset", str(ts), "--valset", str(vs), "--features", feats, "--hidden", "8",
+           "--batch", "4x2", "--iters", "1", "--val-triplets", "8", "--out-checkpoint", out,
+           "--quiet"]
+    argv = {
+        "synth": ["--ids", "6", "--per-id", "2", "--out", out],
+        "rank": ["--probes", feats, "--gallery", feats, "--out", out],
+        "build-trainset": ["--features", feats, "--v", "5", "--val-split", "0.25",
+                           "--out-train", out, "--out-val", str(vs)],
+        "train": [*fit, "--heads", "2", "--mlp-hidden", "8"],
+        "train-baseline": fit,
+        "rerank": ["--checkpoint", str(ckpt), "--probes", feats, "--gallery", feats,
+                   "--initial", lists, "--out", out],
+        "eval": ["--lists", lists, "--manifest", feats + ".manifest.json", "--out", out],
+        "diag-strips": ["--features", feats, "--pair", "id000-00,id001-00", "--out", out],
+    }[command]
+    code, _, err = run(capsys, command, *argv)
+    assert code == 3, err
+    rec = json.loads(err)
+    assert rec["error"] == "missing-file"
+    assert out in rec["message"] and ".tmp" not in rec["message"]

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -174,9 +175,11 @@ def test_report_roundtrip_and_validation(tmp_path):
     with pytest.raises(ValueError):
         MetricsReport(rank_k={1: 1.2}, map_score=0.5,
                       tpr_at_fpr={}, probe_count=1, oracle_rank1_ceiling=0.5)
-    path.write_text("{}")
-    with pytest.raises(FormatError):
-        read_report(path)
+    valid = json.loads(report.to_json())
+    for payload in ({}, [1, 2], {**valid, "rank_k": 5}, {**valid, "probe_count": float("inf")}):
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FormatError):
+            read_report(path)
 
 
 def test_evaluate_lists_bundles_everything():
