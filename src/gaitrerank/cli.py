@@ -1,9 +1,9 @@
 """Command-line pipeline: every stage reads and writes plain files, so
 runs are reproducible and individual stages can be re-run in isolation.
 
-Exit codes: 0 success, 2 bad flags or config, 3 missing input file, and
-per-failure codes for artifact violations (see EXIT_CODES). Failures
-print a single machine-readable JSON line to stderr.
+Exit codes: 0 success, 2 bad flags or config, 3 a missing input file or
+any other I/O failure, and per-failure codes for artifact violations (see
+EXIT_CODES). Failures print a single machine-readable JSON line to stderr.
 """
 
 from __future__ import annotations
@@ -87,13 +87,12 @@ def _add_rank(sub) -> None:
     p.add_argument("--gallery", required=True)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=int, default=1)
 
 
 def _cmd_rank(args) -> int:
     probes = load_feature_set(args.probes)
     gallery = load_feature_set(args.gallery)
-    lists = rank_all(probes, gallery, k=args.k, threads=args.threads)
+    lists = rank_all(probes, gallery, k=args.k)
     write_ranked_lists(lists, args.out)
     print(json.dumps({"probes": len(lists), "out": str(args.out)}, sort_keys=True))
     return 0
@@ -408,6 +407,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except FileNotFoundError as exc:
         _report("missing-file", exc)
+        return 3
+    except OSError as exc:
+        _report("io", exc)
         return 3
     except ValueError as exc:
         _report("invalid-value", exc)

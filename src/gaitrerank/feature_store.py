@@ -75,8 +75,8 @@ class FeatureSet:
     ``strips`` is the read-only float32 ``(n, s, d)`` array of all maps in
     entry order, ``sequence_ids`` and ``identity_ids`` the ids in that
     order. The rest (the FeatureMap views in ``entries``, the id -> row
-    index, the ranking keys) is derived on first use and cached: every
-    layer reads ``strips`` itself instead of copying it.
+    index, the ranking keys and strip norms) is derived on first use and
+    cached: every layer reads ``strips`` itself instead of copying it.
     """
 
     strips: np.ndarray
@@ -170,6 +170,15 @@ class FeatureSet:
         """``rank_of`` of every entry: the ranking tie-break key, and, as
         equal ids share it, the self-exclusion key."""
         return np.array([self.rank_of[sid] for sid in self.sequence_ids], dtype=np.intp)
+
+    @cached_property
+    def strip_sq_norms(self) -> np.ndarray:
+        """The squared norm of every strip, summed in float32 and held as
+        float64, shape ``(s, n)``: the gallery side of stage one's bound
+        prefilter (``ranking._distance_bounds``)."""
+        norms = np.einsum("nsd,nsd->sn", self.strips, self.strips).astype(np.float64, order="C")
+        norms.flags.writeable = False
+        return norms
 
     def manifest(self) -> dict[str, dict[str, str]]:
         return {

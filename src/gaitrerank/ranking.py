@@ -4,16 +4,27 @@ Every probe ranks against the gallery ``FeatureSet``'s own float32 array
 (``FeatureSet.strips``); nothing is stacked or copied per gallery.
 Distances are exact float64, computed over fixed blocks of gallery rows
 in one summation order, so rankings are reproducible bit-for-bit and do
-not depend on the block size or thread count. Candidates are selected and
-ordered by (distance, sequence_id) with numpy, not Python sorts, using the
-id keys the set caches (``FeatureSet.id_rank``).
+not depend on the block size. Candidates are selected and ordered by
+(distance, sequence_id) with numpy, not Python sorts, using the id keys
+the set caches (``FeatureSet.id_rank``).
+
+A top-k call (``1 <= k <`` eligible rows) first bounds every row's
+distance from below and above through |a|^2 + |b|^2 - 2a.b per strip,
+with float32 dot products and the squared strip norms the set caches
+(``FeatureSet.strip_sq_norms``), the decomposition FAISS uses. The exact
+distance is then computed only for rows whose lower bound does not exceed
+the k-th smallest upper bound. The bounds are proven (see
+``_distance_bounds``) to enclose the exact float64 distance, so the k-th
+smallest exact distance is at most that cut and every row at or below it,
+ties included, is re-scored: the output is bit-identical to ranking the
+whole gallery. Full lists (``k=None``), and any probe or gallery whose
+float32 squares are not finite, take the exact path over every row.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -63,23 +74,72 @@ def strip_distance(a: FeatureMap, b: FeatureMap) -> float:
 BLOCK_BYTES = 1 << 20
 
 
-def _distances_to_stack(probe: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    # probe (s, d) float64, stack (n, s, d) float32 -> (n,) float64. Each
-    # block is reduced exactly as the whole stack would be (float64
-    # difference, square, sum over d, sqrt, mean over s), so the result does
-    # not depend on the block size.
+def _distances_to_stack(
+    probe: np.ndarray, stack: np.ndarray, rows: np.ndarray | None = None
+) -> np.ndarray:
+    # probe (s, d) float64, stack (n, s, d) float32 -> (n,) float64, or the
+    # distances of ``rows`` only, gathered a block at a time (through a
+    # float32 copy, so 12 bytes per value). Each block is reduced exactly as
+    # the whole stack would be (float64 difference, square, sum over d,
+    # sqrt, mean over s), so the result does not depend on the block size
+    # or on which rows are gathered.
     n, s, d = stack.shape
-    rows = max(1, BLOCK_BYTES // (8 * s * d))
-    out = np.empty(n)
-    buf = np.empty((min(n, rows), s, d))
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
+    m = n if rows is None else len(rows)
+    step = max(1, BLOCK_BYTES // ((8 if rows is None else 12) * s * d))
+    out = np.empty(m)
+    buf = np.empty((min(m, step), s, d))
+    for start in range(0, m, step):
+        stop = min(start + step, m)
         block = buf[: stop - start]
-        np.copyto(block, stack[start:stop])
+        np.copyto(block, stack[start:stop] if rows is None else stack[rows[start:stop]])
         block -= probe
         block *= block
         out[start:stop] = np.sqrt(block.sum(axis=2)).mean(axis=1)
     return out
+
+
+_SIGNS = np.array([-1.0, 1.0])[:, None, None]
+
+
+def _distance_bounds(probe: np.ndarray, gallery: FeatureSet) -> tuple[np.ndarray, np.ndarray] | None:
+    """Float64 (lo, hi) per gallery row that enclose the distance
+    ``_distances_to_stack`` returns for probe (float32 (s, d)), from float32
+    dot products; None when a value, float32 square or product is not
+    finite.
+
+    Per strip, with a the probe strip, b a gallery strip and u = 2**-24,
+    the float32 sums A = |a|^2, B = |b|^2 and P = a.b are each off by at
+    most g*sum|terms| + 2d*2**-126 in any summation order (Higham,
+    "Accuracy and Stability of Numerical Algorithms", 2002, s3.1, with
+    g = d*u/(1 - d*u); the absolute term covers subnormal products and
+    sums, even flushed to zero). As sum|a_k*b_k| <= (|a|^2 + |b|^2)/2 and
+    |a|^2 + |b|^2 <= (A + B + 4d*2**-126)/(1 - g), the float64 x = A + B - 2P
+    is within e = 2g/(1 - g)*(A + B) + d*2**-122 of |a - b|^2. Taking g at
+    d + 1 terms adds 2u*(A + B), far more than the float64 roundings of x
+    and e. So each strip distance lies in
+    [sqrt(max(x - e, 0)), sqrt(x + e)], and so does their mean. The float64
+    means carry at most s + 4 roundings of 2**-53 each, and the float64
+    value ``_distances_to_stack`` returns at most s + d/2 + 2: widening by
+    (2s + d + 8)*2**-53 relative makes [lo, hi] enclose that value.
+    """
+    s, d = gallery.s, gallery.d
+    with np.errstate(over="ignore", invalid="ignore"):
+        # one float32 matrix-vector product per strip, (s, n)
+        x = (gallery.strips.transpose(1, 0, 2) @ probe[:, :, None])[:, :, 0].astype(np.float64)
+        x *= -2.0
+        err = gallery.strip_sq_norms + np.einsum("sd,sd->s", probe, probe)[:, None]
+        x += err
+    if not np.isfinite(x).all():
+        return None
+    g = (d + 1) * 2.0**-24 / (1 - (d + 1) * 2.0**-24)
+    err *= 2 * g / (1 - g)
+    err += d * 2.0**-122
+    bounds = x + err * _SIGNS  # (x - e, x + e), shape (2, s, n)
+    np.maximum(bounds, 0.0, out=bounds)
+    np.sqrt(bounds, out=bounds)
+    widen = (2 * s + d + 8) * 2.0**-53
+    lo, hi = bounds.sum(axis=1) * np.array([[(1 - widen) / s], [(1 + widen) / s]])
+    return lo, hi
 
 
 def rank_gallery(
@@ -99,21 +159,29 @@ def rank_gallery(
             f"gallery declares ({gallery.s}, {gallery.d})"
         )
     id_rank = gallery.id_rank
-    dists = _distances_to_stack(probe.strips.astype(np.float64), gallery.strips)
     rows = np.flatnonzero(id_rank != gallery.rank_of.get(probe.sequence_id, -1))
-    dists = dists[rows]
     if not len(rows):
         raise DataError(
             f"empty effective gallery for probe {probe.sequence_id!r}"
         )
-    if k is not None:
-        if k < 1:
-            raise DataError(f"k must be >= 1, got {k}")
-        if k < len(rows):
-            # keep every distance up to the k-th, so ties at the cut still
-            # break by id below
-            keep = dists <= np.partition(dists, k - 1)[k - 1]
-            rows, dists = rows[keep], dists[keep]
+    if k is not None and k < 1:
+        raise DataError(f"k must be >= 1, got {k}")
+    exact_probe = probe.strips.astype(np.float64)
+    if k is not None and k < len(rows):
+        bounds = _distance_bounds(probe.strips, gallery)
+        if bounds is not None:
+            # the k smallest hi bound k exact distances, so the k-th is at
+            # most cut; only rows whose lo exceeds it can be skipped
+            lo, hi = bounds[0][rows], bounds[1][rows]
+            cut = np.partition(hi, k - 1)[k - 1]
+            rows = rows[~(lo > cut)]
+        dists = _distances_to_stack(exact_probe, gallery.strips, rows)
+        # keep every distance up to the k-th, so ties at the cut still
+        # break by id below
+        keep = dists <= np.partition(dists, k - 1)[k - 1]
+        rows, dists = rows[keep], dists[keep]
+    else:
+        dists = _distances_to_stack(exact_probe, gallery.strips)[rows]
     order = np.lexsort((id_rank[rows], dists))[:k]
     ids = gallery.sequence_ids
     return RankedList(
@@ -122,27 +190,16 @@ def rank_gallery(
     )
 
 
-def rank_all(
-    probes,
-    gallery: FeatureSet,
-    k: int | None = None,
-    threads: int = 1,
-) -> list[RankedList]:
+def rank_all(probes, gallery: FeatureSet, k: int | None = None) -> list[RankedList]:
     """rank_gallery for every probe (a FeatureSet or a sequence of
     FeatureMaps), preserving probe input order."""
-    entries = tuple(probes)
-    gallery.id_rank  # built once here, not by racing worker threads
-
-    def one(probe: FeatureMap) -> RankedList:
+    out = []
+    for probe in probes:
         try:
-            return rank_gallery(probe, gallery, k)
+            out.append(rank_gallery(probe, gallery, k))
         except (DataError, ShapeError) as exc:
             raise type(exc)(f"probe {probe.sequence_id!r}: {exc}") from exc
-
-    if threads > 1 and len(entries) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, entries))
-    return [one(p) for p in entries]
+    return out
 
 
 def write_ranked_lists(

@@ -746,6 +746,8 @@ def _load_params(
             meta = json.loads(_read_text(mp))
         except json.JSONDecodeError as exc:
             raise FormatError(f"{mp}: invalid JSON ({exc})") from exc
+        if not isinstance(meta, dict):
+            raise FormatError(f"{mp}: metadata must be a JSON object")
     return cfg, params, meta
 
 

@@ -113,6 +113,7 @@ CORRUPTIONS = [
     ("truncated-parameter", lambda b, fmt: b[:-1], None, "truncated at parameter"),
     ("trailing-bytes", lambda b, fmt: b + b"\0", None, "1 trailing bytes"),
     ("invalid-sidecar", lambda b, fmt: b, '{"seed": ', "invalid JSON"),
+    ("non-object-sidecar", lambda b, fmt: b, "[1, 2]", "must be a JSON object"),
     # 2**31 blocks (CGRK) or strips (CGBL): the loader stops at the first
     # parameter past the end instead of listing every declared shape
     ("huge-header-field",

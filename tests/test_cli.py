@@ -432,3 +432,29 @@ def test_write_into_missing_directory_exits_3_naming_the_target(tmp_path, capsys
     rec = json.loads(err)
     assert rec["error"] == "missing-file"
     assert out in rec["message"] and ".tmp" not in rec["message"]
+
+
+@pytest.mark.parametrize("command", ["rank", "eval"])
+def test_directory_in_place_of_a_file_exits_3_naming_it(tmp_path, capsys, workdir, command):
+    feats, lists = str(workdir / "feats.gfm"), str(workdir / "initial.jsonl")
+    folder = tmp_path / "a-directory"
+    folder.mkdir()
+    argv = {
+        # the output is an existing directory
+        "rank": ["--probes", feats, "--gallery", feats, "--k", "3", "--out", str(folder)],
+        # the input is a directory
+        "eval": ["--lists", str(folder), "--manifest", feats + ".manifest.json",
+                 "--out", str(tmp_path / "r.json")],
+    }[command]
+    code, _, err = run(capsys, command, *argv)
+    assert code == 3, err
+    rec = json.loads(err)
+    assert rec["error"] == "io" and str(folder) in rec["message"]
+
+
+def test_rank_has_no_threads_flag(tmp_path, workdir):
+    feats = str(workdir / "feats.gfm")
+    with pytest.raises(SystemExit) as exc:
+        main(["rank", "--probes", feats, "--gallery", feats, "--threads", "2",
+              "--out", str(tmp_path / "o.jsonl")])
+    assert exc.value.code == 2

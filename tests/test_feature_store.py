@@ -233,16 +233,20 @@ def test_get_and_make_batch_resolve_ids_through_the_index():
 
 def test_rank_gallery_allocates_no_copy_of_the_gallery():
     gallery = FeatureSet.from_entries(make_maps(200, 5, 16, 64, seed=2))
-    probe = gallery.entries[0]
-    tracemalloc.start()
-    try:
-        rank_gallery(probe, gallery)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # a float32 copy would take all of strips.nbytes (4 MB), a float64
-    # one twice that; the 1 MB distance block buffer stays below half
-    assert peak < gallery.strips.nbytes / 2, (peak, gallery.strips.nbytes)
+    # every row ties with every other: the top-k prefilter keeps them all
+    equal = np.broadcast_to(gallery.strips[:1], gallery.strips.shape)
+    all_equal = FeatureSet(equal, gallery.sequence_ids, gallery.identity_ids)
+    for fs, k in ((gallery, None), (gallery, 10), (all_equal, 10)):
+        tracemalloc.start()
+        try:
+            rank_gallery(fs.entries[0], fs, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a float32 copy would take all of strips.nbytes (4 MB), a float64
+        # one twice that; the 1 MB distance block buffer, and the candidate
+        # rows gathered into it a block at a time, stay below half
+        assert peak < fs.strips.nbytes / 2, (k, peak, fs.strips.nbytes)
 
 
 # ---------------------------------------------------------------------------

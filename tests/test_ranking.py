@@ -90,11 +90,11 @@ def test_rank_gallery_k_validation_and_empty_gallery():
         rank_gallery(entries[0], gallery2, k=0)
 
 
-def test_rank_all_accepts_set_or_sequence_and_threads_agree():
+def test_rank_all_accepts_set_or_sequence():
     entries = make_maps(6, 2, 3, 3, seed=1)
     gallery = FeatureSet.from_entries(entries)
     a = rank_all(gallery, gallery, k=4)
-    b = rank_all(entries, gallery, k=4, threads=4)
+    b = rank_all(entries, gallery, k=4)
     assert [rl.probe_id for rl in a] == [e.sequence_id for e in entries]
     assert a == b
 
@@ -148,7 +148,88 @@ def test_rank_matches_original_formula_bit_for_bit(monkeypatch, n, s, d, levels,
         want = [oracle_rank(p, gallery, k) for p in probes]
         assert [rank_gallery(p, gallery, k) for p in probes] == want
         assert rank_all(probes, gallery, k) == want
-        assert rank_all(probes, gallery, k, threads=2) == want
+
+
+def _bitwise(rl: RankedList) -> tuple:
+    return rl.probe_id, rl.ids(), np.array(rl.distances()).tobytes()
+
+
+def _gallery(values) -> FeatureSet:
+    # shuffled ids whose str order is not the entry order
+    n = len(values)
+    ids = [f"g{i * 7919 % 1000:03d}" for i in range(n)]
+    return FeatureSet.from_entries([FeatureMap(sid, sid, v) for sid, v in zip(ids, values)])
+
+
+@pytest.mark.parametrize(
+    "scale",
+    [
+        1.0,
+        1e20,  # float32 squares overflow: the exact path is taken
+        1e-30,  # float32 products underflow to zero: every row is a candidate
+        3e18,  # the norms are finite, some squared distances near float32's top
+    ],
+)
+@pytest.mark.parametrize("ties", [False, True], ids=["distinct", "repeated-maps"])
+def test_top_k_is_the_exact_full_list_prefix_bitwise(scale, ties):
+    rng = np.random.default_rng(17)
+    n, s, d = 60, 4, 8
+    values = rng.standard_normal((n, s, d))
+    if ties:
+        # every map repeated three times: the k-th distance ties across rows
+        values = np.round(values[: n // 3] * 2) / 2
+        values = np.concatenate([values] * 3)
+    gallery = _gallery(values * scale)
+    probes = [gallery.entries[0], gallery.entries[n // 2],
+              FeatureMap("zz-outside", "zz", values[1] * scale * 1.5 + 0.25 * scale)]
+    for probe in probes:
+        full = rank_gallery(probe, gallery)
+        eligible = len(full)
+        for k in (1, 2, 7, eligible - 1, eligible, eligible + 5):
+            want = RankedList(probe.sequence_id, full.items[:k])
+            assert _bitwise(rank_gallery(probe, gallery, k)) == _bitwise(want), (probe, k)
+
+
+@pytest.mark.parametrize(
+    "kind", ["normal", "offset", "mixed-scales", "quantised", "tiny", "huge-finite"]
+)
+def test_distance_bounds_enclose_every_exact_distance(kind):
+    rng = np.random.default_rng(len(kind))
+    n, s, d = 200, 6, 33
+    values = rng.standard_normal((n, s, d))
+    if kind == "offset":
+        # a large common offset: |a|^2 + |b|^2 - 2a.b cancels almost entirely
+        values = 1000.0 + 1e-3 * values
+    elif kind == "mixed-scales":
+        values *= 10.0 ** rng.integers(-20, 18, size=(n, 1, 1))
+    elif kind == "quantised":
+        values = np.round(values)
+    elif kind == "tiny":
+        values *= 1e-22
+    elif kind == "huge-finite":
+        values *= 1e17
+    gallery = _gallery(values)
+    for probe in (*gallery.entries[:5], FeatureMap("x", "x", values[7] * 0.5)):
+        exact = ranking._distances_to_stack(probe.strips.astype(np.float64), gallery.strips)
+        lo, hi = ranking._distance_bounds(probe.strips, gallery)
+        assert (lo <= exact).all() and (exact <= hi).all()
+        assert (lo >= 0).all()
+
+
+def test_top_k_rescores_only_rows_that_can_reach_the_kth(monkeypatch):
+    gallery = FeatureSet.from_entries(make_maps(100, 3, 8, 16, seed=6))
+    exact = ranking._distances_to_stack
+    rescored = []
+
+    def counting(probe, stack, rows=None):
+        rescored.append(len(stack) if rows is None else len(rows))
+        return exact(probe, stack, rows)
+
+    monkeypatch.setattr(ranking, "_distances_to_stack", counting)
+    for probe in gallery.entries[:10]:
+        rank_gallery(probe, gallery, k=5)
+    # a random gallery separates well: few rows beyond the k cross the cut
+    assert max(rescored) < len(gallery) // 10, rescored
 
 
 def test_strips_are_read_only_float32_and_id_keys_cached(small_set):
