@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -232,6 +234,42 @@ def test_top_k_rescores_only_rows_that_can_reach_the_kth(monkeypatch):
     assert max(rescored) < len(gallery) // 10, rescored
 
 
+def test_product_blocks_cover_every_row_up_to_a_partial_last_block(monkeypatch):
+    # four blocks of 16 rows and a partial fifth of 5
+    n, s, d, block = 69, 5, 12, 16
+    monkeypatch.setattr(ranking, "BLOCK_BYTES", 8 * s * d * block)
+    assert ranking._block_rows(s, d, 8) == block
+    values = np.random.default_rng(23).standard_normal((n, s, d))
+    gallery = _gallery(values)
+    for probe in (gallery.entries[0], gallery.entries[-1],
+                  FeatureMap("zz-outside", "zz", values[3] * 0.5)):
+        exact = ranking._distances_to_stack(probe.strips.astype(np.float64), gallery.strips)
+        lo, hi = ranking._distance_bounds(probe.strips, gallery)
+        assert (lo <= exact).all() and (exact <= hi).all()
+        full = rank_gallery(probe, gallery)
+        for k in (1, 7, block + 1, len(full) - 1):
+            want = RankedList(probe.sequence_id, full.items[:k])
+            assert _bitwise(rank_gallery(probe, gallery, k)) == _bitwise(want), (probe, k)
+
+    # float32 squares overflow in one row of the last, partial block only:
+    # no bounds, so every eligible row is scored exactly
+    values[-2] *= 1e20
+    gallery = _gallery(values)
+    probe = gallery.entries[0]
+    assert ranking._distance_bounds(probe.strips, gallery) is None
+    exact = ranking._distances_to_stack
+    rescored = []
+
+    def counting(probe, stack, rows=None):
+        rescored.append(len(stack) if rows is None else len(rows))
+        return exact(probe, stack, rows)
+
+    monkeypatch.setattr(ranking, "_distances_to_stack", counting)
+    top = rank_gallery(probe, gallery, k=5)
+    assert rescored == [n - 1]
+    assert _bitwise(top) == _bitwise(RankedList(probe.sequence_id, rank_gallery(probe, gallery).items[:5]))
+
+
 def test_strips_are_read_only_float32_and_id_keys_cached(small_set):
     assert small_set.id_rank is small_set.id_rank
     assert small_set.rank_of is small_set.rank_of
@@ -276,6 +314,27 @@ def test_ranked_lists_exact_bytes(tmp_path):
     assert path.read_bytes() == b'{"probe_id":"p","items":[["a",0.5]]}\n{"probe_id":"q","items":[]}\n'
     write_ranked_lists([], path)
     assert path.read_bytes() == b""
+
+
+def test_ranked_lists_writer_refuses_non_finite_distances(tmp_path):
+    # a set built through the API is not validated: a NaN map gives NaN
+    # distances, which the reader would reject
+    values = np.random.default_rng(3).standard_normal((6, 2, 3))
+    values[4, 1, 2] = np.nan
+    gallery = _gallery(values)
+    lists = rank_all(gallery, gallery)
+    path = tmp_path / "lists.jsonl"
+    with pytest.raises(NonFiniteError, match=repr(gallery.sequence_ids[0])):
+        write_ranked_lists(lists, path)
+    assert not path.exists()
+    finite = [RankedList("p", (("a", 0.5),))]
+    write_ranked_lists(finite, path)
+    before = path.read_bytes()
+    with pytest.raises(NonFiniteError, match=repr(gallery.sequence_ids[0])):
+        write_ranked_lists(lists, path)
+    with pytest.raises(NonFiniteError, match="'p'"):
+        write_ranked_lists(finite, path, latencies_ms=[math.inf])
+    assert path.read_bytes() == before
 
 
 def test_ranked_lists_bad_record(tmp_path):
