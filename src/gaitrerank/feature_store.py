@@ -77,6 +77,12 @@ class FeatureSet:
     order. The rest (the FeatureMap views in ``entries``, the id -> row
     index, the ranking keys and strip norms) is derived on first use and
     cached: every layer reads ``strips`` itself instead of copying it.
+
+    A set is valid by construction, however it is built: s and d are at
+    least 1 (else ShapeError), the partition is one of ``PARTITIONS``
+    (else FormatError), and sequence ids are unique and values finite.
+    The first entry that repeats an id or holds a NaN or Inf decides
+    between DuplicateIdError and NonFiniteError.
     """
 
     strips: np.ndarray
@@ -92,6 +98,23 @@ class FeatureSet:
                 f"strips of shape {strips.shape} for {len(self.sequence_ids)} sequence "
                 f"and {len(self.identity_ids)} identity ids; need (n, s, d) and n of each"
             )
+        if strips.shape[1] < 1 or strips.shape[2] < 1:
+            raise ShapeError(f"a set requires s >= 1 and d >= 1, got shape {strips.shape}")
+        if self.partition not in PARTITIONS:
+            raise FormatError(f"unknown partition tag {self.partition!r}")
+        n = len(strips)
+        finite = np.isfinite(strips).all(axis=(1, 2))
+        first_bad = int(np.argmin(finite)) if not finite.all() else n
+        first_dup, seen = n, set()
+        for i, sid in enumerate(self.sequence_ids):
+            if sid in seen:
+                first_dup = i
+                break
+            seen.add(sid)
+        if first_dup < n and first_dup <= first_bad:
+            raise DuplicateIdError(f"duplicate sequence_id {self.sequence_ids[first_dup]!r}")
+        if first_bad < n:
+            raise NonFiniteError(f"NaN or Inf in entry {first_bad} ({self.sequence_ids[first_bad]!r})")
         strips.flags.writeable = False
         object.__setattr__(self, "strips", strips)
 
@@ -144,8 +167,7 @@ class FeatureSet:
 
     @cached_property
     def row_of(self) -> dict[str, int]:
-        """sequence_id -> row of ``strips``; a repeated id maps to its last
-        row."""
+        """sequence_id -> row of ``strips``."""
         return {sid: row for row, sid in enumerate(self.sequence_ids)}
 
     def get(self, sequence_id: str) -> FeatureMap:
@@ -161,14 +183,14 @@ class FeatureSet:
 
     @cached_property
     def rank_of(self) -> dict[str, int]:
-        """Each distinct sequence id's position in Python's str order, the
-        order rankings tie-break in (numpy "U" arrays drop trailing NULs)."""
-        return {sid: i for i, sid in enumerate(sorted(set(self.sequence_ids)))}
+        """Each sequence id's position in Python's str order, the order
+        rankings tie-break in (numpy "U" arrays drop trailing NULs)."""
+        return {sid: i for i, sid in enumerate(sorted(self.sequence_ids))}
 
     @cached_property
     def id_rank(self) -> np.ndarray:
-        """``rank_of`` of every entry: the ranking tie-break key, and, as
-        equal ids share it, the self-exclusion key."""
+        """``rank_of`` of every entry: the ranking tie-break key and the
+        self-exclusion key."""
         return np.array([self.rank_of[sid] for sid in self.sequence_ids], dtype=np.intp)
 
     @cached_property
@@ -222,41 +244,6 @@ def read_manifest(path) -> dict[str, dict]:
     return payload
 
 
-def _violations(fs: FeatureSet) -> list[tuple[type, str]]:
-    """Structured invariant check: list of (error class, message)."""
-    out: list[tuple[type, str]] = []
-    if fs.s < 1 or fs.d < 1:
-        out.append((ShapeError, f"set header requires s >= 1 and d >= 1, got s={fs.s} d={fs.d}"))
-    if fs.partition not in PARTITIONS:
-        out.append((FormatError, f"unknown partition tag {fs.partition!r}"))
-    finite = np.isfinite(fs.strips).all(axis=(1, 2)).tolist()
-    seen: set[str] = set()
-    dup_reported: set[str] = set()
-    for idx, (sid, ok) in enumerate(zip(fs.sequence_ids, finite)):
-        if not ok:
-            out.append((NonFiniteError, f"entry {idx} ({sid!r}) contains NaN or Inf"))
-        if sid in seen and sid not in dup_reported:
-            out.append((DuplicateIdError, f"duplicate sequence_id {sid!r}"))
-            dup_reported.add(sid)
-        seen.add(sid)
-    return out
-
-
-def validate(fs: FeatureSet) -> list[str]:
-    """Return one human-readable description per violated invariant.
-
-    Empty list iff the set would save and load cleanly. Never raises.
-    """
-    return [msg for _, msg in _violations(fs)]
-
-
-def _require_valid(fs: FeatureSet) -> None:
-    violations = _violations(fs)
-    if violations:
-        err_cls, msg = violations[0]
-        raise err_cls(msg)
-
-
 @contextmanager
 def _write_atomic(path, mode: str) -> Iterator[IO]:
     """The one way an artefact is written: a handle (mode "w", UTF-8 with
@@ -286,7 +273,6 @@ def _write_atomic(path, mode: str) -> Iterator[IO]:
 def save_feature_set(fs: FeatureSet, path) -> None:
     """Write the GFM1 binary file plus its JSON manifest sidecar, each
     atomically."""
-    _require_valid(fs)
     with _write_atomic(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, len(fs), fs.s, fs.d))
         rows = fs.strips.astype("<f4", copy=False)
@@ -302,11 +288,11 @@ def save_feature_set(fs: FeatureSet, path) -> None:
 
 
 def load_feature_set(path) -> FeatureSet:
-    """Read a GFM1 file and its manifest; verify all invariants.
+    """Read a GFM1 file and its manifest, checking the format, then build
+    the set, which checks its own invariants; their errors name the file.
 
     The values are copied once, straight from the file into the set's
-    array. When a file has several defects, the first defective entry in
-    file order decides the error.
+    array.
     """
     p = Path(path)
     blob = _read_bytes(p)
@@ -331,8 +317,6 @@ def load_feature_set(path) -> FeatureSet:
     src = memoryview(blob)
     sids: list[str] = []
     iids: list[str] = []
-    seen: set[str] = set()
-    first_dup = count
     offset = _HEADER.size
     for i in range(count):
         for ids in (sids, iids):
@@ -351,24 +335,14 @@ def load_feature_set(path) -> FeatureSet:
             raise FormatError(f"{p}: truncated payload at entry {i}")
         dst[i * payload : (i + 1) * payload] = src[offset : offset + payload]
         offset += payload
-        if first_dup == count and sids[i] in seen:
-            first_dup = i
-        seen.add(sids[i])
     if offset != len(blob):
         raise FormatError(f"{p}: {len(blob) - offset} trailing bytes")
-
-    finite = np.isfinite(strips).all(axis=(1, 2))
-    first_bad = int(np.argmin(finite)) if not finite.all() else count
-    if first_dup < count and first_dup <= first_bad:
-        raise DuplicateIdError(f"{p}: duplicate sequence_id {sids[first_dup]!r}")
-    if first_bad < count:
-        raise NonFiniteError(f"{p}: NaN or Inf in entry {first_bad} ({sids[first_bad]!r})")
 
     mpath = manifest_path(p)
     if not mpath.exists():
         raise FormatError(f"{p}: missing manifest sidecar {mpath.name}")
     manifest = read_manifest(mpath)
-    if set(manifest) != seen:
+    if set(manifest) != set(sids):
         raise FormatError(f"{mpath}: manifest ids do not match payload ids")
     for rec in manifest.values():
         if rec.get("partition") not in PARTITIONS:
@@ -384,5 +358,7 @@ def load_feature_set(path) -> FeatureSet:
                 f"{mpath}: identity mismatch for {sid!r} "
                 f"({manifest[sid]['identity']!r} vs {iid!r})"
             )
-    # the checks above already cover every invariant of _require_valid
-    return FeatureSet(strips, tuple(sids), tuple(iids), partition)
+    try:
+        return FeatureSet(strips, tuple(sids), tuple(iids), partition)
+    except (DuplicateIdError, NonFiniteError) as exc:
+        raise type(exc)(f"{p}: {exc}") from None

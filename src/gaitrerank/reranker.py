@@ -362,9 +362,10 @@ def _cross_entropy(logits: np.ndarray, labels: np.ndarray):
     # per-row -log softmax(logits)[label]
     m = logits.max(axis=1, keepdims=True)
     shifted = logits - m
-    lse = np.log(np.exp(shifted).sum(axis=1))
+    exp = np.exp(shifted)
+    lse = np.log(exp.sum(axis=1))
     ce = lse - shifted[np.arange(len(labels)), labels]
-    probs = np.exp(shifted) / np.exp(lse)[:, None]
+    probs = exp / np.exp(lse)[:, None]
     return ce, probs
 
 
@@ -519,7 +520,7 @@ def _batch_forward(
 
 
 def forward_backward(
-    batch: TripletBatch,
+    batch: TripletBatch | IndexedBatch,
     weights: RerankerWeights,
     alpha: float,
     beta: float,
@@ -534,7 +535,7 @@ def forward_backward(
 
 
 def batch_loss(
-    batch: TripletBatch,
+    batch: TripletBatch | IndexedBatch,
     weights: RerankerWeights,
     alpha: float,
     beta: float,

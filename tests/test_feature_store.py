@@ -18,7 +18,6 @@ from gaitrerank.feature_store import (
     load_feature_set,
     manifest_path,
     save_feature_set,
-    validate,
 )
 from gaitrerank.ranking import rank_gallery
 from gaitrerank.synth import generate
@@ -147,29 +146,20 @@ def test_load_non_finite_payload(tmp_path):
         load_feature_set(path)
 
 
-def test_save_rejects_non_finite(tmp_path):
+def test_construction_rejects_non_finite():
     bad = FeatureMap("a-00", "a", np.array([[1.0, np.nan]], dtype=np.float32))
-    fs = FeatureSet.from_entries([bad])
-    with pytest.raises(NonFiniteError):
-        save_feature_set(fs, tmp_path / "feat.gfm")
+    with pytest.raises(NonFiniteError, match=r"NaN or Inf in entry 0 \('a-00'\)"):
+        FeatureSet.from_entries([bad])
 
 
-def test_validate_reports_all_violations():
+def test_from_entries_names_an_entry_of_another_shape():
     entries = [
         FeatureMap("a-00", "a", np.ones((2, 2), dtype=np.float32)),
-        FeatureMap("a-00", "a", np.full((2, 2), np.inf, dtype=np.float32)),
         FeatureMap("b-00", "b", np.ones((3, 2), dtype=np.float32)),
     ]
-    # one array cannot hold a mismatched shape: construction refuses it,
-    # naming the entry
+    # one array cannot hold a mismatched shape
     with pytest.raises(ShapeError, match="'b-00' has shape"):
         FeatureSet.from_entries(entries, s=2, d=2)
-    fs = FeatureSet.from_entries(entries[:2], s=2, d=2)
-    msgs = validate(fs)
-    assert len(msgs) == 2
-    assert any("duplicate" in m for m in msgs)
-    assert any("NaN or Inf" in m for m in msgs)
-    assert validate(FeatureSet.from_entries(entries[:1])) == []
 
 
 def test_from_entries_empty_requires_dims():
@@ -221,14 +211,13 @@ def test_entries_are_views_into_one_read_only_array(tmp_path, small_set):
 
 def test_get_and_make_batch_resolve_ids_through_the_index():
     strips = np.arange(3 * 2 * 2, dtype=np.float32).reshape(3, 2, 2)
-    # a repeated id resolves to its last row, in both
-    fs = FeatureSet(strips, ("a", "b", "a"), ("x", "y", "x"))
-    assert fs.row_of == {"a": 2, "b": 1}
+    fs = FeatureSet(strips, ("c", "b", "a"), ("x", "y", "x"))
+    assert fs.row_of == {"c": 0, "b": 1, "a": 2}
     assert fs.get("a") is fs.entries[2]
     assert fs.get("b").strips.tobytes() == strips[1].tobytes()
-    batch = make_batch([Triplet("a", "b", "a")], fs, {"a": 0, "b": 1})
+    batch = make_batch([Triplet("a", "b", "c")], fs, {"a": 0, "b": 1, "c": 0})
     assert batch.maps is fs.strips
-    assert batch.index.tolist() == [[2, 1, 2]]
+    assert batch.index.tolist() == [[2, 1, 0]]
 
 
 def test_rank_gallery_allocates_no_copy_of_the_gallery():
@@ -308,17 +297,7 @@ def test_interrupted_save_leaves_the_previous_files_or_none(
         assert blob[-doubled.strips[-1].nbytes :] == doubled.strips[-1].tobytes()
 
 
-@pytest.mark.parametrize(
-    "entries, error",
-    [
-        ([("a-00", np.nan), ("a-00", 0.0)], NonFiniteError),
-        ([("a-00", 0.0), ("a-00", np.nan)], DuplicateIdError),
-        ([("a-00", 0.0), ("b-00", np.inf), ("b-00", 0.0)], NonFiniteError),
-        ([("a-00", 0.0), ("a-00", 0.0), ("b-00", np.nan)], DuplicateIdError),
-    ],
-    ids=["nan-then-duplicate", "duplicate-and-nan", "inf-then-duplicate", "duplicate-then-nan"],
-)
-def test_first_defective_entry_decides_the_load_error(tmp_path, entries, error):
+def _loaded(tmp_path, entries):
     blob = struct.Struct("<4sIII").pack(b"GFM1", len(entries), 2, 2)
     for sid, value in entries:
         for text in (sid.encode(), sid[0].encode()):
@@ -329,5 +308,88 @@ def test_first_defective_entry_decides_the_load_error(tmp_path, entries, error):
     manifest_path(path).write_text(
         json.dumps({sid: {"identity": sid[0], "partition": "train"} for sid, _ in entries})
     )
-    with pytest.raises(error):
-        load_feature_set(path)
+    return load_feature_set(path)
+
+
+def _constructed(tmp_path, entries):
+    sids = tuple(sid for sid, _ in entries)
+    values = np.stack([np.full((2, 2), value) for _, value in entries])
+    return FeatureSet(values, sids, tuple(sid[0] for sid in sids))
+
+
+def _from_entries(tmp_path, entries):
+    return FeatureSet.from_entries(
+        [FeatureMap(sid, sid[0], np.full((2, 2), value)) for sid, value in entries]
+    )
+
+
+FIRST_DEFECT = [
+    ("nan-then-duplicate", [("a-00", np.nan), ("a-00", 0.0)], NonFiniteError, "NaN or Inf in entry 0 ('a-00')"),
+    ("duplicate-and-nan", [("a-00", 0.0), ("a-00", np.nan)], DuplicateIdError, "duplicate sequence_id 'a-00'"),
+    (
+        "inf-then-duplicate",
+        [("a-00", 0.0), ("b-00", np.inf), ("b-00", 0.0)],
+        NonFiniteError,
+        "NaN or Inf in entry 1 ('b-00')",
+    ),
+    (
+        "duplicate-then-nan",
+        [("a-00", 0.0), ("a-00", 0.0), ("b-00", np.nan)],
+        DuplicateIdError,
+        "duplicate sequence_id 'a-00'",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "build, entries, error, message",
+    [
+        # the file path keeps the bare case name
+        pytest.param(build, entries, error, message, id=case + suffix)
+        for build, suffix in ((_loaded, ""), (_constructed, "-FeatureSet"), (_from_entries, "-from_entries"))
+        for case, entries, error, message in FIRST_DEFECT
+    ],
+)
+def test_first_defective_entry_decides_the_load_error(tmp_path, build, entries, error, message):
+    with pytest.raises(error) as info:
+        build(tmp_path, entries)
+    # a loaded file's error is the set's, prefixed with its path
+    prefix = f"{tmp_path / 'feat.gfm'}: " if build is _loaded else ""
+    assert str(info.value) == prefix + message
+
+
+@pytest.mark.parametrize("build", ["FeatureSet", "from_entries"])
+@pytest.mark.parametrize(
+    "shape, partition, error, message",
+    [
+        ((2, 1, 2), "bogus", FormatError, "unknown partition tag 'bogus'"),
+        ((2, 0, 2), "train", ShapeError, "s >= 1 and d >= 1"),
+        ((2, 2, 0), "train", ShapeError, "s >= 1 and d >= 1"),
+    ],
+    ids=["unknown-partition", "s=0", "d=0"],
+)
+def test_construction_rejects_an_invalid_set(build, shape, partition, error, message):
+    values = np.zeros(shape, dtype=np.float32)
+    with pytest.raises(error, match=message):
+        if build == "FeatureSet":
+            FeatureSet(values, ("a-00", "b-00"), ("a", "b"), partition)
+        else:
+            # FeatureMap itself refuses an empty matrix, so only the empty
+            # set can carry s or d of 0 here
+            entries = [FeatureMap("a-00", "a", values[0])] if values.size else []
+            FeatureSet.from_entries(entries, partition, s=shape[1], d=shape[2])
+
+
+def test_construction_rejects_a_nan_map_before_ranking():
+    # a 6-entry set with one NaN value: ranked, its top-k lists would not be
+    # prefixes of its full lists, so it cannot be built at all
+    values = np.random.default_rng(3).standard_normal((6, 2, 3))
+    values[4, 1, 2] = np.nan
+    sids = tuple(f"g{i * 7919 % 1000:03d}" for i in range(6))
+    with pytest.raises(NonFiniteError, match=rf"NaN or Inf in entry 4 \('{sids[4]}'\)"):
+        FeatureSet.from_entries([FeatureMap(sid, sid, v) for sid, v in zip(sids, values)])
+
+
+def test_generated_sets_are_checked_at_construction():
+    with pytest.raises(NonFiniteError, match=r"entry 0 \('id000-00'\)"):
+        generate(2, 2, 2, 2, hardness=0.5, noise=np.nan, seed=0)
