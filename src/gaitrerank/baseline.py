@@ -172,17 +172,11 @@ def train_baseline(
     features: FeatureSet,
     cfg,
     hidden: int = 256,
-    weights: BaselineWeights | None = None,
     progress=None,
 ) -> tr.TrainResult:
     """Same sampling, optimizer and argmin stopping rule as the main
     trainer, with mean pair BCE as both the training and validation loss."""
-
-    def init(seed: int) -> BaselineWeights:
-        if weights is not None:
-            return weights
-        return init_baseline(BaselineConfig(s=features.s, d=features.d, hidden=hidden), seed=seed)
-
+    config = BaselineConfig(s=features.s, d=features.d, hidden=hidden)
     return tr._train_loop(
         train_ts,
         val_ts,
@@ -190,7 +184,7 @@ def train_baseline(
         cfg,
         # class labels go unused: the BCE targets come from the triplet roles
         labels=dict.fromkeys(features.sequence_ids, 0),
-        init=init,
+        init=lambda seed: init_baseline(config, seed=seed),
         step=_pair_bce,
         val_loss=lambda batch, w: _pair_bce(batch, w, want_grads=False)[0],
         progress=progress,

@@ -89,6 +89,8 @@ def tpr_at_fpr(
     """
     if k < 1:
         raise DataError(f"k must be >= 1, got {k}")
+    if not all(0.0 <= t <= 1.0 for t in fprs):
+        raise DataError(f"all FPR targets must lie in [0, 1], got {list(fprs)}")
     scores = []
     labels = []
     for rl in lists:

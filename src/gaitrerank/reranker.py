@@ -370,35 +370,13 @@ def _cross_entropy(logits: np.ndarray, labels: np.ndarray):
 
 
 @dataclass(frozen=True)
-class TripletBatch:
-    """Feature maps and class labels for a batch of training triplets.
-
-    probe/pos/neg: (B, s, d) arrays; labels: (B, 3) int array with the
-    class index of probe, positive, negative. Every label must be < C.
-    """
-
-    probe: np.ndarray
-    pos: np.ndarray
-    neg: np.ndarray
-    labels: np.ndarray
-
-    def __len__(self) -> int:
-        return self.probe.shape[0]
-
-    def unique_maps(self) -> tuple[np.ndarray, np.ndarray]:
-        """A (U, s, d) stack of maps and the (B, 3) rows of each triplet's
-        probe, positive and negative in it; explicit maps count as distinct."""
-        b = len(self)
-        return np.concatenate([self.probe, self.pos, self.neg]), np.arange(3 * b).reshape(3, b).T
-
-
-@dataclass(frozen=True)
 class IndexedBatch:
     """A triplet batch as rows into a shared stack of maps, so each
     distinct map is projected once however many triplets use it.
 
     maps: (n, s, d); index: (B, 3) rows of probe, positive, negative;
-    labels: (B, 3) as in TripletBatch.
+    labels: (B, 3) int array with the class index of probe, positive,
+    negative. Every label must be < C.
     """
 
     maps: np.ndarray
@@ -426,8 +404,15 @@ class IndexedBatch:
         return self.maps[rows], local.reshape(self.index.shape)
 
 
+def TripletBatch(probe, pos, neg, labels) -> IndexedBatch:
+    """A batch of explicit (B, s, d) probe, positive and negative maps;
+    every map counts as distinct."""
+    b = len(probe)
+    return IndexedBatch(np.concatenate([probe, pos, neg]), np.arange(3 * b).reshape(3, b).T, labels)
+
+
 def _batch_forward(
-    batch: TripletBatch | IndexedBatch,
+    batch: IndexedBatch,
     weights: RerankerWeights,
     alpha: float,
     beta: float,
@@ -520,7 +505,7 @@ def _batch_forward(
 
 
 def forward_backward(
-    batch: TripletBatch | IndexedBatch,
+    batch: IndexedBatch,
     weights: RerankerWeights,
     alpha: float,
     beta: float,
@@ -535,7 +520,7 @@ def forward_backward(
 
 
 def batch_loss(
-    batch: TripletBatch | IndexedBatch,
+    batch: IndexedBatch,
     weights: RerankerWeights,
     alpha: float,
     beta: float,
@@ -701,11 +686,11 @@ def _save_params(
 
 
 def _load_params(
-    path, magic: bytes, version: int, fields: tuple[str, ...], make_config, shapes
+    path, magic: bytes, version: int, fields: tuple[str, ...], config_type, shapes
 ):
     """Read a file written by ``_save_params``.
 
-    ``make_config(**header_fields)`` builds the config (a ValueError there
+    ``config_type(**header_fields)`` builds the config (a ValueError there
     is a FormatError) and ``shapes(config)`` yields the parameter names and
     shapes in canonical order. Returns (config, params, meta).
     """
@@ -722,7 +707,7 @@ def _load_params(
     if code not in _DTYPE_CODES:
         raise FormatError(f"{p}: unknown dtype code {code}")
     try:
-        cfg = make_config(**dict(zip(fields, values)))
+        cfg = config_type(**dict(zip(fields, values)))
     except ValueError as exc:
         raise FormatError(f"{p}: invalid stored config ({exc})") from exc
 
@@ -761,18 +746,8 @@ def save_checkpoint(
     _save_params(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, _CKPT_FIELDS, weights, metadata)
 
 
-def load_checkpoint(
-    path, expected_config: RerankerConfig | None = None
-) -> tuple[RerankerWeights, RerankerConfig, dict]:
-    def make_config(**fields) -> RerankerConfig:
-        cfg = RerankerConfig(**fields)
-        if expected_config is not None and cfg != expected_config:
-            raise ShapeError(
-                f"{Path(path)}: checkpoint config {cfg} does not match expected {expected_config}"
-            )
-        return cfg
-
+def load_checkpoint(path) -> tuple[RerankerWeights, RerankerConfig, dict]:
     cfg, params, meta = _load_params(
-        path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, _CKPT_FIELDS, make_config, _param_shapes
+        path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, _CKPT_FIELDS, RerankerConfig, _param_shapes
     )
     return RerankerWeights(cfg, params), cfg, meta

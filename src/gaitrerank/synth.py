@@ -23,10 +23,12 @@ identity never leaves the top-10.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NonFiniteError
 from .feature_store import FeatureSet
 from .metrics import rank_k_accuracy
 from .ranking import rank_all
@@ -61,8 +63,8 @@ def generate(
         raise ValueError(f"need s >= 2 and d >= 1, got s={s}, d={d}")
     if not 0.0 <= hardness <= 1.0:
         raise ValueError(f"hardness must be in [0, 1], got {hardness}")
-    if noise < 0:
-        raise ValueError(f"noise must be >= 0, got {noise}")
+    if not (math.isfinite(noise) and noise >= 0):
+        raise ValueError(f"noise must be finite and >= 0, got {noise}")
 
     rng = np.random.default_rng(seed)
     bases = []
@@ -77,15 +79,21 @@ def generate(
     # each map is rounded to float32 straight into its row of the set
     strips = np.empty((identities * per_identity, s, d), dtype=np.float32)
     sequence_ids, identity_ids = [], []
-    for i, base in enumerate(bases):
-        blended = (1.0 - hardness) * base + hardness * base.mean(axis=0)
-        ident = f"id{i:03d}"
-        for t in range(per_identity):
-            shift = covariate * rng.standard_normal(d)
-            strips[i * per_identity + t] = blended + shift + noise * rng.standard_normal((s, d))
-            sequence_ids.append(f"{ident}-{t:02d}")
-            identity_ids.append(ident)
-    return FeatureSet(strips, tuple(sequence_ids), tuple(identity_ids))
+    # a noise too large for float32 leaves an Inf map: the set's own
+    # per-map check below refuses it, so numpy's overflow warnings are muted
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, base in enumerate(bases):
+            blended = (1.0 - hardness) * base + hardness * base.mean(axis=0)
+            ident = f"id{i:03d}"
+            for t in range(per_identity):
+                shift = covariate * rng.standard_normal(d)
+                strips[i * per_identity + t] = blended + shift + noise * rng.standard_normal((s, d))
+                sequence_ids.append(f"{ident}-{t:02d}")
+                identity_ids.append(ident)
+    try:
+        return FeatureSet(strips, tuple(sequence_ids), tuple(identity_ids))
+    except NonFiniteError as exc:
+        raise ValueError(f"noise {noise} overflows float32: {exc}") from exc
 
 
 @dataclass(frozen=True)

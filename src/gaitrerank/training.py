@@ -33,7 +33,6 @@ from .reranker import (
     IndexedBatch,
     RerankerConfig,
     RerankerWeights,
-    TripletBatch,
     batch_loss,
     forward_backward,
     init_weights,
@@ -41,6 +40,11 @@ from .reranker import (
 )
 
 VAL_FRACTION = 0.10
+
+# AdamW moment decay rates and denominator epsilon
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -91,6 +95,11 @@ class TrainingSet:
     entries: tuple[TrainingEntry, ...]
     v: int
 
+    def __post_init__(self) -> None:
+        # an integer proper: int() would also take "30", 30.5 and True
+        if type(self.v) is not int or self.v < 2:
+            raise ValueError(f"v must be an integer >= 2, got {self.v!r}")
+
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -112,9 +121,6 @@ class TrainConfig:
     v: int = 30
     lr: float = 1e-5
     weight_decay: float = 1e-2
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     batch_probes: int = 32
     triplets_per_probe: int = 4
     iterations: int = 100_000
@@ -125,13 +131,12 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if not 0 < self.beta <= 1:
             raise ValueError(f"beta must be in (0, 1], got {self.beta}")
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
+        for name in ("alpha", "lr", "weight_decay"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if self.v < 2:
             raise ValueError(f"v must be >= 2, got {self.v}")
-        for name in ("lr", "weight_decay", "eps"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
         for name in ("batch_probes", "triplets_per_probe", "t_val", "val_triplets"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -196,11 +201,7 @@ def read_training_set(path) -> TrainingSet:
     if not lines:
         raise FormatError(f"{path}: empty training-set file")
     try:
-        header = json.loads(lines[0])
-        v = header["v"]
-        # a JSON integer: int() would also take "30", 30.5 and true
-        if type(v) is not int or v < 2:
-            raise FormatError(f"{path}: header \"v\" must be an integer >= 2, got {v!r}")
+        v = json.loads(lines[0])["v"]
         entries = []
         for line in lines[1:]:
             rec = json.loads(line)
@@ -214,9 +215,9 @@ def read_training_set(path) -> TrainingSet:
             )
             if not all(map(math.isfinite, entries[-1].distances)):
                 raise NonFiniteError(f"{path}: NaN or Inf distance for probe {rec['probe_id']!r}")
+        return TrainingSet(entries=tuple(entries), v=v)
     except (KeyError, OverflowError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: invalid training-set record ({exc})") from exc
-    return TrainingSet(entries=tuple(entries), v=v)
 
 
 def referenced_sequences(ts: TrainingSet) -> set[str]:
@@ -299,19 +300,19 @@ def adamw_step(
     """
     state.step += 1
     t = state.step
-    bc1 = 1.0 - cfg.beta1**t
-    bc2 = 1.0 - cfg.beta2**t
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
     for name, w in weights.params().items():
         g = grads[name]
         if g.shape != w.shape:
             raise ValueError(f"gradient shape {g.shape} != parameter shape {w.shape} for {name}")
         w *= 1.0 - cfg.lr * cfg.weight_decay
         m, v = state.m[name], state.v[name]
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * (g * g)
-        w -= cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        w -= cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -363,9 +364,7 @@ def _fixed_val_batch(
     return make_batch(triplets, features, zeros)
 
 
-def validation_loss(
-    batch: TripletBatch | IndexedBatch, weights: RerankerWeights, beta: float
-) -> float:
+def validation_loss(batch: IndexedBatch, weights: RerankerWeights, beta: float) -> float:
     """Summed ranking loss of a triplet batch (no CE term)."""
     return batch_loss(batch, weights, alpha=0.0, beta=beta)
 
@@ -375,8 +374,7 @@ def train(
     val_ts: TrainingSet,
     features: FeatureSet,
     cfg: TrainConfig,
-    model: RerankerConfig | None = None,
-    weights: RerankerWeights | None = None,
+    model: RerankerConfig,
     progress: Callable[[LogRow], None] | None = None,
 ) -> TrainResult:
     """Optimize the re-ranker and return the validation-argmin snapshot.
@@ -396,11 +394,7 @@ def train(
     label_by_identity = {ident: i for i, ident in enumerate(train_identities)}
     labels = {i: label_by_identity[identity[i]] for i in train_seq_ids}
 
-    if model is None:
-        model = RerankerConfig(
-            s=features.s, d=features.d, num_classes=len(train_identities)
-        )
-    elif model.num_classes < len(train_identities):
+    if model.num_classes < len(train_identities):
         raise ValueError(
             f"model has {model.num_classes} classes but the train split has "
             f"{len(train_identities)} identities"
@@ -412,7 +406,7 @@ def train(
         features,
         cfg,
         labels,
-        init=lambda seed: weights if weights is not None else init_weights(model, seed=seed),
+        init=lambda seed: init_weights(model, seed=seed),
         step=lambda batch, w: forward_backward(batch, w, alpha=cfg.alpha, beta=cfg.beta),
         val_loss=lambda batch, w: validation_loss(batch, w, cfg.beta),
         progress=progress,

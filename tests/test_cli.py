@@ -458,3 +458,59 @@ def test_rank_has_no_threads_flag(tmp_path, workdir):
         main(["rank", "--probes", feats, "--gallery", feats, "--threads", "2",
               "--out", str(tmp_path / "o.jsonl")])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("synth", "--noise", "nan"),
+        ("synth", "--noise", "inf"),
+        ("synth", "--noise", "1e39"),  # finite, but the maps overflow float32
+        ("train", "--lr", "nan"),
+        ("train", "--lr", "inf"),
+        ("train", "--wd", "nan"),
+        ("train", "--wd", "inf"),
+        ("train", "--alpha", "nan"),
+        ("train", "--alpha", "inf"),
+        ("train-baseline", "--lr", "nan"),
+    ],
+)
+def test_non_finite_numeric_flag_exits_2(tmp_path, capsys, workdir, command, flag, value):
+    out = tmp_path / "out.bin"
+    if command == "synth":
+        argv = ["--ids", "4", "--per-id", "2", "--strips", "2", "--dim", "2", "--out", str(out)]
+    else:
+        ts, vs = tmp_path / "train.jsonl", tmp_path / "val.jsonl"
+        assert main(["build-trainset", "--features", str(workdir / "feats.gfm"), "--v", "5",
+                     "--val-split", "0.25", "--out-train", str(ts), "--out-val", str(vs)]) == 0
+        capsys.readouterr()
+        argv = ["--trainset", str(ts), "--valset", str(vs), "--features",
+                str(workdir / "feats.gfm"), "--iters", "1", "--quiet", "--out-checkpoint", str(out)]
+    code, _, err = run(capsys, command, *argv, flag, value)
+    assert code == 2, err
+    # one JSON line on stderr: no numpy warning ahead of it
+    assert json.loads(err)["error"] == "invalid-value"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fpr", ["nan", "inf", "-0.5", "2"])
+def test_eval_fpr_target_outside_unit_interval_exits_9(tmp_path, capsys, workdir, fpr):
+    out = tmp_path / "r.json"
+    code, _, err = run(capsys, "eval", "--lists", str(workdir / "initial.jsonl"),
+                       "--manifest", str(workdir / "feats.gfm.manifest.json"),
+                       "--fpr", f"0.5,{fpr}", "--out", str(out))
+    assert code == 9
+    rec = json.loads(err)
+    assert rec["error"] == "data" and "FPR" in rec["message"]
+    assert not out.exists()
+
+
+def test_build_trainset_v_below_2_exits_2_and_writes_nothing(tmp_path, capsys, workdir):
+    ts, vs = tmp_path / "train.jsonl", tmp_path / "val.jsonl"
+    code, _, err = run(capsys, "build-trainset", "--features", str(workdir / "feats.gfm"),
+                       "--v", "1", "--val-split", "0.25", "--out-train", str(ts),
+                       "--out-val", str(vs))
+    assert code == 2
+    assert json.loads(err) == {"error": "invalid-value",
+                               "message": "v must be an integer >= 2, got 1"}
+    assert not ts.exists() and not vs.exists()

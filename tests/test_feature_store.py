@@ -391,5 +391,8 @@ def test_construction_rejects_a_nan_map_before_ranking():
 
 
 def test_generated_sets_are_checked_at_construction():
-    with pytest.raises(NonFiniteError, match=r"entry 0 \('id000-00'\)"):
-        generate(2, 2, 2, 2, hardness=0.5, noise=np.nan, seed=0)
+    # a finite noise whose maps overflow float32: the set's own check finds
+    # the Inf map, and generate reports it as a bad noise value
+    with pytest.raises(ValueError, match=r"entry 0 \('id000-00'\)") as info:
+        generate(2, 2, 2, 2, hardness=0.5, noise=1e39, seed=0)
+    assert isinstance(info.value.__cause__, NonFiniteError)

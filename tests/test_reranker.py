@@ -296,7 +296,7 @@ def test_non_finite_input_names_a_triplet():
     cfg = RerankerConfig(s=2, d=3, num_classes=2, heads=1, hidden=4, mlp_hidden=4)
     w = init_weights(cfg, seed=0, dtype=np.float64)
     batch = random_batch(cfg, B=3, seed=1)
-    batch.probe[1, 0, 0] = np.nan
+    batch.maps[batch.index[1, 0], 0, 0] = np.nan
     with pytest.raises(NonFiniteError, match="triplet"):
         batch_loss(batch, w, alpha=0.01, beta=0.1)
 
@@ -394,18 +394,6 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path, dtype):
         assert na == nb
         assert a.dtype == b.dtype
         assert a.tobytes() == b.tobytes()
-
-
-def test_checkpoint_expected_config_guard(tmp_path):
-    cfg = RerankerConfig(s=3, d=4, num_classes=5, heads=2, hidden=6, mlp_hidden=7)
-    w = init_weights(cfg, seed=1)
-    path = tmp_path / "model.cgrk"
-    save_checkpoint(w, path)
-    other = RerankerConfig(s=3, d=4, num_classes=6, heads=2, hidden=6, mlp_hidden=7)
-    with pytest.raises(ShapeError):
-        load_checkpoint(path, expected_config=other)
-    loaded, _, _ = load_checkpoint(path, expected_config=cfg)
-    assert loaded.config == cfg
 
 
 def test_checkpoint_corruption_detection(tmp_path):

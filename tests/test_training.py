@@ -9,6 +9,9 @@ from gaitrerank.errors import DataError, MissingIdError
 from gaitrerank.feature_store import FeatureSet
 from gaitrerank.reranker import RerankerConfig, batch_loss, init_weights
 from gaitrerank.training import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     TrainConfig,
     TrainingEntry,
     TrainingSet,
@@ -174,7 +177,7 @@ def test_sample_triplets_draws_as_the_uncached_sampler():
 
 
 def test_sample_triplets_no_eligible():
-    ts = TrainingSet(entries=(entry("p", ["a"], [0.1], [True]),), v=1)
+    ts = TrainingSet(entries=(entry("p", ["a"], [0.1], [True]),), v=2)
     with pytest.raises(DataError):
         sample_triplets(ts, TrainConfig(), np.random.default_rng(0))
 
@@ -237,7 +240,7 @@ def test_ranking_loss_vectorized():
 
 
 def test_adamw_matches_hand_recurrence():
-    cfg = TrainConfig(lr=1e-2, weight_decay=0.05, beta1=0.8, beta2=0.9, eps=1e-8)
+    cfg = TrainConfig(lr=1e-2, weight_decay=0.05)
     model = RerankerConfig(s=2, d=3, num_classes=2, heads=1, hidden=4, mlp_hidden=4)
     w = init_weights(model, seed=4, dtype=np.float64)
     ref = {k: p.copy() for k, p in w.params().items()}
@@ -250,11 +253,11 @@ def test_adamw_matches_hand_recurrence():
         adamw_step(w, grads, state, cfg)
         for k in ref:
             ref[k] *= 1.0 - cfg.lr * cfg.weight_decay
-            m[k] = cfg.beta1 * m[k] + (1 - cfg.beta1) * grads[k]
-            v[k] = cfg.beta2 * v[k] + (1 - cfg.beta2) * grads[k] ** 2
-            mhat = m[k] / (1 - cfg.beta1**t)
-            vhat = v[k] / (1 - cfg.beta2**t)
-            ref[k] -= cfg.lr * mhat / (np.sqrt(vhat) + cfg.eps)
+            m[k] = ADAM_BETA1 * m[k] + (1 - ADAM_BETA1) * grads[k]
+            v[k] = ADAM_BETA2 * v[k] + (1 - ADAM_BETA2) * grads[k] ** 2
+            mhat = m[k] / (1 - ADAM_BETA1**t)
+            vhat = v[k] / (1 - ADAM_BETA2**t)
+            ref[k] -= cfg.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
     for k, p in w.params().items():
         np.testing.assert_allclose(p, ref[k], rtol=1e-12, atol=1e-14)
     assert state.step == 3
@@ -339,9 +342,9 @@ def test_train_validates_missing_features_and_class_budget(tiny_pipeline):
     fs, train_ts, val_ts = tiny_pipeline
     fs_small = FeatureSet.from_entries(fs.entries[:3])
     cfg = TrainConfig(iterations=1, t_val=1)
-    with pytest.raises(MissingIdError):
-        train(train_ts, val_ts, fs_small, cfg)
     model = RerankerConfig(s=3, d=4, num_classes=2, heads=2, hidden=8, mlp_hidden=8)
+    with pytest.raises(MissingIdError):
+        train(train_ts, val_ts, fs_small, cfg, model=model)
     with pytest.raises(ValueError):
         train(train_ts, val_ts, fs, cfg, model=model)
 
