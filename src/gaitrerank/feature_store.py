@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO, BinaryIO, Iterator
 
 import numpy as np
 
@@ -213,12 +214,19 @@ def manifest_path(path) -> Path:
     return Path(str(path) + ".manifest.json")
 
 
-def _read_bytes(path) -> bytes:
-    """The bytes of input ``path``: the one place a missing input is named."""
+def _open_input(path) -> BinaryIO:
+    """A binary handle on input ``path``: the one place a missing input is
+    named."""
     p = Path(path)
     if not p.exists():
         raise FileNotFoundError(str(p))
-    return p.read_bytes()
+    return open(p, "rb")
+
+
+def _read_bytes(path) -> bytes:
+    """The bytes of input ``path``."""
+    with _open_input(path) as fh:
+        return fh.read()
 
 
 def _read_text(path) -> str:
@@ -291,52 +299,55 @@ def load_feature_set(path) -> FeatureSet:
     """Read a GFM1 file and its manifest, checking the format, then build
     the set, which checks its own invariants; their errors name the file.
 
-    The values are copied once, straight from the file into the set's
-    array.
+    The file is streamed: ids come in small reads and each entry's values
+    are read straight into the set's array, so the file's bytes are never
+    held whole. A GFM1 input must be a regular file, whose size bounds
+    what its header may declare.
     """
     p = Path(path)
-    blob = _read_bytes(p)
-    if len(blob) < _HEADER.size:
-        raise FormatError(f"{p}: truncated header ({len(blob)} bytes)")
-    magic, count, s, d = _HEADER.unpack_from(blob, 0)
-    if magic != MAGIC:
-        raise FormatError(f"{p}: bad magic {magic!r}")
-    if s < 1 or d < 1:
-        raise FormatError(f"{p}: header declares s={s} d={d}")
-    payload = s * d * 4
-    if payload > np.iinfo(np.intp).max:
-        raise FormatError(f"{p}: header declares s={s} d={d}, too large for one array")
-    # every entry holds at least two id lengths and its values: the header
-    # must not size an array the file cannot fill
-    rest = len(blob) - _HEADER.size
-    if count * (2 * _U16.size + payload) > rest:
-        raise FormatError(f"{p}: truncated: {count} entries of {s}x{d} need over {rest} bytes")
-
-    strips = np.empty((count, s, d), dtype="<f4")
-    dst = memoryview(strips.reshape(-1).view(np.uint8))
-    src = memoryview(blob)
     sids: list[str] = []
     iids: list[str] = []
-    offset = _HEADER.size
-    for i in range(count):
-        for ids in (sids, iids):
-            if offset + _U16.size > len(blob):
-                raise FormatError(f"{p}: truncated at entry {i}")
-            (n,) = _U16.unpack_from(blob, offset)
-            offset += _U16.size
-            if offset + n > len(blob):
-                raise FormatError(f"{p}: truncated at entry {i}")
-            try:
-                ids.append(blob[offset : offset + n].decode("utf-8"))
-            except UnicodeDecodeError as exc:
-                raise FormatError(f"{p}: id of entry {i} is not UTF-8 ({exc})") from exc
-            offset += n
-        if offset + payload > len(blob):
-            raise FormatError(f"{p}: truncated payload at entry {i}")
-        dst[i * payload : (i + 1) * payload] = src[offset : offset + payload]
-        offset += payload
-    if offset != len(blob):
-        raise FormatError(f"{p}: {len(blob) - offset} trailing bytes")
+    with _open_input(p) as fh:
+        st = os.fstat(fh.fileno())
+        if not stat.S_ISREG(st.st_mode):
+            raise FormatError(f"{p}: not a regular file")
+        header = fh.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise FormatError(f"{p}: truncated header ({len(header)} bytes)")
+        magic, count, s, d = _HEADER.unpack(header)
+        if magic != MAGIC:
+            raise FormatError(f"{p}: bad magic {magic!r}")
+        if s < 1 or d < 1:
+            raise FormatError(f"{p}: header declares s={s} d={d}")
+        payload = s * d * 4
+        if payload > np.iinfo(np.intp).max:
+            raise FormatError(f"{p}: header declares s={s} d={d}, too large for one array")
+        # every entry holds at least two id lengths and its values: the
+        # header must not size an array the file cannot fill
+        rest = st.st_size - _HEADER.size
+        if count * (2 * _U16.size + payload) > rest:
+            raise FormatError(f"{p}: truncated: {count} entries of {s}x{d} need over {rest} bytes")
+
+        strips = np.empty((count, s, d), dtype="<f4")
+        dst = memoryview(strips.reshape(-1).view(np.uint8))
+        for i in range(count):
+            for ids in (sids, iids):
+                raw = fh.read(_U16.size)
+                if len(raw) < _U16.size:
+                    raise FormatError(f"{p}: truncated at entry {i}")
+                (n,) = _U16.unpack(raw)
+                raw = fh.read(n)
+                if len(raw) < n:
+                    raise FormatError(f"{p}: truncated at entry {i}")
+                try:
+                    ids.append(raw.decode("utf-8"))
+                except UnicodeDecodeError as exc:
+                    raise FormatError(f"{p}: id of entry {i} is not UTF-8 ({exc})") from exc
+            if fh.readinto(dst[i * payload : (i + 1) * payload]) < payload:
+                raise FormatError(f"{p}: truncated payload at entry {i}")
+        trailing = st.st_size - fh.tell()
+        if trailing:
+            raise FormatError(f"{p}: {trailing} trailing bytes")
 
     mpath = manifest_path(p)
     if not mpath.exists():

@@ -4,23 +4,23 @@ Every probe ranks against the gallery ``FeatureSet``'s own float32 array
 (``FeatureSet.strips``); nothing is stacked or copied per gallery.
 Distances are exact float64, computed over fixed blocks of gallery rows
 in one summation order, so rankings are reproducible bit-for-bit and do
-not depend on the block size. Candidates are selected and ordered by
-(distance, sequence_id) with numpy, not Python sorts, using the id keys
-the set caches (``FeatureSet.id_rank``).
+not depend on the block size. ``rank_all`` without a k converts each
+block once and scores all of its probes against it. Candidates are
+selected and ordered by (distance, sequence_id) with numpy, not Python
+sorts, using the id keys the set caches (``FeatureSet.id_rank``).
 
 A top-k call (``1 <= k <`` eligible rows) first bounds every row's
 distance from below and above through |a|^2 + |b|^2 - 2a.b per strip,
 with float32 dot products and the squared strip norms the set caches
 (``FeatureSet.strip_sq_norms``), the decomposition FAISS uses. The
-products are taken a block of gallery rows at a time, with the exact
-distances' block size, so each block is read from memory once for all
-strips instead of the whole gallery once per strip. The exact distance
-is then computed only for rows whose lower bound does not exceed
-the k-th smallest upper bound. The bounds are proven (see
-``_distance_bounds``) to enclose the exact float64 distance, so the k-th
-smallest exact distance is at most that cut and every row at or below it,
-ties included, is re-scored: the output is bit-identical to ranking the
-whole gallery. Full lists (``k=None``), and any probe or gallery whose
+products are taken a block of gallery rows at a time, so each block is
+read from memory once for all strips instead of the whole gallery once
+per strip. The exact distance is then computed only for rows whose lower
+bound does not exceed the k-th smallest upper bound. The bounds are
+proven (see ``_distance_bounds``) to enclose the exact float64 distance,
+so the k-th smallest exact distance is at most that cut and every row at
+or below it, ties included, is re-scored: the output is bit-identical to
+ranking the whole gallery. Full lists (``k=None``), and any probe or gallery whose
 float32 squares are not finite, take the exact path over every row.
 """
 
@@ -70,13 +70,15 @@ def strip_distance(a: FeatureMap, b: FeatureMap) -> float:
     return strip_mean_distance(a.strips, b.strips)
 
 
-# float64 bytes of gallery rows converted at a time: 1 MB (128 rows at
-# 16 x 64) stays in L2 through the four passes over it, where the whole
-# float64 gallery would not. Measured on the 10,000 x 16 x 64 gallery,
-# 64-256 rows ran within noise of each other, 512 rows and up slower.
-# The bound products (``_distance_bounds``) take float32 blocks of the
-# same rows, 512 KB, read once for each strip: 2.8 ms a call at 128
-# rows, 3.1 at 64, 2.9 at 256, 3.4 at 512, 5.2 for the whole gallery.
+# float64 bytes of gallery rows held at a time: a block converted once
+# and one probe's difference from it, 512 KB each (64 rows at 16 x 64),
+# stay in L2 through the passes over them, where the whole float64
+# gallery would not. Exact distances of 10 probes to the 10,000 x 16 x 64
+# gallery took 197 ms at 64 rows, 216 at 32, 223 at 128 and 235 at 256
+# (fastest of 7 runs). The bound products (``_distance_bounds``) take
+# float32 blocks of 128 rows, 512 KB, read once for each strip: 2.8 ms a
+# call at 128 rows, 3.1 at 64, 2.9 at 256, 3.4 at 512, 5.2 for the whole
+# gallery.
 BLOCK_BYTES = 1 << 20
 
 
@@ -86,26 +88,31 @@ def _block_rows(s: int, d: int, value_bytes: int) -> int:
 
 
 def _distances_to_stack(
-    probe: np.ndarray, stack: np.ndarray, rows: np.ndarray | None = None
+    probes: np.ndarray, stack: np.ndarray, rows: np.ndarray | None = None
 ) -> np.ndarray:
-    # probe (s, d) float64, stack (n, s, d) float32 -> (n,) float64, or the
-    # distances of ``rows`` only, gathered a block at a time (through a
-    # float32 copy, so 12 bytes per value). Each block is reduced exactly as
-    # the whole stack would be (float64 difference, square, sum over d,
-    # sqrt, mean over s), so the result does not depend on the block size
-    # or on which rows are gathered.
+    # probes (p, s, d) float64 (one (s, d) probe counts as p = 1), stack
+    # (n, s, d) float32 -> (p, n) float64, or the distances to ``rows``
+    # only, gathered a block at a time (through a float32 copy, so 20
+    # bytes per value). Each block is converted to float64 once for all
+    # probes, and each probe's block is reduced exactly as the whole
+    # stack would be (float64 difference, square, sum over d, sqrt, mean
+    # over s), so the result does not depend on the block size, on which
+    # rows are gathered or on the other probes of the call.
     n, s, d = stack.shape
+    probes = probes.reshape(-1, s, d)
     m = n if rows is None else len(rows)
-    step = _block_rows(s, d, 8 if rows is None else 12)
-    out = np.empty(m)
-    buf = np.empty((min(m, step), s, d))
+    step = _block_rows(s, d, 16 if rows is None else 20)
+    out = np.empty((len(probes), m))
+    converted = np.empty((min(m, step), s, d))
+    work = np.empty_like(converted)
     for start in range(0, m, step):
         stop = min(start + step, m)
-        block = buf[: stop - start]
+        block, diff = converted[: stop - start], work[: stop - start]
         np.copyto(block, stack[start:stop] if rows is None else stack[rows[start:stop]])
-        block -= probe
-        block *= block
-        out[start:stop] = np.sqrt(block.sum(axis=2)).mean(axis=1)
+        for i, probe in enumerate(probes):
+            np.subtract(block, probe, out=diff)
+            diff *= diff
+            out[i, start:stop] = np.sqrt(diff.sum(axis=2)).mean(axis=1)
     return out
 
 
@@ -161,6 +168,33 @@ def _distance_bounds(probe: np.ndarray, gallery: FeatureSet) -> tuple[np.ndarray
     return lo.sum(axis=0) * ((1 - widen) / s), x.sum(axis=0) * ((1 + widen) / s)
 
 
+def _eligible_rows(probe: FeatureMap, gallery: FeatureSet) -> np.ndarray:
+    """The gallery rows ``probe`` ranks against: all but its own id."""
+    if probe.strips.shape != (gallery.s, gallery.d):
+        raise ShapeError(
+            f"probe {probe.sequence_id!r} is {probe.strips.shape}, "
+            f"gallery declares ({gallery.s}, {gallery.d})"
+        )
+    rows = np.flatnonzero(gallery.id_rank != gallery.rank_of.get(probe.sequence_id, -1))
+    if not len(rows):
+        raise DataError(
+            f"empty effective gallery for probe {probe.sequence_id!r}"
+        )
+    return rows
+
+
+def _ranked(probe_id: str, gallery: FeatureSet, rows: np.ndarray, dists: np.ndarray,
+            k: int | None) -> RankedList:
+    """The first k of ``rows`` by (distance, sequence id); ``dists`` holds
+    their distances."""
+    order = np.lexsort((gallery.id_rank[rows], dists))[:k]
+    ids = gallery.sequence_ids
+    return RankedList(
+        probe_id=probe_id,
+        items=tuple(zip([ids[i] for i in rows[order].tolist()], dists[order].tolist())),
+    )
+
+
 def rank_gallery(
     probe: FeatureMap,
     gallery: FeatureSet,
@@ -172,17 +206,7 @@ def rank_gallery(
     sequence_id so rankings are deterministic. ``k=None`` ranks the whole
     gallery.
     """
-    if probe.strips.shape != (gallery.s, gallery.d):
-        raise ShapeError(
-            f"probe {probe.sequence_id!r} is {probe.strips.shape}, "
-            f"gallery declares ({gallery.s}, {gallery.d})"
-        )
-    id_rank = gallery.id_rank
-    rows = np.flatnonzero(id_rank != gallery.rank_of.get(probe.sequence_id, -1))
-    if not len(rows):
-        raise DataError(
-            f"empty effective gallery for probe {probe.sequence_id!r}"
-        )
+    rows = _eligible_rows(probe, gallery)
     if k is not None and k < 1:
         raise DataError(f"k must be >= 1, got {k}")
     exact_probe = probe.strips.astype(np.float64)
@@ -194,31 +218,58 @@ def rank_gallery(
             lo, hi = bounds[0][rows], bounds[1][rows]
             cut = np.partition(hi, k - 1)[k - 1]
             rows = rows[~(lo > cut)]
-        dists = _distances_to_stack(exact_probe, gallery.strips, rows)
+        dists = _distances_to_stack(exact_probe, gallery.strips, rows)[0]
         # keep every distance up to the k-th, so ties at the cut still
         # break by id below
         keep = dists <= np.partition(dists, k - 1)[k - 1]
         rows, dists = rows[keep], dists[keep]
     else:
-        dists = _distances_to_stack(exact_probe, gallery.strips)[rows]
-    order = np.lexsort((id_rank[rows], dists))[:k]
-    ids = gallery.sequence_ids
-    return RankedList(
-        probe_id=probe.sequence_id,
-        items=tuple(zip([ids[i] for i in rows[order].tolist()], dists[order].tolist())),
-    )
+        dists = _distances_to_stack(exact_probe, gallery.strips)[0, rows]
+    return _ranked(probe.sequence_id, gallery, rows, dists, k)
 
 
 def rank_all(probes, gallery: FeatureSet, k: int | None = None) -> list[RankedList]:
     """rank_gallery for every probe (a FeatureSet or a sequence of
-    FeatureMaps), preserving probe input order."""
-    out = []
+    FeatureMaps), preserving probe input order. Full lists (``k=None``)
+    take one distance pass over the gallery for all probes."""
+    probes = list(probes)
+    out, eligible = [], []
     for probe in probes:
         try:
-            out.append(rank_gallery(probe, gallery, k))
+            if k is None:
+                eligible.append(_eligible_rows(probe, gallery))
+            else:
+                out.append(rank_gallery(probe, gallery, k))
         except (DataError, ShapeError) as exc:
             raise type(exc)(f"probe {probe.sequence_id!r}: {exc}") from exc
-    return out
+    if k is not None or not probes:
+        return out
+    stack = np.array([probe.strips for probe in probes], dtype=np.float64)
+    dists = _distances_to_stack(stack, gallery.strips)
+    return [
+        _ranked(probe.sequence_id, gallery, rows, row_dists[rows], None)
+        for probe, rows, row_dists in zip(probes, eligible, dists)
+    ]
+
+
+class _JsonStrings(dict):
+    """A string -> its JSON text, each quoted once."""
+
+    def __missing__(self, text):
+        self[text] = quoted = json.dumps(text)
+        return quoted
+
+
+def _json_numbers(values: list) -> list[str]:
+    """What ``json.dumps`` writes for each value: float.__repr__ for
+    finite floats (np.float64 too), json itself for anything else, so a
+    NaN or Inf is json's ValueError."""
+    try:
+        if all(map(math.isfinite, values)):
+            return list(map(float.__repr__, values))
+    except TypeError:  # not all floats
+        pass
+    return [json.dumps(v, allow_nan=False) for v in values]
 
 
 def write_ranked_lists(
@@ -229,17 +280,22 @@ def write_ranked_lists(
     """One JSON record per probe, written as it is formatted; optional
     per-probe latency field. A NaN or infinite value, which
     ``read_ranked_lists`` would reject, is a NonFiniteError naming the
-    probe, and leaves the previous file or none."""
+    probe, and leaves the previous file or none.
+
+    Each line is what ``json.dumps(record, separators=(",", ":"))``
+    writes, built from pieces: every candidate id is quoted once per call.
+    """
+    quoted = _JsonStrings()
     with _write_atomic(path, "w") as fh:
         for i, rl in enumerate(lists):
-            rec: dict = {"probe_id": rl.probe_id, "items": [[cid, d] for cid, d in rl.items]}
-            if latencies_ms is not None:
-                rec["latency_ms"] = latencies_ms[i]
+            latency = [] if latencies_ms is None else [latencies_ms[i]]
             try:
-                line = json.dumps(rec, separators=(",", ":"), allow_nan=False)
+                numbers = _json_numbers([d for _, d in rl.items] + latency)
             except ValueError as exc:
                 raise NonFiniteError(f"probe {rl.probe_id!r}: NaN or Inf in its ranked list") from exc
-            fh.write(line + "\n")
+            items = ",".join([f"[{quoted[cid]},{n}]" for (cid, _), n in zip(rl.items, numbers)])
+            tail = f',"latency_ms":{numbers[-1]}' if latency else ""
+            fh.write(f'{{"probe_id":{json.dumps(rl.probe_id)},"items":[{items}]{tail}}}\n')
 
 
 # the parsed JSON types a record field of each kind accepts: nothing is

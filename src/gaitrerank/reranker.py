@@ -411,6 +411,19 @@ def TripletBatch(probe, pos, neg, labels) -> IndexedBatch:
     return IndexedBatch(np.concatenate([probe, pos, neg]), np.arange(3 * b).reshape(3, b).T, labels)
 
 
+def _non_finite_cause(weights: RerankerWeights, per_triplet: np.ndarray, ce: np.ndarray,
+                      alpha: float) -> str:
+    """Why a batch's loss is not finite: the weights, one triplet's ranking
+    loss or cross-entropy (``ce`` holds four per triplet, one block of B
+    each), or else the alpha-weighted mean cross-entropy."""
+    if not all(np.isfinite(p).all() for p in weights.params().values()):
+        return "non-finite weights: an AdamW step overflowed them (lower lr or weight_decay)"
+    finite = np.isfinite(per_triplet) & np.isfinite(ce).reshape(4, -1).all(axis=0)
+    if not finite.all():
+        return f"non-finite loss produced by triplet {int(np.argmin(finite))}"
+    return f"alpha * mean cross-entropy overflowed (alpha={alpha!r}): lower alpha"
+
+
 def _batch_forward(
     batch: IndexedBatch,
     weights: RerankerWeights,
@@ -463,11 +476,7 @@ def _batch_forward(
 
     loss = float(ranking_total + alpha * ce_mean)
     if not np.isfinite(loss):
-        bad = np.flatnonzero(~np.isfinite(per_triplet))
-        if len(bad) == 0:
-            bad = np.flatnonzero(~np.isfinite(ce)) % B
-        idx = int(bad[0]) if len(bad) else 0
-        raise NonFiniteError(f"non-finite loss produced by triplet {idx}")
+        raise NonFiniteError(_non_finite_cause(weights, per_triplet, ce, alpha))
 
     if not want_grads:
         return loss, None

@@ -90,15 +90,19 @@ class TrainingEntry:
         return any(self.positive) and not all(self.positive)
 
 
+def _check_v(v) -> None:
+    # an integer proper: int() would also take "30", 30.5 and True
+    if type(v) is not int or v < 2:
+        raise ValueError(f"v must be an integer >= 2, got {v!r}")
+
+
 @dataclass(frozen=True)
 class TrainingSet:
     entries: tuple[TrainingEntry, ...]
     v: int
 
     def __post_init__(self) -> None:
-        # an integer proper: int() would also take "30", 30.5 and True
-        if type(self.v) is not int or self.v < 2:
-            raise ValueError(f"v must be an integer >= 2, got {self.v!r}")
+        _check_v(self.v)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -169,6 +173,7 @@ def split_train_val(
 def build_training_set(partition: FeatureSet, v: int = 30) -> TrainingSet:
     """Rank every sequence against the rest of its partition and keep the
     top-v with positive flags."""
+    _check_v(v)
     if len(partition) < 2:
         raise DataError("need at least 2 sequences to build a training set")
     identity = partition.identity_map()
@@ -486,20 +491,23 @@ def _train_loop(
             progress(row)
         return vl
 
-    best_val = record(0, float("nan"), evaluate=True)
-    best_weights = weights.copy()
-    best_iteration = 0
+    # an overflow (a huge lr or alpha) shows as a non-finite loss, which
+    # the step reports with its cause, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        best_val = record(0, float("nan"), evaluate=True)
+        best_weights = weights.copy()
+        best_iteration = 0
 
-    for it in range(1, cfg.iterations + 1):
-        triplets = sample_triplets(train_ts, cfg, batch_rng)
-        batch = make_batch(triplets, features, labels)
-        loss, grads = step(batch, weights)
-        adamw_step(weights, grads, state, cfg)
-        vl = record(it, loss, evaluate=it % cfg.t_val == 0 or it == cfg.iterations)
-        if vl is not None and vl < best_val:
-            best_val = vl
-            best_weights = weights.copy()
-            best_iteration = it
+        for it in range(1, cfg.iterations + 1):
+            triplets = sample_triplets(train_ts, cfg, batch_rng)
+            batch = make_batch(triplets, features, labels)
+            loss, grads = step(batch, weights)
+            adamw_step(weights, grads, state, cfg)
+            vl = record(it, loss, evaluate=it % cfg.t_val == 0 or it == cfg.iterations)
+            if vl is not None and vl < best_val:
+                best_val = vl
+                best_weights = weights.copy()
+                best_iteration = it
 
     return TrainResult(
         weights=best_weights,

@@ -1,8 +1,10 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+from gaitrerank import training
 from gaitrerank.baseline import BaselineConfig, init_baseline, save_baseline
 from gaitrerank.cli import main
 from gaitrerank.feature_store import load_feature_set, manifest_path
@@ -514,3 +516,50 @@ def test_build_trainset_v_below_2_exits_2_and_writes_nothing(tmp_path, capsys, w
     assert json.loads(err) == {"error": "invalid-value",
                                "message": "v must be an integer >= 2, got 1"}
     assert not ts.exists() and not vs.exists()
+
+
+@pytest.mark.parametrize("v", ["0", "-3", "1"])
+def test_build_trainset_refuses_v_below_2_before_ranking(tmp_path, capsys, workdir, monkeypatch, v):
+    def rank_gallery(*args, **kwargs):
+        raise AssertionError("ranked before checking v")
+
+    monkeypatch.setattr(training, "rank_gallery", rank_gallery)
+    ts, vs = tmp_path / "train.jsonl", tmp_path / "val.jsonl"
+    code, _, err = run(capsys, "build-trainset", "--features", str(workdir / "feats.gfm"),
+                       "--v", v, "--val-split", "0.25", "--out-train", str(ts),
+                       "--out-val", str(vs))
+    assert code == 2
+    assert json.loads(err) == {"error": "invalid-value",
+                               "message": f"v must be an integer >= 2, got {v}"}
+    assert not ts.exists() and not vs.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, cause",
+    [
+        ("--lr", "1e39", "non-finite weights: an AdamW step overflowed them"),
+        ("--lr", "1e300", "non-finite weights: an AdamW step overflowed them"),
+        ("--alpha", "1e308", "alpha * mean cross-entropy overflowed"),
+    ],
+)
+def test_huge_finite_training_flag_exits_7_naming_its_cause(tmp_path, capsys, workdir, flag,
+                                                            value, cause):
+    ts, vs = tmp_path / "train.jsonl", tmp_path / "val.jsonl"
+    assert main(["build-trainset", "--features", str(workdir / "feats.gfm"), "--v", "5",
+                 "--val-split", "0.25", "--out-train", str(ts), "--out-val", str(vs)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "model.cgrk"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run(capsys, "train", "--trainset", str(ts), "--valset", str(vs),
+                           "--features", str(workdir / "feats.gfm"), "--heads", "2",
+                           "--hidden", "8", "--mlp-hidden", "8", "--iters", "3", "--quiet",
+                           "--out-checkpoint", str(out), flag, value)
+    assert code == 7, err
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert "RuntimeWarning" not in err
+    # one JSON line on stderr, naming the cause and no triplet
+    rec = json.loads(err)
+    assert rec["error"] == "non-finite"
+    assert rec["message"].startswith(cause) and "triplet" not in rec["message"]
+    assert not out.exists()

@@ -1,4 +1,5 @@
 import json
+import os
 import struct
 import tracemalloc
 
@@ -396,3 +397,33 @@ def test_generated_sets_are_checked_at_construction():
     with pytest.raises(ValueError, match=r"entry 0 \('id000-00'\)") as info:
         generate(2, 2, 2, 2, hardness=0.5, noise=1e39, seed=0)
     assert isinstance(info.value.__cause__, NonFiniteError)
+
+
+def test_load_streams_values_into_the_set_array(tmp_path):
+    fs = FeatureSet.from_entries(make_maps(40, 2, 32, 64, seed=5))
+    path = tmp_path / "feat.gfm"
+    save_feature_set(fs, path)
+    tracemalloc.start()
+    try:
+        loaded = load_feature_set(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(loaded.strips, fs.strips)
+    # the array, plus the set's finiteness mask of one byte per value (a
+    # quarter of it) and the ids; the file's bytes held whole would add
+    # as much again as the array
+    assert peak < loaded.strips.nbytes * 1.25 + (128 << 10), (peak, loaded.strips.nbytes)
+
+
+def test_a_feature_input_that_is_not_a_regular_file_is_a_format_error(tmp_path):
+    fifo = tmp_path / "feat.gfm"
+    os.mkfifo(fifo)
+    manifest_path(fifo).write_text("{}")
+    # a writer on the other end, so that opening the FIFO does not block
+    fd = os.open(fifo, os.O_RDWR)
+    try:
+        with pytest.raises(FormatError, match="not a regular file"):
+            load_feature_set(fifo)
+    finally:
+        os.close(fd)

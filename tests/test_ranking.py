@@ -373,3 +373,30 @@ def test_ranked_lists_reject_bad_items(tmp_path, items, error):
                     f'{{"probe_id":"p-01","items":{items}}}\n')
     with pytest.raises(error, match=":2:"):
         read_ranked_lists(path)
+
+
+@pytest.mark.parametrize("n_probes", [1, 2, 9])
+def test_rank_all_full_lists_equal_per_probe_rank_gallery_bitwise(monkeypatch, n_probes):
+    n, s, d = 41, 3, 5
+    # 4 gallery rows per block: 9 probes are more than a block has rows
+    monkeypatch.setattr(ranking, "BLOCK_BYTES", 16 * s * d * 4)
+    values = np.random.default_rng(n_probes).standard_normal((n, s, d))
+    gallery = _gallery(values)
+    inside = list(gallery.entries[: (n_probes + 1) // 2])
+    outside = [FeatureMap(f"zz{i}", "zz", values[i] * 0.5 + 0.25) for i in range(n_probes // 2)]
+    probes = inside + outside
+    want = [_bitwise(rank_gallery(probe, gallery)) for probe in probes]
+    assert want == [_bitwise(oracle_rank(probe, gallery)) for probe in probes]
+    assert [_bitwise(rl) for rl in rank_all(probes, gallery)] == want
+
+
+def test_rank_all_full_lists_name_the_failing_probe():
+    gallery = _gallery(np.ones((3, 2, 2)))
+    wide = FeatureMap("wide", "w", np.ones((2, 3)))
+    with pytest.raises(ShapeError) as exc:
+        rank_all([gallery.entries[0], wide], gallery)
+    assert str(exc.value) == "probe 'wide': probe 'wide' is (2, 3), gallery declares (2, 2)"
+    alone = _gallery(np.ones((1, 2, 2)))
+    with pytest.raises(DataError) as exc:
+        rank_all(alone, alone)
+    assert str(exc.value) == "probe 'g000': empty effective gallery for probe 'g000'"
