@@ -252,24 +252,9 @@ def rank_all(probes, gallery: FeatureSet, k: int | None = None) -> list[RankedLi
     ]
 
 
-class _JsonStrings(dict):
-    """A string -> its JSON text, each quoted once."""
-
-    def __missing__(self, text):
-        self[text] = quoted = json.dumps(text)
-        return quoted
-
-
-def _json_numbers(values: list) -> list[str]:
-    """What ``json.dumps`` writes for each value: float.__repr__ for
-    finite floats (np.float64 too), json itself for anything else, so a
-    NaN or Inf is json's ValueError."""
-    try:
-        if all(map(math.isfinite, values)):
-            return list(map(float.__repr__, values))
-    except TypeError:  # not all floats
-        pass
-    return [json.dumps(v, allow_nan=False) for v in values]
+# one record per call on json's C encoder: the bytes of
+# json.dumps(record, separators=(",", ":"), allow_nan=False)
+_encode_record = json.JSONEncoder(separators=(",", ":"), allow_nan=False, check_circular=False).encode
 
 
 def write_ranked_lists(
@@ -280,22 +265,16 @@ def write_ranked_lists(
     """One JSON record per probe, written as it is formatted; optional
     per-probe latency field. A NaN or infinite value, which
     ``read_ranked_lists`` would reject, is a NonFiniteError naming the
-    probe, and leaves the previous file or none.
-
-    Each line is what ``json.dumps(record, separators=(",", ":"))``
-    writes, built from pieces: every candidate id is quoted once per call.
-    """
-    quoted = _JsonStrings()
+    probe, and leaves the previous file or none."""
     with _write_atomic(path, "w") as fh:
         for i, rl in enumerate(lists):
-            latency = [] if latencies_ms is None else [latencies_ms[i]]
+            rec = {"probe_id": rl.probe_id, "items": rl.items}
+            if latencies_ms is not None:
+                rec["latency_ms"] = latencies_ms[i]
             try:
-                numbers = _json_numbers([d for _, d in rl.items] + latency)
+                fh.write(_encode_record(rec) + "\n")
             except ValueError as exc:
                 raise NonFiniteError(f"probe {rl.probe_id!r}: NaN or Inf in its ranked list") from exc
-            items = ",".join([f"[{quoted[cid]},{n}]" for (cid, _), n in zip(rl.items, numbers)])
-            tail = f',"latency_ms":{numbers[-1]}' if latency else ""
-            fh.write(f'{{"probe_id":{json.dumps(rl.probe_id)},"items":[{items}]{tail}}}\n')
 
 
 # the parsed JSON types a record field of each kind accepts: nothing is

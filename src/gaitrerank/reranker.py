@@ -411,19 +411,6 @@ def TripletBatch(probe, pos, neg, labels) -> IndexedBatch:
     return IndexedBatch(np.concatenate([probe, pos, neg]), np.arange(3 * b).reshape(3, b).T, labels)
 
 
-def _non_finite_cause(weights: RerankerWeights, per_triplet: np.ndarray, ce: np.ndarray,
-                      alpha: float) -> str:
-    """Why a batch's loss is not finite: the weights, one triplet's ranking
-    loss or cross-entropy (``ce`` holds four per triplet, one block of B
-    each), or else the alpha-weighted mean cross-entropy."""
-    if not all(np.isfinite(p).all() for p in weights.params().values()):
-        return "non-finite weights: an AdamW step overflowed them (lower lr or weight_decay)"
-    finite = np.isfinite(per_triplet) & np.isfinite(ce).reshape(4, -1).all(axis=0)
-    if not finite.all():
-        return f"non-finite loss produced by triplet {int(np.argmin(finite))}"
-    return f"alpha * mean cross-entropy overflowed (alpha={alpha!r}): lower alpha"
-
-
 def _batch_forward(
     batch: IndexedBatch,
     weights: RerankerWeights,
@@ -449,35 +436,45 @@ def _batch_forward(
             f"got range [{batch.labels.min()}, {batch.labels.max()}]"
         )
 
-    # directed attention layout: [p|pos, pos|p, p|neg, neg|p]
+    # pair slots: triplet t's positive pair is slot t, its negative pair
+    # slot B + t. Each distinct unordered pair is attended once both ways,
+    # lo|hi in rows [0, n) and hi|lo in rows [n, 2n)
     p, pos, neg = index.T
+    U = len(maps)
+    first, second = np.concatenate([p, p]), np.concatenate([pos, neg])
+    keys, slot = np.unique(
+        np.minimum(first, second) * U + np.maximum(first, second), return_inverse=True
+    )
+    lo, hi = np.divmod(keys, U)
+    n = len(keys)
     e, caches = _attention_forward(
         np.ascontiguousarray(maps, dtype=dtype),
-        np.concatenate([p, pos, p, neg]),
-        np.concatenate([pos, p, neg, p]),
+        np.concatenate([lo, hi]),
+        np.concatenate([hi, lo]),
         weights,
         want_cache=want_grads,
     )
 
-    # losses in float64 so ranking distances keep their precision contract
+    # losses in float64 so ranking distances keep their precision contract;
+    # swapping a pair's sides only negates its diff, so each slot's
+    # distance is that of its (probe, candidate) order
     e64 = e.astype(np.float64)
-    d_pos, cache_pos = _pair_distances_and_cache(e64[:B], e64[B : 2 * B])
-    d_neg, cache_neg = _pair_distances_and_cache(e64[2 * B : 3 * B], e64[3 * B :])
+    dist, dist_cache = _pair_distances_and_cache(e64[:n], e64[n:])
+    d_pos, d_neg = dist[slot[:B]], dist[slot[B:]]
+    ranking_total = ranking_loss(d_pos, d_neg, beta).sum()
 
-    per_triplet = ranking_loss(d_pos, d_neg, beta)
-    ranking_total = per_triplet.sum()
-
-    labels = np.concatenate(
-        [batch.labels[:, 0], batch.labels[:, 1], batch.labels[:, 0], batch.labels[:, 2]]
-    )
+    # the mean cross-entropy over the 4B conditioned maps of the triplets,
+    # each distinct direction weighted by the number of its pair's slots.
+    # A row carries one label, wherever it occurs
+    map_labels = np.empty(U, dtype=batch.labels.dtype)
+    map_labels[index] = batch.labels
+    labels = map_labels[np.concatenate([lo, hi])]
     logits, cls_cache = _classifier_forward(e64, weights)
     ce, probs = _cross_entropy(logits, labels)
-    ce_mean = ce.mean()
+    occ = np.tile(np.bincount(slot), 2)
+    ce_mean = (occ @ ce) / (4 * B)
 
     loss = float(ranking_total + alpha * ce_mean)
-    if not np.isfinite(loss):
-        raise NonFiniteError(_non_finite_cause(weights, per_triplet, ce, alpha))
-
     if not want_grads:
         return loss, None
 
@@ -486,20 +483,16 @@ def _batch_forward(
     x = d_neg - d_pos
     dldx = np.where(x >= 0, beta, 1.0) * (_stable_sigmoid(x) - 1.0)  # d loss / d (d_neg - d_pos)
 
-    de = np.zeros_like(e64)
-    g_pos = _pair_distances_backward(-dldx, cache_pos)
-    de[:B] += g_pos
-    de[B : 2 * B] -= g_pos
-    g_neg = _pair_distances_backward(dldx, cache_neg)
-    de[2 * B : 3 * B] += g_neg
-    de[3 * B :] -= g_neg
+    # one float per pair: the summed upstream gradient of its distance
+    g_dist = np.bincount(slot, weights=np.concatenate([-dldx, dldx]))
+    g_lo = _pair_distances_backward(g_dist, dist_cache)
+    de = np.concatenate([g_lo, -g_lo])
 
-    # classifier head: mean CE weighted by alpha (exactly zero when alpha=0)
+    # classifier head: alpha times the weighted mean CE (exactly zero when alpha=0)
     pooled, act = cls_cache
-    n_occ = logits.shape[0]
     dlogits = probs.copy()
-    dlogits[np.arange(n_occ), labels] -= 1.0
-    dlogits *= alpha / n_occ
+    dlogits[np.arange(2 * n), labels] -= 1.0
+    dlogits *= (alpha / (4 * B)) * occ[:, None]
     grads["cls.w2"] += act.T @ dlogits
     grads["cls.b2"] += dlogits.sum(axis=0)
     da = dlogits @ weights.params()["cls.w2"].T

@@ -480,6 +480,8 @@ def _train_loop(
 
     def record(iteration: int, train_loss: float, evaluate: bool) -> float | None:
         vl = val_loss(val_batch, weights) if evaluate else None
+        if vl is not None and not math.isfinite(vl):
+            raise loss_error(iteration, "validation", val_batch)
         row = LogRow(
             iteration=iteration,
             train_loss=train_loss,
@@ -491,8 +493,24 @@ def _train_loop(
             progress(row)
         return vl
 
-    # an overflow (a huge lr or alpha) shows as a non-finite loss, which
-    # the step reports with its cause, not as numpy warnings
+    scale = f"lower lr={cfg.lr!r} or weight_decay={cfg.weight_decay!r}"
+
+    def loss_error(iteration: int, what: str, batch: IndexedBatch) -> NonFiniteError:
+        # the cause, from each triplet's loss alone
+        bad = [j for j in range(len(batch)) if not math.isfinite(val_loss(
+            IndexedBatch(batch.maps, batch.index[j : j + 1], batch.labels[j : j + 1]), weights))]
+        if not bad:
+            return NonFiniteError(f"alpha * mean cross-entropy overflowed at iteration "
+                                  f"{iteration} (alpha={cfg.alpha!r}): lower alpha")
+        if len(bad) < len(batch):
+            return NonFiniteError(f"non-finite {what} loss produced by triplet {bad[0]} "
+                                  f"at iteration {iteration}")
+        cause = f": the weights' scale overflows ({scale})" if iteration else ""
+        return NonFiniteError(f"non-finite {what} loss on every triplet at iteration "
+                              f"{iteration}{cause}")
+
+    # an overflow (a huge lr, weight decay or alpha) stops the run with its
+    # cause, without numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         best_val = record(0, float("nan"), evaluate=True)
         best_weights = weights.copy()
@@ -502,7 +520,14 @@ def _train_loop(
             triplets = sample_triplets(train_ts, cfg, batch_rng)
             batch = make_batch(triplets, features, labels)
             loss, grads = step(batch, weights)
+            if not math.isfinite(loss):
+                raise loss_error(it, "training", batch)
             adamw_step(weights, grads, state, cfg)
+            if not all(np.isfinite(w).all() for w in weights.params().values()):
+                if not all(np.isfinite(g).all() for g in grads.values()):
+                    raise NonFiniteError(f"non-finite gradients at iteration {it}")
+                raise NonFiniteError(f"non-finite weights: an AdamW step overflowed them "
+                                     f"at iteration {it} ({scale})")
             vl = record(it, loss, evaluate=it % cfg.t_val == 0 or it == cfg.iterations)
             if vl is not None and vl < best_val:
                 best_val = vl

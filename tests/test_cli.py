@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 
 import numpy as np
@@ -563,3 +564,48 @@ def test_huge_finite_training_flag_exits_7_naming_its_cause(tmp_path, capsys, wo
     assert rec["error"] == "non-finite"
     assert rec["message"].startswith(cause) and "triplet" not in rec["message"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, cause",
+    [
+        ("train", "--lr", "1e39",
+         r"non-finite weights: an AdamW step overflowed them at iteration 1 "
+         r"\(lower lr=1e\+39 or weight_decay=0\.01\)"),
+        # the decay leaves the weights finite but huge: the next forward
+        # overflows on every triplet
+        ("train", "--wd", "1e39",
+         r"non-finite training loss on every triplet at iteration 2: the weights' scale "
+         r"overflows \(lower lr=1e-05 or weight_decay=1e\+39\)"),
+        ("train", "--alpha", "1e308",
+         r"alpha \* mean cross-entropy overflowed at iteration 1 \(alpha=1e\+308\): lower alpha"),
+        ("train-baseline", "--lr", "1e39",
+         r"non-finite weights: an AdamW step overflowed them at iteration 1 "
+         r"\(lower lr=1e\+39 or weight_decay=0\.01\)"),
+        ("train-baseline", "--wd", "1e39",
+         r"non-finite weights: an AdamW step overflowed them at iteration 2 "
+         r"\(lower lr=1e-05 or weight_decay=1e\+39\)"),
+    ],
+    ids=["train-lr", "train-wd", "train-alpha", "baseline-lr", "baseline-wd"],
+)
+def test_huge_training_flag_stops_either_model_with_exit_7(tmp_path, capsys, workdir, command,
+                                                           flag, value, cause):
+    ts, vs = tmp_path / "train.jsonl", tmp_path / "val.jsonl"
+    assert main(["build-trainset", "--features", str(workdir / "feats.gfm"), "--v", "5",
+                 "--val-split", "0.25", "--out-train", str(ts), "--out-val", str(vs)]) == 0
+    capsys.readouterr()
+    out, log = tmp_path / "model.ckpt", tmp_path / "log.csv"
+    model = ["--heads", "2", "--mlp-hidden", "8"] if command == "train" else []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, stdout, err = run(capsys, command, "--trainset", str(ts), "--valset", str(vs),
+                                "--features", str(workdir / "feats.gfm"), "--hidden", "8",
+                                *model, "--iters", "3", "--quiet",
+                                "--out-checkpoint", str(out), "--log", str(log), flag, value)
+    assert code == 7, err
+    assert caught == [] and stdout == ""
+    # one JSON line on stderr
+    assert err.count("\n") == 1
+    rec = json.loads(err)
+    assert rec["error"] == "non-finite" and re.fullmatch(cause, rec["message"]), rec
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["train.jsonl", "val.jsonl"]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gaitrerank.errors import FormatError, NonFiniteError, ShapeError
+from gaitrerank.errors import FormatError, ShapeError
 from gaitrerank.ranking import strip_mean_distance
 from gaitrerank.reranker import (
     IndexedBatch,
@@ -292,15 +292,6 @@ def test_batch_forward_validations():
         batch_loss(bad_shape, w, alpha=0.01, beta=0.1)
 
 
-def test_non_finite_input_names_a_triplet():
-    cfg = RerankerConfig(s=2, d=3, num_classes=2, heads=1, hidden=4, mlp_hidden=4)
-    w = init_weights(cfg, seed=0, dtype=np.float64)
-    batch = random_batch(cfg, B=3, seed=1)
-    batch.maps[batch.index[1, 0], 0, 0] = np.nan
-    with pytest.raises(NonFiniteError, match="triplet"):
-        batch_loss(batch, w, alpha=0.01, beta=0.1)
-
-
 # ---------------------------------------------------------------------------
 # one compute dtype; each distinct map projected once
 # ---------------------------------------------------------------------------
@@ -374,6 +365,48 @@ def test_indexed_batch_matches_explicit_maps_and_reference():
         # rounding noise remains there, hence the absolute floor
         np.testing.assert_allclose(grads[name], want, rtol=1e-12, atol=1e-15, err_msg=name)
     assert np.abs(want_grads["block0.w_k"]).max() > 1e-3
+
+
+def test_repeated_and_swapped_pairs_match_the_expanded_batch_and_reference():
+    cfg = RerankerConfig(s=3, d=4, num_classes=4, heads=2, hidden=6, blocks=2, mlp_hidden=5)
+    w = init_weights(cfg, seed=4, dtype=np.float64)
+    rng = np.random.default_rng(31)
+    maps = rng.standard_normal((6, 3, 4))
+    labels = np.array([0, 1, 2, 3, 0, 1])
+    # rows repeat; (0, 1) is attended as a positive pair both ways round,
+    # (1, 2) as a negative pair both ways round, and (0, 3) is a positive
+    # pair in one triplet and a negative pair in another
+    index = np.array([[0, 1, 2], [1, 0, 2], [0, 1, 3], [2, 4, 1], [0, 3, 4], [4, 5, 0],
+                      [0, 1, 2]])
+    batch = IndexedBatch(maps, index, labels[index])
+    expanded = TripletBatch(batch.probe, batch.pos, batch.neg, batch.labels)
+    for alpha in (0.0, 0.4):
+        loss, grads = forward_backward(batch, w, alpha=alpha, beta=0.3)
+        want_loss, want_grads = forward_backward(expanded, w, alpha=alpha, beta=0.3)
+        assert loss == pytest.approx(ref_batch_loss(expanded, w, alpha, 0.3), rel=1e-12)
+        assert loss == pytest.approx(want_loss, rel=1e-12)
+        assert list(grads) == list(want_grads)
+        for name, want in want_grads.items():
+            np.testing.assert_allclose(grads[name], want, rtol=1e-10, atol=1e-13, err_msg=name)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3])
+def test_a_triplet_repeated_b_times_counts_b_times(alpha):
+    cfg = RerankerConfig(s=3, d=4, num_classes=3, heads=2, hidden=8, blocks=2, mlp_hidden=5)
+    w = init_weights(cfg, seed=6, dtype=np.float64)
+    one = random_batch(cfg, B=1, seed=7)
+    B = 5
+    repeated = IndexedBatch(one.maps, np.repeat(one.index, B, axis=0),
+                            np.repeat(one.labels, B, axis=0))
+    # the ranking term sums over triplets; the cross-entropy term is a mean,
+    # so repeats leave it as it is
+    rank_loss, rank_grads = forward_backward(one, w, alpha=0.0, beta=0.1)
+    loss1, grads1 = forward_backward(one, w, alpha=alpha, beta=0.1)
+    loss, grads = forward_backward(repeated, w, alpha=alpha, beta=0.1)
+    assert loss == pytest.approx((B - 1) * rank_loss + loss1, rel=1e-12)
+    for name, g in grads.items():
+        np.testing.assert_allclose(g, (B - 1) * rank_grads[name] + grads1[name],
+                                   rtol=1e-10, atol=1e-13, err_msg=name)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import gaitrerank.training as training
-from gaitrerank.errors import DataError, MissingIdError
-from gaitrerank.feature_store import FeatureSet
+from gaitrerank.errors import DataError, MissingIdError, NonFiniteError
+from gaitrerank.feature_store import FeatureMap, FeatureSet
 from gaitrerank.reranker import RerankerConfig, batch_loss, init_weights
 from gaitrerank.training import (
     ADAM_BETA1,
@@ -358,6 +358,36 @@ def test_training_does_not_mutate_input_features(tiny_pipeline):
     train(train_ts, val_ts, fs, cfg, model=model)
     for e, b in zip(fs.entries, before):
         assert e.strips.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize(
+    "value, val_probe, message",
+    [
+        # only the huge probe's triplets overflow: the training batch names one
+        (3e38, 6, r"non-finite training loss produced by triplet \d+ at iteration 1"),
+        # every validation triplet holds the huge map, before any step
+        (3e38, 1, r"non-finite validation loss on every triplet at iteration 0"),
+        # the losses stay finite, the gradients do not: lr is not to blame
+        (1e38, 6, r"non-finite gradients at iteration 1"),
+    ],
+    ids=["one-triplet", "validation-at-0", "gradients"],
+)
+def test_a_non_finite_step_stops_training_naming_its_cause(value, val_probe, message):
+    maps = make_maps(4, 2, 3, 4, seed=5)
+    ids = [m.sequence_id for m in maps]
+    # finite, but near the float32 limit: attending to it overflows
+    huge = FeatureMap(ids[0], maps[0].identity_id, np.full((3, 4), value, dtype=np.float32))
+    fs = FeatureSet.from_entries([huge, *maps[1:]])
+    train_ts = TrainingSet((entry(ids[0], [ids[1], ids[2]], [0.1, 0.2], [True, False]),
+                            entry(ids[3], [ids[2], ids[4]], [0.1, 0.2], [True, False])), v=2)
+    partner = ids[val_probe + 1] if val_probe % 2 == 0 else ids[0]
+    val_ts = TrainingSet((entry(ids[val_probe], [partner, ids[4]], [0.1, 0.2], [True, False]),),
+                         v=2)
+    cfg = TrainConfig(iterations=2, t_val=1, val_triplets=4, batch_probes=2,
+                      triplets_per_probe=2)
+    model = RerankerConfig(s=3, d=4, num_classes=3, heads=2, hidden=8, mlp_hidden=8)
+    with pytest.raises(NonFiniteError, match=f"^{message}$"):
+        train(train_ts, val_ts, fs, cfg, model=model)
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap setting is glibc's")
