@@ -9,7 +9,6 @@ from .baseline import (
     BaselineConfig,
     BaselineWeights,
     baseline_rerank,
-    baseline_score,
     baseline_scores,
     init_baseline,
     load_baseline,
@@ -51,14 +50,11 @@ from .ranking import (
     write_ranked_lists,
 )
 from .reranker import (
-    AttendedPair,
     RerankerConfig,
     RerankerWeights,
     TripletBatch,
     attended_pair,
     batch_loss,
-    classify,
-    cross_attend,
     forward_backward,
     init_weights,
     load_checkpoint,

@@ -87,11 +87,6 @@ def baseline_scores(
     return (h @ p["w2"] + p["b2"])[:, 0].astype(np.float64)
 
 
-def baseline_score(f_p: np.ndarray, f_c: np.ndarray, weights: BaselineWeights) -> float:
-    """Pair logit; positive means same-identity."""
-    return float(baseline_scores(f_p, np.asarray(f_c)[None], weights)[0])
-
-
 def bce_forward_backward(
     a: np.ndarray,
     b: np.ndarray,

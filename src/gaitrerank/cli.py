@@ -345,8 +345,7 @@ def _cmd_diag_strips(args) -> int:
     f_c = features.get(parts[1].strip()).strips
     if args.checkpoint:
         weights, _, _ = load_checkpoint(args.checkpoint)
-        pair = attended_pair(f_p, f_c, weights)
-        matrix = metrics.strip_cosine_matrix(pair.e_p, pair.e_c)
+        matrix = metrics.strip_cosine_matrix(*attended_pair(f_p, f_c, weights))
     else:
         matrix = metrics.strip_cosine_matrix(f_p, f_c)
     metrics.write_cosine_csv(matrix, args.out)

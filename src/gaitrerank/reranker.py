@@ -29,7 +29,6 @@ import numpy as np
 
 from .errors import FormatError, NonFiniteError, ShapeError
 from .feature_store import _read_bytes, _read_text, _write_atomic
-from .ranking import strip_mean_distance
 
 CHECKPOINT_MAGIC = b"CGRK"
 CHECKPOINT_VERSION = 1
@@ -536,14 +535,6 @@ def batch_loss(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AttendedPair:
-    """Conditioned representations of a probe/candidate pair."""
-
-    e_p: np.ndarray
-    e_c: np.ndarray
-
-
 def _check_map(m: np.ndarray, cfg: RerankerConfig, name: str) -> np.ndarray:
     arr = np.asarray(m)
     if arr.shape != (cfg.s, cfg.d):
@@ -578,27 +569,17 @@ def _attend(
     return out
 
 
-def cross_attend(
-    query_map: np.ndarray,
-    kv_map: np.ndarray,
-    weights: RerankerWeights,
-) -> np.ndarray:
-    """Condition ``query_map`` on ``kv_map``; output shape s x d."""
-    q = _check_map(query_map, weights.config, "query_map")
-    kv = _check_map(kv_map, weights.config, "kv_map")
-    return _attend(np.stack([q, kv]), [0], [1], weights, "cross_attend")[0]
-
-
 def attended_pair(
     f_p: np.ndarray,
     f_c: np.ndarray,
     weights: RerankerWeights,
-) -> AttendedPair:
-    """Both conditioning directions with one shared weight set."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """The conditioned maps ``(e_p, e_c)`` of a probe/candidate pair: both
+    directions with one shared weight set."""
     p = _check_map(f_p, weights.config, "f_p")
     c = _check_map(f_c, weights.config, "f_c")
-    out = _attend(np.stack([p, c]), [0, 1], [1, 0], weights, "attended_pair")
-    return AttendedPair(e_p=out[0], e_c=out[1])
+    e_p, e_c = _attend(np.stack([p, c]), [0, 1], [1, 0], weights, "attended_pair")
+    return e_p, e_c
 
 
 def rerank_distance(
@@ -607,8 +588,7 @@ def rerank_distance(
     weights: RerankerWeights,
 ) -> float:
     """Strip distance between the conditioned representations."""
-    pair = attended_pair(f_p, f_c, weights)
-    return strip_mean_distance(pair.e_p, pair.e_c)
+    return float(pair_distances(f_p, _check_map(f_c, weights.config, "f_c")[None], weights)[0])
 
 
 def pair_distances(
@@ -618,8 +598,10 @@ def pair_distances(
 ) -> np.ndarray:
     """rerank_distance of one probe against M candidates, batched.
 
-    candidate_maps: (M, s, d). Returns (M,) float64 distances identical to
-    per-pair rerank_distance calls.
+    candidate_maps: (M, s, d). Returns (M,) float64 distances. They follow
+    rerank_distance's dtype rule and, with zeroed attention, equal its
+    values bitwise; otherwise the batched GEMMs may round differently at
+    some shapes, so they agree with per-pair calls within float rounding.
     """
     cfg = weights.config
     cands = np.asarray(candidate_maps)
@@ -640,18 +622,6 @@ def pair_distances(
     )
     z, _ = _pair_distances_and_cache(e[:m].astype(np.float64), e[m:].astype(np.float64))
     return z
-
-
-def classify(
-    e: np.ndarray,
-    weights: RerankerWeights,
-) -> np.ndarray:
-    """Identity logits for one conditioned map: mean-pool strips, then a
-    two-layer tanh MLP, in the wider of the map and parameter dtypes."""
-    arr = _check_map(e, weights.config, "e")
-    dtype = np.result_type(arr.dtype, weights.dtype)
-    logits, _ = _classifier_forward(arr[None].astype(dtype), weights)
-    return logits[0]
 
 
 # ---------------------------------------------------------------------------

@@ -369,11 +369,6 @@ def _fixed_val_batch(
     return make_batch(triplets, features, zeros)
 
 
-def validation_loss(batch: IndexedBatch, weights: RerankerWeights, beta: float) -> float:
-    """Summed ranking loss of a triplet batch (no CE term)."""
-    return batch_loss(batch, weights, alpha=0.0, beta=beta)
-
-
 def train(
     train_ts: TrainingSet,
     val_ts: TrainingSet,
@@ -413,7 +408,7 @@ def train(
         labels,
         init=lambda seed: init_weights(model, seed=seed),
         step=lambda batch, w: forward_backward(batch, w, alpha=cfg.alpha, beta=cfg.beta),
-        val_loss=lambda batch, w: validation_loss(batch, w, cfg.beta),
+        val_loss=lambda batch, w: batch_loss(batch, w, alpha=0.0, beta=cfg.beta),
         progress=progress,
     )
 

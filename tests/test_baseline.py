@@ -6,7 +6,6 @@ import pytest
 from gaitrerank.baseline import (
     BaselineConfig,
     baseline_rerank,
-    baseline_score,
     baseline_scores,
     bce_forward_backward,
     init_baseline,
@@ -49,7 +48,7 @@ def test_scores_match_hand_mlp():
     assert got.dtype == np.float64
     for i in range(5):
         assert got[i] == pytest.approx(ref_score(probe, cands[i], w), rel=1e-12)
-    assert baseline_score(probe, cands[0], w) == got[0]
+    assert baseline_scores(probe, cands[0][None], w)[0] == got[0]
 
 
 def test_score_is_asymmetric_in_argument_order():
@@ -58,7 +57,7 @@ def test_score_is_asymmetric_in_argument_order():
     rng = np.random.default_rng(4)
     a = rng.standard_normal((2, 3))
     b = rng.standard_normal((2, 3))
-    assert baseline_score(a, b, w) != baseline_score(b, a, w)
+    assert baseline_scores(a, b[None], w)[0] != baseline_scores(b, a[None], w)[0]
 
 
 def test_bce_at_zero_weights_is_ln2():

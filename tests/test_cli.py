@@ -9,9 +9,15 @@ from gaitrerank import training
 from gaitrerank.baseline import BaselineConfig, init_baseline, save_baseline
 from gaitrerank.cli import main
 from gaitrerank.feature_store import load_feature_set, manifest_path
-from gaitrerank.metrics import read_report
+from gaitrerank.metrics import read_report, strip_cosine_matrix, write_cosine_csv
 from gaitrerank.ranking import read_ranked_lists
-from gaitrerank.reranker import RerankerConfig, init_weights, load_checkpoint, save_checkpoint
+from gaitrerank.reranker import (
+    RerankerConfig,
+    attended_pair,
+    init_weights,
+    load_checkpoint,
+    save_checkpoint,
+)
 
 
 def run(capsys, *argv):
@@ -230,12 +236,18 @@ def test_diag_strips_with_and_without_checkpoint(tmp_path, capsys, workdir):
 
     cfg = RerankerConfig(s=4, d=6, num_classes=9, heads=2, hidden=8, mlp_hidden=8)
     ckpt = tmp_path / "w.cgrk"
-    save_checkpoint(init_weights(cfg, seed=1), ckpt)
+    w = init_weights(cfg, seed=1)
+    save_checkpoint(w, ckpt)
     code, _, _ = run(capsys, "diag-strips", "--features", feats,
                      "--checkpoint", str(ckpt),
                      "--pair", "id000-00,id001-00", "--out", str(out))
     assert code == 0
     assert out.read_text() != raw
+    fs = load_feature_set(feats)
+    f_p, f_c = fs.get("id000-00").strips, fs.get("id001-00").strips
+    want = tmp_path / "want.csv"
+    write_cosine_csv(strip_cosine_matrix(*attended_pair(f_p, f_c, w)), want)
+    assert out.read_bytes() == want.read_bytes()
 
     code, _, err = run(capsys, "diag-strips", "--features", feats,
                        "--pair", "id000-00,ghost-00", "--out", str(out))

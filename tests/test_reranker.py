@@ -12,8 +12,6 @@ from gaitrerank.reranker import (
     _attention_forward,
     attended_pair,
     batch_loss,
-    classify,
-    cross_attend,
     forward_backward,
     init_weights,
     load_checkpoint,
@@ -134,25 +132,15 @@ def test_init_weights_deterministic_and_shaped():
 
 @pytest.mark.parametrize("heads,blocks", [(1, 1), (2, 1), (2, 2)])
 def test_cross_attend_matches_scalar_reference(heads, blocks):
+    """attended_pair conditions each map on the other with one weight set."""
     cfg = RerankerConfig(s=4, d=6, num_classes=3, heads=heads, hidden=8, blocks=blocks, mlp_hidden=5)
     w = init_weights(cfg, seed=7, dtype=np.float64)
     rng = np.random.default_rng(1)
     x = rng.standard_normal((4, 6))
     kv = rng.standard_normal((4, 6))
-    got = cross_attend(x, kv, w)
-    want = ref_cross_attend(x, kv, w)
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-
-
-def test_attended_pair_uses_shared_weights_both_directions():
-    cfg = RerankerConfig(s=3, d=4, num_classes=2, heads=2, hidden=8, mlp_hidden=4)
-    w = init_weights(cfg, seed=3, dtype=np.float64)
-    rng = np.random.default_rng(5)
-    p = rng.standard_normal((3, 4))
-    c = rng.standard_normal((3, 4))
-    pair = attended_pair(p, c, w)
-    np.testing.assert_array_equal(pair.e_p, cross_attend(p, c, w))
-    np.testing.assert_array_equal(pair.e_c, cross_attend(c, p, w))
+    e_x, e_kv = attended_pair(x, kv, w)
+    np.testing.assert_allclose(e_x, ref_cross_attend(x, kv, w), rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(e_kv, ref_cross_attend(kv, x, w), rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -163,9 +151,24 @@ def test_zeroed_attention_is_identity(dtype):
     rng = np.random.default_rng(2)
     x = rng.standard_normal((4, 5)).astype(dtype)
     kv = rng.standard_normal((4, 5)).astype(dtype)
-    out = cross_attend(x, kv, w)
-    assert out.tobytes() == x.astype(out.dtype).tobytes()
+    e_x, e_kv = attended_pair(x, kv, w)
+    assert e_x.tobytes() == x.astype(e_x.dtype).tobytes()
+    assert e_kv.tobytes() == kv.astype(e_kv.dtype).tobytes()
     assert rerank_distance(x, kv, w) == strip_mean_distance(x, kv)
+
+
+@pytest.mark.parametrize("zeroed", [False, True])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_rerank_distance_is_the_strip_distance_of_the_attended_pair(dtype, zeroed):
+    cfg = RerankerConfig(s=5, d=6, num_classes=3, heads=2, hidden=8, blocks=2, mlp_hidden=4)
+    w = init_weights(cfg, seed=12, dtype=dtype)
+    if zeroed:
+        w = w.zero_attention()
+    rng = np.random.default_rng(13)
+    for _ in range(5):
+        a = rng.standard_normal((5, 6)).astype(dtype)
+        b = rng.standard_normal((5, 6)).astype(dtype)
+        assert rerank_distance(a, b, w) == strip_mean_distance(*attended_pair(a, b, w))
 
 
 @pytest.mark.parametrize("w_dtype", [np.float32, np.float64])
@@ -182,26 +185,29 @@ def test_pair_distances_matches_per_pair_calls(w_dtype, map_dtype):
     np.testing.assert_array_equal(batched, np.array(singles))
 
 
+@pytest.mark.parametrize("m", [2, 10, 100])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_pair_distances_agree_with_per_pair_calls_within_rounding(dtype, m):
+    """At some shapes the batched GEMMs round differently from the
+    one-pair ones, so agreement is to a few ulps of the compute dtype."""
+    cfg = RerankerConfig(s=7, d=3, num_classes=2, heads=4, hidden=36, mlp_hidden=4)
+    w = init_weights(cfg, seed=m, dtype=dtype)
+    rng = np.random.default_rng(m)
+    probe = rng.standard_normal((7, 3)).astype(dtype)
+    cands = rng.standard_normal((m, 7, 3)).astype(dtype)
+    singles = [rerank_distance(probe, c, w) for c in cands]
+    np.testing.assert_allclose(
+        pair_distances(probe, cands, w), singles, rtol=64 * np.finfo(dtype).eps, atol=0
+    )
+
+
 def test_shape_guards():
     cfg = RerankerConfig(s=3, d=4, num_classes=2, heads=1, hidden=4, mlp_hidden=4)
     w = init_weights(cfg, seed=0)
     with pytest.raises(ShapeError):
-        cross_attend(np.ones((2, 4)), np.ones((3, 4)), w)
+        attended_pair(np.ones((2, 4)), np.ones((3, 4)), w)
     with pytest.raises(ShapeError):
         pair_distances(np.ones((3, 4)), np.ones((2, 3, 5)), w)
-    with pytest.raises(ShapeError):
-        classify(np.ones((4, 4)), w)
-
-
-def test_classify_matches_hand_mlp():
-    cfg = RerankerConfig(s=2, d=3, num_classes=4, heads=1, hidden=4, mlp_hidden=5)
-    w = init_weights(cfg, seed=11, dtype=np.float64)
-    e = np.random.default_rng(0).standard_normal((2, 3))
-    logits = classify(e, w)
-    p = w.params()
-    want = np.tanh(e.mean(axis=0) @ p["cls.w1"] + p["cls.b1"]) @ p["cls.w2"] + p["cls.b2"]
-    np.testing.assert_allclose(logits, want, rtol=1e-12)
-    assert logits.shape == (4,)
 
 
 # ---------------------------------------------------------------------------
@@ -320,9 +326,8 @@ def test_engine_computes_in_the_parameters_dtype():
     x, kv = batch.probe[0], batch.pos[0]
     for dtype in (np.float32, np.float64):
         # float32 weights: float32 maps stay float32, float64 maps widen
-        pair = attended_pair(x.astype(dtype), kv.astype(dtype), w)
-        assert cross_attend(x.astype(dtype), kv.astype(dtype), w).dtype == dtype
-        assert pair.e_p.dtype == pair.e_c.dtype == dtype
+        e_p, e_c = attended_pair(x.astype(dtype), kv.astype(dtype), w)
+        assert e_p.dtype == e_c.dtype == dtype
 
 
 def test_indexed_batch_matches_explicit_maps_and_reference():

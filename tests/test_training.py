@@ -27,7 +27,6 @@ from gaitrerank.training import (
     sample_triplets,
     split_train_val,
     train,
-    validation_loss,
     write_training_log,
     write_training_set,
 )
@@ -320,7 +319,7 @@ def test_train_snapshot_is_validation_argmin(tiny_pipeline):
     val_batch = training._fixed_val_batch(
         val_ts, cfg, fs, np.random.default_rng(val_seed)
     )
-    assert validation_loss(val_batch, res.weights, cfg.beta) == res.best_val_loss
+    assert batch_loss(val_batch, res.weights, alpha=0.0, beta=cfg.beta) == res.best_val_loss
 
 
 def test_train_is_deterministic(tiny_pipeline):
