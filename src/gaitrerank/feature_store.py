@@ -69,6 +69,15 @@ class FeatureMap:
         return self.strips.shape[1]
 
 
+def _bound_slack(d: int) -> tuple[float, float]:
+    """(c, t) of stage one's bound prefilter for strips of d values: a
+    float32 squared distance formed from three sums of d terms is within
+    c times the sum of its two squared norms, plus t, of the exact one
+    (``ranking._distance_bounds`` proves it)."""
+    g = (d + 1) * 2.0**-24 / (1 - (d + 1) * 2.0**-24)
+    return 2 * g / (1 - g), d * 2.0**-122
+
+
 @dataclass(frozen=True, eq=False)
 class FeatureSet:
     """An ordered, immutable set of same-shape strip maps in one array.
@@ -76,8 +85,9 @@ class FeatureSet:
     ``strips`` is the read-only float32 ``(n, s, d)`` array of all maps in
     entry order, ``sequence_ids`` and ``identity_ids`` the ids in that
     order. The rest (the FeatureMap views in ``entries``, the id -> row
-    index, the ranking keys and strip norms) is derived on first use and
-    cached: every layer reads ``strips`` itself instead of copying it.
+    index, the ranking keys and the strip norm terms of stage one's
+    bounds) is derived on first use and cached: every layer reads
+    ``strips`` itself instead of copying it.
 
     A set is valid by construction, however it is built: s and d are at
     least 1 (else ShapeError), the partition is one of ``PARTITIONS``
@@ -195,13 +205,20 @@ class FeatureSet:
         return np.array([self.rank_of[sid] for sid in self.sequence_ids], dtype=np.intp)
 
     @cached_property
-    def strip_sq_norms(self) -> np.ndarray:
-        """The squared norm of every strip, summed in float32 and held as
-        float64, shape ``(s, n)``: the gallery side of stage one's bound
-        prefilter (``ranking._distance_bounds``)."""
-        norms = np.einsum("nsd,nsd->sn", self.strips, self.strips).astype(np.float64, order="C")
-        norms.flags.writeable = False
-        return norms
+    def strip_norm_terms(self) -> np.ndarray:
+        """The gallery side of stage one's bound prefilter
+        (``ranking._distance_bounds``), shape ``(2, s, n)`` float64, each
+        strip's terms contiguous over the set's rows: with B a strip's
+        squared norm summed in float32, and c and t the prefilter's slack
+        for d values (``_bound_slack``), ``[0]`` holds ``(1 - c)*B - t``
+        and ``[1]`` holds ``(1 + c)*B + t``."""
+        c, t = _bound_slack(self.d)
+        norms = np.einsum("nsd,nsd->sn", self.strips, self.strips)
+        terms = np.multiply.outer((1 - c, 1 + c), norms)
+        terms[0] -= t
+        terms[1] += t
+        terms.flags.writeable = False
+        return terms
 
     def manifest(self) -> dict[str, dict[str, str]]:
         return {

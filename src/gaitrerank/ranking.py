@@ -11,17 +11,22 @@ sorts, using the id keys the set caches (``FeatureSet.id_rank``).
 
 A top-k call (``1 <= k <`` eligible rows) first bounds every row's
 distance from below and above through |a|^2 + |b|^2 - 2a.b per strip,
-with float32 dot products and the squared strip norms the set caches
-(``FeatureSet.strip_sq_norms``), the decomposition FAISS uses. The
-products are taken a block of gallery rows at a time, so each block is
-read from memory once for all strips instead of the whole gallery once
-per strip. The exact distance is then computed only for rows whose lower
-bound does not exceed the k-th smallest upper bound. The bounds are
-proven (see ``_distance_bounds``) to enclose the exact float64 distance,
-so the k-th smallest exact distance is at most that cut and every row at
-or below it, ties included, is re-scored: the output is bit-identical to
-ranking the whole gallery. Full lists (``k=None``), and any probe or gallery whose
-float32 squares are not finite, take the exact path over every row.
+the decomposition FAISS uses: float32 products of the doubled, negated
+probe with every gallery strip, plus float64 terms of the squared strip
+norms that the set caches once (``FeatureSet.strip_norm_terms``). The
+products are taken one block of gallery rows at a time for all strips,
+so each block is read from memory once, and the float64 arithmetic runs
+over the products of a few blocks at a time: nothing the size of the
+gallery's strips is allocated per call. ``rank_all`` bounds its top-k
+probes ``GROUP_PROBES`` at a time, one GEMM per block for the group.
+The exact distance is then computed only for rows whose lower bound
+does not exceed the k-th smallest upper bound. The bounds are proven
+(see ``_distance_bounds``) to enclose the exact float64 distance, so the
+k-th smallest exact distance is at most that cut and every row at or
+below it, ties included, is re-scored: the output is bit-identical to
+ranking the whole gallery. Full lists (``k=None``), and any probe that
+meets a float32 square or product that is not finite, take the exact
+path over every row.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DataError, FormatError, NonFiniteError, ShapeError
-from .feature_store import FeatureMap, FeatureSet, _read_text, _write_atomic
+from .feature_store import FeatureMap, FeatureSet, _bound_slack, _read_text, _write_atomic
 
 
 @dataclass(frozen=True)
@@ -76,10 +81,18 @@ def strip_distance(a: FeatureMap, b: FeatureMap) -> float:
 # gallery would not. Exact distances of 10 probes to the 10,000 x 16 x 64
 # gallery took 197 ms at 64 rows, 216 at 32, 223 at 128 and 235 at 256
 # (fastest of 7 runs). The bound products (``_distance_bounds``) take
-# float32 blocks of 128 rows, 512 KB, read once for each strip: 2.8 ms a
-# call at 128 rows, 3.1 at 64, 2.9 at 256, 3.4 at 512, 5.2 for the whole
-# gallery.
+# float32 blocks of a quarter of this, 256 KB (64 rows at 16 x 64), one
+# GEMV or GEMM per strip: one probe's took 6.2 ms at 16 rows, 4.2 at 64,
+# 7.5 at 128 and 8.6 at 256, and an einsum over each row in order 5.8 at
+# any size (median of 5). Their float64 arithmetic then runs over about
+# BLOCK_BYTES of values at a time (4,096 rows for one probe at s = 16):
+# the bound pass took 11.0 ms at one float64 pass per 64-row block, 8.3
+# at 256 rows and 7.5 at 1,024.
 BLOCK_BYTES = 1 << 20
+
+# probes bounded together in top-k rank_all, one GEMM per block for all:
+# a k=100 probe took 7.8-9.0 ms alone, 3.5-4.5 in groups of 10 to 32
+GROUP_PROBES = 16
 
 
 def _block_rows(s: int, d: int, value_bytes: int) -> int:
@@ -112,60 +125,74 @@ def _distances_to_stack(
         for i, probe in enumerate(probes):
             np.subtract(block, probe, out=diff)
             diff *= diff
-            out[i, start:stop] = np.sqrt(diff.sum(axis=2)).mean(axis=1)
+            # the mean over s as ndarray.mean takes it (a sum, then one
+            # division), without its Python-level call overhead
+            np.divide(np.sqrt(diff.sum(axis=2)).sum(axis=1), s, out=out[i, start:stop])
     return out
 
 
-def _distance_bounds(probe: np.ndarray, gallery: FeatureSet) -> tuple[np.ndarray, np.ndarray] | None:
-    """Float64 (lo, hi) per gallery row that enclose the distance
-    ``_distances_to_stack`` returns for probe (float32 (s, d)), from float32
-    dot products; None when a value, float32 square or product is not
-    finite.
+def _distance_bounds(probes: np.ndarray, gallery: FeatureSet) -> np.ndarray:
+    """Float64 ``(2, p, n)``: ``[0]`` and ``[1]`` bound from below and above
+    the distance ``_distances_to_stack`` returns for each of the float32
+    probes (``(p, s, d)``; one ``(s, d)`` probe counts as p = 1) and each
+    gallery row. A probe with a value, float32 square or product that is
+    not finite gets 0 and inf for every row, which keep every row.
 
-    Per strip, with a the probe strip, b a gallery strip and u = 2**-24,
-    the float32 sums A = |a|^2, B = |b|^2 and P = a.b are each off by at
-    most g*sum|terms| + 2d*2**-126 in any summation order (Higham,
-    "Accuracy and Stability of Numerical Algorithms", 2002, s3.1, with
-    g = d*u/(1 - d*u); the absolute term covers subnormal products and
-    sums, even flushed to zero), so neither the block of rows a product is
-    taken in nor the order BLAS sums it in matters. As
-    sum|a_k*b_k| <= (|a|^2 + |b|^2)/2 and
-    |a|^2 + |b|^2 <= (A + B + 4d*2**-126)/(1 - g), the float64 x = A + B - 2P
-    is within e = 2g/(1 - g)*(A + B) + d*2**-122 of |a - b|^2. Taking g at
-    d + 1 terms adds 2u*(A + B), far more than the float64 roundings of x
-    and e. So each strip distance lies in
-    [sqrt(max(x - e, 0)), sqrt(x + e)], and so does their mean. The float64
+    Per strip, with a the probe strip, b a gallery strip, u = 2**-24 and
+    g' = d*u/(1 - d*u), the float32 sums A = |a|^2, B = |b|^2 and
+    P = (-2a).b (doubling a float32 is exact) are each off by at most
+    g'*sum|terms| + 2d*2**-126 in any summation order (Higham, "Accuracy
+    and Stability of Numerical Algorithms", 2002, s3.1; the absolute term
+    covers subnormal products and sums, even flushed to zero), so neither
+    the block a product is taken in, nor the other probes of its GEMM, nor
+    the order BLAS sums it in matters. As sum|2a_k*b_k| <= |a|^2 + |b|^2 <=
+    (A + B + 4d*2**-126)/(1 - g'), A + B + P is within
+    2g'/(1 - g')*(A + B) + 7d*2**-126 of |a - b|^2. With g at d + 1 terms,
+    c = 2g/(1 - g) and t = d*2**-122 (``_bound_slack``), the set caches
+    L = (1 - c)*B - t and H = (1 + c)*B + t (``FeatureSet.strip_norm_terms``),
+    and the float64 sums lo2 = L + P + (1 - c)*A and hi2 = H + P + (1 + c)*A
+    enclose |a - b|^2 with a margin of at least 2u*(A + B) + 9d*2**-126.
+    Their float64 roundings, at most seven of 2**-53 times a value below
+    3*(A + B) + t, stay far inside it. So each strip distance lies in
+    [sqrt(max(lo2, 0)), sqrt(hi2)], and so does their mean. The float64
     means carry at most s + 4 roundings of 2**-53 each, and the float64
     value ``_distances_to_stack`` returns at most s + d/2 + 2: widening by
     (2s + d + 8)*2**-53 relative makes [lo, hi] enclose that value.
     """
-    strips = gallery.strips
+    strips, terms = gallery.strips, gallery.strip_norm_terms
     n, s, d = strips.shape
-    step = _block_rows(s, d, 8)
-    # one float32 matrix-vector product per strip and block of rows, so
-    # each block is read from memory once for all s strips
-    products = np.empty((s, n), dtype=np.float32)
+    probes = probes.reshape(-1, s, d)
+    p = len(probes)
+    c, _ = _bound_slack(d)
+    # the products of one block of rows per float32 GEMM, a float64 pass
+    # over the products of several blocks (see BLOCK_BYTES)
+    step = _block_rows(s, d, 16)
+    span = max(step, BLOCK_BYTES // (16 * s * p))
+    out = np.empty((2, p, n))
+    products = np.empty((s, min(span, n), p), dtype=np.float32)
+    work = np.empty((2, *products.shape))
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, n, step):
-            stop = min(start + step, n)
-            np.matmul(strips[start:stop].transpose(1, 0, 2), probe[:, :, None],
-                      out=products[:, start:stop, None])
-        x = products.astype(np.float64)
-        x *= -2.0
-        err = gallery.strip_sq_norms + np.einsum("sd,sd->s", probe, probe)[:, None]
-        x += err
-    if not np.isfinite(x).all():
-        return None
-    g = (d + 1) * 2.0**-24 / (1 - (d + 1) * 2.0**-24)
-    err *= 2 * g / (1 - g)
-    err += d * 2.0**-122
-    lo = x - err
-    x += err
-    np.maximum(lo, 0.0, out=lo)
-    np.sqrt(lo, out=lo)
-    np.sqrt(x, out=x)
+        neg2 = np.ascontiguousarray(probes.transpose(1, 2, 0)) * np.float32(-2)
+        own = np.multiply.outer(np.array([1 - c, 1 + c]), np.vecdot(probes, probes).T[:, None])
+        for start in range(0, n, span):
+            stop = min(start + span, n)
+            for row in range(start, stop, step):
+                end = min(row + step, stop)
+                np.matmul(strips[row:end].transpose(1, 0, 2), neg2,
+                          out=products[:, row - start : end - start])
+            w = work[:, :, : stop - start]
+            np.add(products[:, : stop - start], terms[:, :, start:stop, None], out=w)
+            w += own
+            np.maximum(w[0], 0.0, out=w[0])
+            np.sqrt(w, out=w)
+            np.add.reduce(w, axis=1, out=out[:, :, start:stop].transpose(0, 2, 1))
     widen = (2 * s + d + 8) * 2.0**-53
-    return lo.sum(axis=0) * ((1 - widen) / s), x.sum(axis=0) * ((1 + widen) / s)
+    out[0] *= (1 - widen) / s
+    out[1] *= (1 + widen) / s
+    # one sum is finite exactly when every upper bound is
+    if not math.isfinite(out[1].sum()):
+        out[:, ~np.isfinite(out[1]).all(axis=1)] = np.array([0.0, np.inf])[:, None, None]
+    return out
 
 
 def _eligible_rows(probe: FeatureMap, gallery: FeatureSet) -> np.ndarray:
@@ -195,6 +222,43 @@ def _ranked(probe_id: str, gallery: FeatureSet, rows: np.ndarray, dists: np.ndar
     )
 
 
+def _check_k(k: int | None) -> None:
+    if k is not None and k < 1:
+        raise DataError(f"k must be >= 1, got {k}")
+
+
+def _rank(probes: Sequence[FeatureMap], eligible: Sequence[np.ndarray], gallery: FeatureSet,
+          k: int | None) -> list[RankedList]:
+    """Each probe's top k (all with ``k=None``) of its ``eligible`` rows.
+    Probes whose k reaches their eligible rows take one exact pass over
+    the gallery together; the others are bounded ``GROUP_PROBES`` at a
+    time, and each re-scores exactly only the rows that can reach its
+    k-th."""
+    out: list = [None] * len(probes)
+    exact = [i for i, rows in enumerate(eligible) if k is None or k >= len(rows)]
+    if exact:
+        stack = np.array([probes[i].strips for i in exact], dtype=np.float64)
+        for i, dists in zip(exact, _distances_to_stack(stack, gallery.strips)):
+            out[i] = _ranked(probes[i].sequence_id, gallery, eligible[i], dists[eligible[i]], k)
+    bounded = [i for i, rows in enumerate(eligible) if k is not None and k < len(rows)]
+    for first in range(0, len(bounded), GROUP_PROBES):
+        group = bounded[first : first + GROUP_PROBES]
+        bounds = _distance_bounds(np.array([probes[i].strips for i in group]), gallery)
+        for i, lo, hi in zip(group, bounds[0], bounds[1]):
+            # the k smallest hi bound k exact distances, so the k-th is at
+            # most cut; only rows whose lo exceeds it can be skipped
+            rows = eligible[i]
+            cut = np.partition(hi[rows], k - 1)[k - 1]
+            rows = rows[lo[rows] <= cut]
+            probe = probes[i].strips.astype(np.float64)
+            dists = _distances_to_stack(probe, gallery.strips, rows)[0]
+            # keep every distance up to the k-th, so ties at the cut still
+            # break by id below
+            keep = dists <= np.partition(dists, k - 1)[k - 1]
+            out[i] = _ranked(probes[i].sequence_id, gallery, rows[keep], dists[keep], k)
+    return out
+
+
 def rank_gallery(
     probe: FeatureMap,
     gallery: FeatureSet,
@@ -207,49 +271,24 @@ def rank_gallery(
     gallery.
     """
     rows = _eligible_rows(probe, gallery)
-    if k is not None and k < 1:
-        raise DataError(f"k must be >= 1, got {k}")
-    exact_probe = probe.strips.astype(np.float64)
-    if k is not None and k < len(rows):
-        bounds = _distance_bounds(probe.strips, gallery)
-        if bounds is not None:
-            # the k smallest hi bound k exact distances, so the k-th is at
-            # most cut; only rows whose lo exceeds it can be skipped
-            lo, hi = bounds[0][rows], bounds[1][rows]
-            cut = np.partition(hi, k - 1)[k - 1]
-            rows = rows[~(lo > cut)]
-        dists = _distances_to_stack(exact_probe, gallery.strips, rows)[0]
-        # keep every distance up to the k-th, so ties at the cut still
-        # break by id below
-        keep = dists <= np.partition(dists, k - 1)[k - 1]
-        rows, dists = rows[keep], dists[keep]
-    else:
-        dists = _distances_to_stack(exact_probe, gallery.strips)[0, rows]
-    return _ranked(probe.sequence_id, gallery, rows, dists, k)
+    _check_k(k)
+    return _rank([probe], [rows], gallery, k)[0]
 
 
 def rank_all(probes, gallery: FeatureSet, k: int | None = None) -> list[RankedList]:
     """rank_gallery for every probe (a FeatureSet or a sequence of
-    FeatureMaps), preserving probe input order. Full lists (``k=None``)
-    take one distance pass over the gallery for all probes."""
+    FeatureMaps), preserving probe input order, with the same lists. Full
+    lists take one distance pass over the gallery for all probes, top-k
+    lists one bound pass per group of probes."""
     probes = list(probes)
-    out, eligible = [], []
+    eligible = []
     for probe in probes:
         try:
-            if k is None:
-                eligible.append(_eligible_rows(probe, gallery))
-            else:
-                out.append(rank_gallery(probe, gallery, k))
+            eligible.append(_eligible_rows(probe, gallery))
+            _check_k(k)
         except (DataError, ShapeError) as exc:
             raise type(exc)(f"probe {probe.sequence_id!r}: {exc}") from exc
-    if k is not None or not probes:
-        return out
-    stack = np.array([probe.strips for probe in probes], dtype=np.float64)
-    dists = _distances_to_stack(stack, gallery.strips)
-    return [
-        _ranked(probe.sequence_id, gallery, rows, row_dists[rows], None)
-        for probe, rows, row_dists in zip(probes, eligible, dists)
-    ]
+    return _rank(probes, eligible, gallery, k)
 
 
 # one record per call on json's C encoder: the bytes of

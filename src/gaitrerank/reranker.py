@@ -295,7 +295,9 @@ def _attention_backward(
         dw_kv = kv.reshape(N * s, d).T @ dkv_flat
         db_kv = ones @ dkv_flat
         grads[f"block{i}.w_k"] += dw_kv[:, :hidden]
-        grads[f"block{i}.b_k"] += db_kv[:hidden]
+        # b_k's exact gradient is zero: a key bias adds the same q.b_k to
+        # every score of a query row, which softmax ignores. Its slice of
+        # db_kv is rounding noise, which AdamW would turn into steps of lr.
         grads[f"block{i}.w_v"] += dw_kv[:, hidden:]
         grads[f"block{i}.b_v"] += db_kv[hidden:]
         if i > 0:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -235,10 +236,10 @@ def test_top_k_rescores_only_rows_that_can_reach_the_kth(monkeypatch):
 
 
 def test_product_blocks_cover_every_row_up_to_a_partial_last_block(monkeypatch):
-    # four blocks of 16 rows and a partial fifth of 5
+    # four product blocks of 16 rows and a partial fifth of 5
     n, s, d, block = 69, 5, 12, 16
-    monkeypatch.setattr(ranking, "BLOCK_BYTES", 8 * s * d * block)
-    assert ranking._block_rows(s, d, 8) == block
+    monkeypatch.setattr(ranking, "BLOCK_BYTES", 16 * s * d * block)
+    assert ranking._block_rows(s, d, 16) == block
     values = np.random.default_rng(23).standard_normal((n, s, d))
     gallery = _gallery(values)
     for probe in (gallery.entries[0], gallery.entries[-1],
@@ -252,11 +253,12 @@ def test_product_blocks_cover_every_row_up_to_a_partial_last_block(monkeypatch):
             assert _bitwise(rank_gallery(probe, gallery, k)) == _bitwise(want), (probe, k)
 
     # float32 squares overflow in one row of the last, partial block only:
-    # no bounds, so every eligible row is scored exactly
+    # no bounds (0 and inf), so every eligible row is scored exactly
     values[-2] *= 1e20
     gallery = _gallery(values)
     probe = gallery.entries[0]
-    assert ranking._distance_bounds(probe.strips, gallery) is None
+    lo, hi = ranking._distance_bounds(probe.strips, gallery)
+    assert (lo == 0).all() and (hi == np.inf).all()
     exact = ranking._distances_to_stack
     rescored = []
 
@@ -268,6 +270,60 @@ def test_product_blocks_cover_every_row_up_to_a_partial_last_block(monkeypatch):
     top = rank_gallery(probe, gallery, k=5)
     assert rescored == [n - 1]
     assert _bitwise(top) == _bitwise(RankedList(probe.sequence_id, rank_gallery(probe, gallery).items[:5]))
+
+
+@pytest.mark.parametrize("group", [1, 3, 16])
+def test_rank_all_top_k_groups_equal_per_probe_rank_gallery_bitwise(monkeypatch, group):
+    # product blocks of 16 rows; a float64 pass for 3 probes spans 64 rows
+    # (four blocks), so the last pass is partial, as is the last group of 3
+    n, s, d, block = 69, 5, 12, 16
+    monkeypatch.setattr(ranking, "BLOCK_BYTES", 16 * s * d * block)
+    monkeypatch.setattr(ranking, "GROUP_PROBES", group)
+    values = np.random.default_rng(29).standard_normal((n, s, d))
+    gallery = _gallery(values)
+    probes = list(gallery.entries[:4]) + [
+        FeatureMap(f"zz{i}", "zz", values[i] * 0.5 + 0.25) for i in range(3)
+    ]
+    # float32 squares of this probe overflow: it alone has no bounds
+    probes[5] = FeatureMap("zz-huge", "zz", values[5] * 1e20)
+    # at k = n - 1 the gallery's own entries take the exact path, the
+    # others are bounded, in the same call
+    for k in (1, 5, block + 1, n - 2, n - 1, n + 5):
+        want = [_bitwise(rank_gallery(probe, gallery, k)) for probe in probes]
+        assert [_bitwise(rl) for rl in rank_all(probes, gallery, k)] == want, k
+
+    exact = ranking._distances_to_stack
+    rescored = []
+
+    def counting(probe, stack, rows=None):
+        rescored.append(len(stack) if rows is None else len(rows))
+        return exact(probe, stack, rows)
+
+    monkeypatch.setattr(ranking, "_distances_to_stack", counting)
+    rank_all(probes, gallery, k=5)
+    # one re-scoring per probe, in probe order: every row for the huge
+    # probe, a few for each of the others
+    assert rescored[5] == n
+    assert max(rescored[:5] + rescored[6:]) < n // 4, rescored
+
+
+def test_top_k_call_allocates_nothing_the_size_of_the_strip_norms():
+    # many rows of few values each: one float64 (s, n) array, 5 MB here,
+    # dwarfs the bound pass's block-sized buffers
+    n, s, d = 40_000, 16, 2
+    ids = tuple(f"g{i:05d}" for i in range(n))
+    gallery = FeatureSet(np.random.default_rng(5).standard_normal((n, s, d)), ids, ids)
+    probe = gallery.entries[7]
+    # the warm-up call fills the set's strip norm terms, cached once
+    want = rank_gallery(probe, gallery, k=10)
+    tracemalloc.start()
+    try:
+        got = rank_gallery(probe, gallery, k=10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < 8 * s * n, peak
 
 
 def test_strips_are_read_only_float32_and_id_keys_cached(small_set):

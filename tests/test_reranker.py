@@ -272,9 +272,24 @@ def test_gradients_cover_every_parameter():
     loss, grads = forward_backward(batch, w, alpha=0.01, beta=0.1)
     assert math.isfinite(loss)
     assert set(grads) == set(w.params())
-    # with this much data touching every path, no gradient is identically zero
+    # with this much data touching every path, no gradient is identically
+    # zero but the key biases', which softmax ignores
     nonzero = [n for n, g in grads.items() if np.any(g != 0)]
-    assert set(nonzero) == set(grads)
+    assert set(nonzero) == set(grads) - {"block0.b_k", "block1.b_k"}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_key_bias_gradient_is_exactly_zero(dtype):
+    # a key bias adds the same q.b_k to every score of a query row, so its
+    # exact gradient is zero; the backward pass adds nothing for it, not
+    # even rounding noise, while the other biases get theirs
+    cfg = RerankerConfig(s=3, d=4, num_classes=3, heads=2, hidden=8, blocks=2, mlp_hidden=5)
+    w = init_weights(cfg, seed=3, dtype=dtype)
+    batch = random_batch(cfg, B=4, seed=8, dtype=dtype)
+    _, grads = forward_backward(batch, w, alpha=0.05, beta=0.1)
+    for i in range(cfg.blocks):
+        assert not grads[f"block{i}.b_k"].any()
+        assert grads[f"block{i}.b_q"].any() and grads[f"block{i}.b_v"].any()
 
 
 def test_alpha_zero_losses_drop_classifier_gradients():

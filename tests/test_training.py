@@ -337,6 +337,21 @@ def test_train_is_deterministic(tiny_pipeline):
     assert [r.iteration for r in a.history if r.val_loss is not None] == [0, 5, 10, 12]
 
 
+def test_key_biases_stay_zero_through_training(tiny_pipeline):
+    # b_k gets no gradient (softmax ignores a key bias), so AdamW never
+    # moves it from its zero init, while the other biases train
+    fs, train_ts, val_ts = tiny_pipeline
+    cfg = TrainConfig(lr=1e-2, iterations=20, t_val=5, val_triplets=8,
+                      batch_probes=4, triplets_per_probe=2, seed=9)
+    model = RerankerConfig(s=3, d=4, num_classes=16, heads=2, hidden=8, blocks=2, mlp_hidden=8)
+    res = train(train_ts, val_ts, fs, cfg, model=model)
+    assert res.best_iteration > 0
+    params = res.weights.params()
+    for i in range(model.blocks):
+        assert not params[f"block{i}.b_k"].any()
+        assert params[f"block{i}.b_q"].any() and params[f"block{i}.b_v"].any()
+
+
 def test_train_validates_missing_features_and_class_budget(tiny_pipeline):
     fs, train_ts, val_ts = tiny_pipeline
     fs_small = FeatureSet.from_entries(fs.entries[:3])
