@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__, baseline, inference, metrics, synth, training
 from .errors import ArtifactError, MissingIdError
 from .feature_store import MAGIC, load_feature_set, read_manifest, save_feature_set
-from .ranking import rank_all, read_ranked_lists, write_ranked_lists
+from .ranking import _check_k, rank_all, read_ranked_lists, write_ranked_lists
 from .reranker import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
@@ -90,6 +90,7 @@ def _add_rank(sub) -> None:
 
 
 def _cmd_rank(args) -> int:
+    _check_k(args.k)
     probes = load_feature_set(args.probes)
     gallery = load_feature_set(args.gallery)
     lists = rank_all(probes, gallery, k=args.k)

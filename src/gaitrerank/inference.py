@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DataError, MissingIdError
 from .feature_store import FeatureMap, FeatureSet
-from .ranking import RankedList
+from .ranking import RankedList, _check_k
 from .reranker import RerankerWeights, pair_distances
 
 DEFAULT_K = 10
@@ -32,8 +32,7 @@ def _rerank_with(score, probe: FeatureMap, initial: RankedList, features, k: int
     candidate_maps)`` returns one value per stacked top-k candidate; the
     prefix is re-ordered ascending by it.
     """
-    if k < 1:
-        raise DataError(f"k must be >= 1, got {k}")
+    _check_k(k)
     if probe.sequence_id != initial.probe_id:
         raise DataError(
             f"initial list is for probe {initial.probe_id!r}, "

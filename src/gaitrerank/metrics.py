@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DataError, FormatError, MissingIdError
 from .feature_store import _read_text, _write_atomic
-from .ranking import RankedList
+from .ranking import RankedList, _check_k
 
 
 def _identity_of(identities: Mapping[str, str], seq_id: str) -> str:
@@ -87,8 +87,7 @@ def tpr_at_fpr(
     each target the reported TPR is the best achievable with FPR <= target
     (step-function convention, no interpolation).
     """
-    if k < 1:
-        raise DataError(f"k must be >= 1, got {k}")
+    _check_k(k)
     if not all(0.0 <= t <= 1.0 for t in fprs):
         raise DataError(f"all FPR targets must lie in [0, 1], got {list(fprs)}")
     scores = []

@@ -19,14 +19,14 @@ so each block is read from memory once, and the float64 arithmetic runs
 over the products of a few blocks at a time: nothing the size of the
 gallery's strips is allocated per call. ``rank_all`` bounds its top-k
 probes ``GROUP_PROBES`` at a time, one GEMM per block for the group.
-The exact distance is then computed only for rows whose lower bound
-does not exceed the k-th smallest upper bound. The bounds are proven
-(see ``_distance_bounds``) to enclose the exact float64 distance, so the
-k-th smallest exact distance is at most that cut and every row at or
-below it, ties included, is re-scored: the output is bit-identical to
-ranking the whole gallery. Full lists (``k=None``), and any probe that
-meets a float32 square or product that is not finite, take the exact
-path over every row.
+Each group then takes one exact pass over the rows of its probes whose
+lower bound does not exceed their k-th smallest upper bound. The
+bounds are proven (see ``_distance_bounds``) to enclose the exact
+float64 distance, so the k-th smallest exact distance is at most that
+cut and every row at or below it, ties included, is re-scored: the
+output is bit-identical to ranking the whole gallery. Full lists
+(``k=None``), and any probe that meets a float32 square or product
+that is not finite, take the exact path over every row.
 """
 
 from __future__ import annotations
@@ -90,8 +90,8 @@ def strip_distance(a: FeatureMap, b: FeatureMap) -> float:
 # at 256 rows and 7.5 at 1,024.
 BLOCK_BYTES = 1 << 20
 
-# probes bounded together in top-k rank_all, one GEMM per block for all:
-# a k=100 probe took 7.8-9.0 ms alone, 3.5-4.5 in groups of 10 to 32
+# probes bounded and re-scored together in top-k rank_all: a k=100
+# probe took 7.8-9.0 ms alone, 3.5-4.5 in groups of 10 to 32
 GROUP_PROBES = 16
 
 
@@ -101,33 +101,41 @@ def _block_rows(s: int, d: int, value_bytes: int) -> int:
 
 
 def _distances_to_stack(
-    probes: np.ndarray, stack: np.ndarray, rows: np.ndarray | None = None
+    probes: np.ndarray, stack: np.ndarray, rows: np.ndarray | None = None,
+    owner: np.ndarray | None = None,
 ) -> np.ndarray:
     # probes (p, s, d) float64 (one (s, d) probe counts as p = 1), stack
-    # (n, s, d) float32 -> (p, n) float64, or the distances to ``rows``
-    # only, gathered a block at a time (through a float32 copy, so 20
-    # bytes per value). Each block is converted to float64 once for all
-    # probes, and each probe's block is reduced exactly as the whole
-    # stack would be (float64 difference, square, sum over d, sqrt, mean
-    # over s), so the result does not depend on the block size, on which
-    # rows are gathered or on the other probes of the call.
+    # (n, s, d) float32 -> (p, n) float64, a block converted once for all
+    # probes (16 bytes per value); given ``rows`` and their ``owner``
+    # probes, the (m,) distances of the pairs (probes[owner[j]],
+    # stack[rows[j]]), both gathered a block of pairs at a time (12 bytes
+    # per value). Every pair is reduced exactly as the whole stack would
+    # be (float64 difference, square, sum over d, sqrt, mean over s),
+    # whatever the block size or the other pairs.
     n, s, d = stack.shape
     probes = probes.reshape(-1, s, d)
     m = n if rows is None else len(rows)
-    step = _block_rows(s, d, 16 if rows is None else 20)
-    out = np.empty((len(probes), m))
-    converted = np.empty((min(m, step), s, d))
-    work = np.empty_like(converted)
+    step = _block_rows(s, d, 16 if rows is None else 12)
+    out = np.empty((len(probes), n) if rows is None else m)
+    blocks = np.empty((min(m, step), s, d), dtype=np.float64 if rows is None else np.float32)
+    work = np.empty(blocks.shape)
     for start in range(0, m, step):
         stop = min(start + step, m)
-        block, diff = converted[: stop - start], work[: stop - start]
-        np.copyto(block, stack[start:stop] if rows is None else stack[rows[start:stop]])
-        for i, probe in enumerate(probes):
+        block, diff = blocks[: stop - start], work[: stop - start]
+        if rows is None:
+            np.copyto(block, stack[start:stop])
+            passes = zip(probes, out[:, start:stop])
+        else:
+            # mode="clip" (the indices are in range) keeps take from buffering
+            np.take(stack, rows[start:stop], axis=0, out=block, mode="clip")
+            np.take(probes, owner[start:stop], axis=0, out=diff, mode="clip")
+            passes = [(diff, out[start:stop])]
+        for probe, dest in passes:
             np.subtract(block, probe, out=diff)
             diff *= diff
             # the mean over s as ndarray.mean takes it (a sum, then one
             # division), without its Python-level call overhead
-            np.divide(np.sqrt(diff.sum(axis=2)).sum(axis=1), s, out=out[i, start:stop])
+            np.divide(np.sqrt(diff.sum(axis=2)).sum(axis=1), s, out=dest)
     return out
 
 
@@ -204,9 +212,7 @@ def _eligible_rows(probe: FeatureMap, gallery: FeatureSet) -> np.ndarray:
         )
     rows = np.flatnonzero(gallery.id_rank != gallery.rank_of.get(probe.sequence_id, -1))
     if not len(rows):
-        raise DataError(
-            f"empty effective gallery for probe {probe.sequence_id!r}"
-        )
+        raise DataError(f"empty effective gallery for probe {probe.sequence_id!r}")
     return rows
 
 
@@ -232,8 +238,8 @@ def _rank(probes: Sequence[FeatureMap], eligible: Sequence[np.ndarray], gallery:
     """Each probe's top k (all with ``k=None``) of its ``eligible`` rows.
     Probes whose k reaches their eligible rows take one exact pass over
     the gallery together; the others are bounded ``GROUP_PROBES`` at a
-    time, and each re-scores exactly only the rows that can reach its
-    k-th."""
+    time, and each group re-scores exactly, in one pass, only the rows
+    that can reach each probe's k-th."""
     out: list = [None] * len(probes)
     exact = [i for i, rows in enumerate(eligible) if k is None or k >= len(rows)]
     if exact:
@@ -243,27 +249,27 @@ def _rank(probes: Sequence[FeatureMap], eligible: Sequence[np.ndarray], gallery:
     bounded = [i for i, rows in enumerate(eligible) if k is not None and k < len(rows)]
     for first in range(0, len(bounded), GROUP_PROBES):
         group = bounded[first : first + GROUP_PROBES]
-        bounds = _distance_bounds(np.array([probes[i].strips for i in group]), gallery)
+        strips = np.array([probes[i].strips for i in group])
+        bounds = _distance_bounds(strips, gallery)
+        kept = []
         for i, lo, hi in zip(group, bounds[0], bounds[1]):
             # the k smallest hi bound k exact distances, so the k-th is at
             # most cut; only rows whose lo exceeds it can be skipped
             rows = eligible[i]
-            cut = np.partition(hi[rows], k - 1)[k - 1]
-            rows = rows[lo[rows] <= cut]
-            probe = probes[i].strips.astype(np.float64)
-            dists = _distances_to_stack(probe, gallery.strips, rows)[0]
+            kept.append(rows[lo[rows] <= np.partition(hi[rows], k - 1)[k - 1]])
+        sizes = [len(rows) for rows in kept]
+        owner = np.repeat(np.arange(len(group)), sizes)
+        dists = _distances_to_stack(strips.astype(np.float64), gallery.strips,
+                                    np.concatenate(kept), owner)
+        for i, rows, dist in zip(group, kept, np.split(dists, np.cumsum(sizes[:-1]))):
             # keep every distance up to the k-th, so ties at the cut still
             # break by id below
-            keep = dists <= np.partition(dists, k - 1)[k - 1]
-            out[i] = _ranked(probes[i].sequence_id, gallery, rows[keep], dists[keep], k)
+            keep = dist <= np.partition(dist, k - 1)[k - 1]
+            out[i] = _ranked(probes[i].sequence_id, gallery, rows[keep], dist[keep], k)
     return out
 
 
-def rank_gallery(
-    probe: FeatureMap,
-    gallery: FeatureSet,
-    k: int | None = None,
-) -> RankedList:
+def rank_gallery(probe: FeatureMap, gallery: FeatureSet, k: int | None = None) -> RankedList:
     """Top-k gallery candidates by strip distance, ascending.
 
     The probe's own sequence_id is excluded. Ties are broken by ascending
@@ -280,12 +286,12 @@ def rank_all(probes, gallery: FeatureSet, k: int | None = None) -> list[RankedLi
     FeatureMaps), preserving probe input order, with the same lists. Full
     lists take one distance pass over the gallery for all probes, top-k
     lists one bound pass per group of probes."""
+    _check_k(k)
     probes = list(probes)
     eligible = []
     for probe in probes:
         try:
             eligible.append(_eligible_rows(probe, gallery))
-            _check_k(k)
         except (DataError, ShapeError) as exc:
             raise type(exc)(f"probe {probe.sequence_id!r}: {exc}") from exc
     return _rank(probes, eligible, gallery, k)

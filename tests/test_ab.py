@@ -116,3 +116,46 @@ def test_summary_of_too_few_pairs_shows_no_gain(ab):
     assert tail["wins"] == 1 and not tail["gain_shown"] and tail["bound_verdict"] == "within"
     pairs = [_pair(i + 1, (9.0, 20.0), (5.0, 20.0)) for i in range(9)]
     assert not ab.summarize(pairs, END_TO_END)["metrics"]["step_ms_tail"]["gain_shown"]
+
+
+PERFBENCH_OUTPUT = """perfbench rank seed=1 seconds=20 trace=0 size=full
+environment {"cpus": 2}
+generator {"ids": 2500}
+  rank_api_probe_ms_p80                         9.71234 ms        n=750    step_ms_tail
+  rank_full_probes_per_s                        17.2    1/s       n=75     main_per_s
+  rank_api_probe_ms_p50                         8.5     ms        n=750    
+  rank_topk_probes_per_s                      123.456   1/s       n=75     
+{"attempted": 150, "correct": true, "failed": 0, "metrics": {}}
+"""
+
+
+def test_printed_metrics_keep_every_metric_line(ab):
+    printed = ab.printed_metrics(PERFBENCH_OUTPUT.splitlines())
+    assert printed == {
+        "rank_api_probe_ms_p80": {"value": 9.71234, "unit": "ms", "n": 750, "key": "step_ms_tail"},
+        "rank_full_probes_per_s": {"value": 17.2, "unit": "1/s", "n": 75, "key": "main_per_s"},
+        "rank_api_probe_ms_p50": {"value": 8.5, "unit": "ms", "n": 750},
+        "rank_topk_probes_per_s": {"value": 123.456, "unit": "1/s", "n": 75},
+    }
+
+
+def test_summary_gives_each_printed_metric_quartiles_per_side(ab):
+    pairs = [_pair(i + 1, (10.0, 20.0), (9.0, 21.0)) for i in range(5)]
+    for i, pair in enumerate(pairs):
+        for side, rate in (("base", 100.0 + i), ("change", 200.0 + 2 * i)):
+            pair[side]["printed"] = {
+                "rank_topk_probes_per_s": {"value": rate, "unit": "1/s", "n": 75},
+                "rank_api_probe_ms_p50": {"value": 8.0, "unit": "ms", "n": 750},
+            }
+    # a metric that one run did not print is left out, not summarized
+    # from the runs that did
+    del pairs[3]["change"]["printed"]["rank_api_probe_ms_p50"]
+    printed = ab.summarize(pairs, END_TO_END)["printed"]
+    assert list(printed) == ["rank_topk_probes_per_s"]
+    topk = printed["rank_topk_probes_per_s"]
+    assert topk["unit"] == "1/s"
+    assert topk["base"] == {"median": 102.0, "q1": 101.0, "q3": 103.0,
+                            "values": [100.0, 101.0, 102.0, 103.0, 104.0]}
+    assert topk["change"]["median"] == 204.0
+    # runs without printed lines, as older records hold, summarize to none
+    assert ab.summarize([_pair(1, (9.0, 20.0), (5.0, 19.0))], END_TO_END)["printed"] == {}

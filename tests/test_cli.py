@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gaitrerank import training
+from gaitrerank import cli, training
 from gaitrerank.baseline import BaselineConfig, init_baseline, save_baseline
 from gaitrerank.cli import main
 from gaitrerank.feature_store import load_feature_set, manifest_path
@@ -531,12 +531,27 @@ def test_build_trainset_v_below_2_exits_2_and_writes_nothing(tmp_path, capsys, w
     assert not ts.exists() and not vs.exists()
 
 
+@pytest.mark.parametrize("k", ["0", "-2"])
+def test_rank_refuses_k_below_1_before_reading_either_file(tmp_path, capsys, workdir, monkeypatch, k):
+    def load_feature_set(*args, **kwargs):
+        raise AssertionError("read a feature set before checking k")
+
+    monkeypatch.setattr(cli, "load_feature_set", load_feature_set)
+    out = tmp_path / "ranked.jsonl"
+    feats = str(workdir / "feats.gfm")
+    code, _, err = run(capsys, "rank", "--probes", feats, "--gallery", feats, "--k", k,
+                       "--out", str(out))
+    assert code == 9
+    assert json.loads(err) == {"error": "data", "message": f"k must be >= 1, got {k}"}
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("v", ["0", "-3", "1"])
 def test_build_trainset_refuses_v_below_2_before_ranking(tmp_path, capsys, workdir, monkeypatch, v):
-    def rank_gallery(*args, **kwargs):
+    def rank_all(*args, **kwargs):
         raise AssertionError("ranked before checking v")
 
-    monkeypatch.setattr(training, "rank_gallery", rank_gallery)
+    monkeypatch.setattr(training, "rank_all", rank_all)
     ts, vs = tmp_path / "train.jsonl", tmp_path / "val.jsonl"
     code, _, err = run(capsys, "build-trainset", "--features", str(workdir / "feats.gfm"),
                        "--v", v, "--val-split", "0.25", "--out-train", str(ts),

@@ -157,6 +157,23 @@ def _bitwise(rl: RankedList) -> tuple:
     return rl.probe_id, rl.ids(), np.array(rl.distances()).tobytes()
 
 
+def _count_rescored(monkeypatch) -> list[int]:
+    """Patch the exact distance pass to record, per call and in probe
+    order, how many rows it scores for each probe: every row of the stack
+    for a full pass, the pairs each probe owns for a pair pass."""
+    exact = ranking._distances_to_stack
+    rescored = []
+
+    def counting(probes, stack, rows=None, owner=None):
+        p = probes.size // stack[0].size
+        rescored.extend([len(stack)] * p if rows is None
+                        else np.bincount(owner, minlength=p).tolist())
+        return exact(probes, stack, rows, owner)
+
+    monkeypatch.setattr(ranking, "_distances_to_stack", counting)
+    return rescored
+
+
 def _gallery(values) -> FeatureSet:
     # shuffled ids whose str order is not the entry order
     n = len(values)
@@ -221,14 +238,7 @@ def test_distance_bounds_enclose_every_exact_distance(kind):
 
 def test_top_k_rescores_only_rows_that_can_reach_the_kth(monkeypatch):
     gallery = FeatureSet.from_entries(make_maps(100, 3, 8, 16, seed=6))
-    exact = ranking._distances_to_stack
-    rescored = []
-
-    def counting(probe, stack, rows=None):
-        rescored.append(len(stack) if rows is None else len(rows))
-        return exact(probe, stack, rows)
-
-    monkeypatch.setattr(ranking, "_distances_to_stack", counting)
+    rescored = _count_rescored(monkeypatch)
     for probe in gallery.entries[:10]:
         rank_gallery(probe, gallery, k=5)
     # a random gallery separates well: few rows beyond the k cross the cut
@@ -259,14 +269,7 @@ def test_product_blocks_cover_every_row_up_to_a_partial_last_block(monkeypatch):
     probe = gallery.entries[0]
     lo, hi = ranking._distance_bounds(probe.strips, gallery)
     assert (lo == 0).all() and (hi == np.inf).all()
-    exact = ranking._distances_to_stack
-    rescored = []
-
-    def counting(probe, stack, rows=None):
-        rescored.append(len(stack) if rows is None else len(rows))
-        return exact(probe, stack, rows)
-
-    monkeypatch.setattr(ranking, "_distances_to_stack", counting)
+    rescored = _count_rescored(monkeypatch)
     top = rank_gallery(probe, gallery, k=5)
     assert rescored == [n - 1]
     assert _bitwise(top) == _bitwise(RankedList(probe.sequence_id, rank_gallery(probe, gallery).items[:5]))
@@ -292,19 +295,36 @@ def test_rank_all_top_k_groups_equal_per_probe_rank_gallery_bitwise(monkeypatch,
         want = [_bitwise(rank_gallery(probe, gallery, k)) for probe in probes]
         assert [_bitwise(rl) for rl in rank_all(probes, gallery, k)] == want, k
 
-    exact = ranking._distances_to_stack
-    rescored = []
-
-    def counting(probe, stack, rows=None):
-        rescored.append(len(stack) if rows is None else len(rows))
-        return exact(probe, stack, rows)
-
-    monkeypatch.setattr(ranking, "_distances_to_stack", counting)
+    rescored = _count_rescored(monkeypatch)
     rank_all(probes, gallery, k=5)
-    # one re-scoring per probe, in probe order: every row for the huge
-    # probe, a few for each of the others
+    # one count per probe, in probe order, read through each group's owner
+    # index: every row for the huge probe, a few for each of the others
     assert rescored[5] == n
     assert max(rescored[:5] + rescored[6:]) < n // 4, rescored
+
+
+def test_pair_pass_equals_the_full_pass_bitwise_in_any_order(monkeypatch):
+    # pair blocks of 5 (12 bytes a value): pairs of several probes share a
+    # block, unsorted and repeated, and the last block is partial; s and d
+    # >= 8 take numpy's pairwise summation
+    n, s, d, m = 23, 9, 17, 37
+    monkeypatch.setattr(ranking, "BLOCK_BYTES", 12 * s * d * 5)
+    rng = np.random.default_rng(31)
+    stack = rng.standard_normal((n, s, d)).astype(np.float32)
+    probes = rng.standard_normal((4, s, d)).astype(np.float32).astype(np.float64)
+    full = ranking._distances_to_stack(probes, stack)
+    owner, rows = rng.integers(0, len(probes), m), rng.integers(0, n, m)
+    pairs = ranking._distances_to_stack(probes, stack, rows, owner)
+    assert pairs.tobytes() == full[owner, rows].tobytes()
+
+
+def test_rank_all_checks_k_once_before_any_probe():
+    gallery = _gallery(np.ones((3, 2, 2)))
+    wide = FeatureMap("wide", "w", np.ones((2, 3)))
+    for probes in ([], gallery, [wide]):
+        with pytest.raises(DataError) as exc:
+            rank_all(probes, gallery, k=0)
+        assert str(exc.value) == "k must be >= 1, got 0"
 
 
 def test_top_k_call_allocates_nothing_the_size_of_the_strip_norms():

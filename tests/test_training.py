@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import gaitrerank.training as training
+from gaitrerank import ranking, synth
 from gaitrerank.errors import DataError, MissingIdError, NonFiniteError
 from gaitrerank.feature_store import FeatureMap, FeatureSet
 from gaitrerank.reranker import RerankerConfig, batch_loss, init_weights
@@ -77,6 +78,32 @@ def test_build_training_set_lists_are_truncated_and_sorted():
         assert list(e.distances) == sorted(e.distances)
         for cid, is_pos in zip(e.candidate_ids, e.positive):
             assert is_pos == (idmap[cid] == idmap[e.probe_id])
+
+
+def _per_probe_reference(partition: FeatureSet, v: int) -> list[tuple]:
+    """Each probe's top-v list from its own rank_gallery call, with its
+    distances as bytes and its identity flags."""
+    identity = partition.identity_map()
+    out = []
+    for probe in partition.entries:
+        ranked = ranking.rank_gallery(probe, partition, k=min(v, len(partition) - 1))
+        out.append((probe.sequence_id, ranked.ids(), np.array(ranked.distances()).tobytes(),
+                    [identity[c] == identity[probe.sequence_id] for c in ranked.ids()]))
+    return out
+
+
+@pytest.mark.parametrize("group", [1, 3, 16])
+def test_build_training_set_equals_per_probe_rank_gallery_bitwise(monkeypatch, group):
+    monkeypatch.setattr(ranking, "GROUP_PROBES", group)
+    # the acceptance fixture: a 216-sequence train and a 24-sequence val
+    # partition; val at v = 30 is smaller than v + 1, so every probe takes
+    # the exact path, and at v = 10 the bounded one
+    fs = synth.generate(identities=40, per_identity=6, s=8, d=16, hardness=0.7, noise=0.3, seed=1)
+    train_fs, val_fs = split_train_val(fs)
+    for partition, v in ((train_fs, 30), (val_fs, 30), (val_fs, 10)):
+        got = [(e.probe_id, list(e.candidate_ids), np.array(e.distances).tobytes(), list(e.positive))
+               for e in build_training_set(partition, v=v).entries]
+        assert got == _per_probe_reference(partition, v), (len(partition), v)
 
 
 def test_training_set_roundtrip(tmp_path):

@@ -13,12 +13,14 @@ pair to pair. The two revisions must hold the same ``perfbench/`` and
 
 The record (``BENCH_<topic>.json`` by default) holds both commit ids and
 the tree ids of their ``src/``, the ``src/`` line counts, perfbench's
-environment records, every run's end-to-end metrics and, per metric of
-``BENCHMARK.json``, each side's median and quartiles, the change's wins,
-losses and ties over the pairs, whether a gain is shown and the metric's
-bound verdict (see ``summarize``). It also holds one traced run per side
-and workload (seed 1) and, at ``--size full``, the wall time of one Tier-1
-test run per side.
+environment records, every run's end-to-end metrics and printed metric
+lines and, per metric of ``BENCHMARK.json``, each side's median and
+quartiles, the change's wins, losses and ties over the pairs, whether a
+gain is shown and the metric's bound verdict (see ``summarize``). Every
+printed metric (``rank_topk_probes_per_s``, ``baseline_iters_per_s``, ...)
+gets each side's median and quartiles too. It also holds one traced run
+per side and workload (seed 1) and, at ``--size full``, the wall time of
+one Tier-1 test run per side.
 """
 
 from __future__ import annotations
@@ -48,11 +50,28 @@ def _quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "values": values}
 
 
+def printed_metrics(lines: list[str]) -> dict:
+    """Every metric line of perfbench's output, ``  name value unit n=count
+    [key]``, as ``{name: {"value", "unit", "n"}}``, plus ``"key"`` when the
+    line names the end-to-end metric it reports."""
+    out = {}
+    for line in lines:
+        fields = line.split()
+        if line.startswith("  ") and len(fields) in (4, 5) and fields[3].startswith("n="):
+            out[fields[0]] = {"value": float(fields[1]), "unit": fields[2], "n": int(fields[3][2:])}
+            if len(fields) == 5:
+                out[fields[0]]["key"] = fields[4]
+    return out
+
+
 def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
     """Compare the two sides over ``pairs`` for each metric in
     ``end_to_end`` (BENCHMARK.json's list of name, unit, better, bound).
     A pair is ``{"seed", "first", "base", "change"}``, each side being
-    perfbench's JSON line (``attempted``, ``failed``, ``metrics``).
+    perfbench's JSON line (``attempted``, ``failed``, ``metrics``) plus,
+    optionally, its ``printed`` metric lines (see ``printed_metrics``);
+    each printed metric that every run holds gets each side's median and
+    quartiles under ``"printed"``.
 
     A gain is shown when there are at least ten pairs, the change wins at
     least 9 in 10 of them (ties count for neither side), the medians are
@@ -97,6 +116,12 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
             and -sign * (change["median"] - base["median"]) > spread and not more_failures,
             "bound_verdict": verdict,
         }
+    runs = [p[side].get("printed", {}) for p in pairs for side in SIDES]
+    out["printed"] = {
+        name: {"unit": line["unit"], **{side: _quartiles([p[side]["printed"][name]["value"]
+                                                          for p in pairs]) for side in SIDES}}
+        for name, line in runs[0].items() if all(name in run for run in runs)
+    }
     return out
 
 
@@ -115,7 +140,7 @@ def _bench(tree: Path, workload: str, seed: int, settings: dict, trace: int) -> 
         sys.exit(f"ab: {' '.join(argv)} in {tree} exited {proc.returncode}:\n{proc.stderr}")
     lines = proc.stdout.splitlines()
     env = next(json.loads(line.split(" ", 1)[1]) for line in lines if line.startswith("environment "))
-    return json.loads(lines[-1]), env
+    return {**json.loads(lines[-1]), "printed": printed_metrics(lines)}, env
 
 
 def _tier1(tree: Path) -> dict:
