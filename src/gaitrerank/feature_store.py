@@ -206,17 +206,14 @@ class FeatureSet:
 
     @cached_property
     def strip_norm_terms(self) -> np.ndarray:
-        """The gallery side of stage one's bound prefilter
-        (``ranking._distance_bounds``), shape ``(2, s, n)`` float64, each
-        strip's terms contiguous over the set's rows: with B a strip's
-        squared norm summed in float32, and c and t the prefilter's slack
-        for d values (``_bound_slack``), ``[0]`` holds ``(1 - c)*B - t``
-        and ``[1]`` holds ``(1 + c)*B + t``."""
+        """The gallery side of stage one's lower bounds
+        (``ranking._distance_bounds``), shape ``(s, n)`` float64, each
+        strip's terms contiguous over the set's rows: ``(1 - c)*B - t``,
+        with B a strip's squared norm summed in float32, and c and t the
+        bounds' slack for d values (``_bound_slack``)."""
         c, t = _bound_slack(self.d)
         norms = np.einsum("nsd,nsd->sn", self.strips, self.strips)
-        terms = np.multiply.outer((1 - c, 1 + c), norms)
-        terms[0] -= t
-        terms[1] += t
+        terms = norms.astype(np.float64) * (1 - c) - t
         terms.flags.writeable = False
         return terms
 

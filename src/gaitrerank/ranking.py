@@ -10,8 +10,8 @@ selected and ordered by (distance, sequence_id) with numpy, not Python
 sorts, using the id keys the set caches (``FeatureSet.id_rank``).
 
 A top-k call (``1 <= k <`` eligible rows) first bounds every row's
-distance from below and above through |a|^2 + |b|^2 - 2a.b per strip,
-the decomposition FAISS uses: float32 products of the doubled, negated
+distance from below through |a|^2 + |b|^2 - 2a.b per strip, the
+decomposition FAISS uses: float32 products of the doubled, negated
 probe with every gallery strip, plus float64 terms of the squared strip
 norms that the set caches once (``FeatureSet.strip_norm_terms``). The
 products are taken one block of gallery rows at a time for all strips,
@@ -19,14 +19,14 @@ so each block is read from memory once, and the float64 arithmetic runs
 over the products of a few blocks at a time: nothing the size of the
 gallery's strips is allocated per call. ``rank_all`` bounds its top-k
 probes ``GROUP_PROBES`` at a time, one GEMM per block for the group.
-Each group then takes one exact pass over the rows of its probes whose
-lower bound does not exceed their k-th smallest upper bound. The
-bounds are proven (see ``_distance_bounds``) to enclose the exact
-float64 distance, so the k-th smallest exact distance is at most that
-cut and every row at or below it, ties included, is re-scored: the
-output is bit-identical to ranking the whole gallery. Full lists
-(``k=None``), and any probe that meets a float32 square or product
-that is not finite, take the exact path over every row.
+Each group then scores exactly, in one pass over (probe, row) pairs,
+each probe's k rows with the smallest lower bounds. The largest of those
+k distances is at least the k-th smallest, so a second pass scores only
+the other rows whose lower bound does not exceed it. The bounds are
+proven (see ``_distance_bounds``) never to exceed the exact float64
+distance, so every row at or below the k-th distance, ties included, is
+scored: the output is bit-identical to ranking the whole gallery. Full
+lists (``k=None``) take the exact path over every row.
 """
 
 from __future__ import annotations
@@ -85,9 +85,9 @@ def strip_distance(a: FeatureMap, b: FeatureMap) -> float:
 # GEMV or GEMM per strip: one probe's took 6.2 ms at 16 rows, 4.2 at 64,
 # 7.5 at 128 and 8.6 at 256, and an einsum over each row in order 5.8 at
 # any size (median of 5). Their float64 arithmetic then runs over about
-# BLOCK_BYTES of values at a time (4,096 rows for one probe at s = 16):
-# the bound pass took 11.0 ms at one float64 pass per 64-row block, 8.3
-# at 256 rows and 7.5 at 1,024.
+# BLOCK_BYTES of values at a time (8,192 rows for one probe at s = 16):
+# with an upper bound beside the lower one, the bound pass took 11.0 ms
+# at one float64 pass per 64-row block, 8.3 at 256 rows and 7.5 at 1,024.
 BLOCK_BYTES = 1 << 20
 
 # probes bounded and re-scored together in top-k rank_all: a k=100
@@ -140,11 +140,11 @@ def _distances_to_stack(
 
 
 def _distance_bounds(probes: np.ndarray, gallery: FeatureSet) -> np.ndarray:
-    """Float64 ``(2, p, n)``: ``[0]`` and ``[1]`` bound from below and above
-    the distance ``_distances_to_stack`` returns for each of the float32
-    probes (``(p, s, d)``; one ``(s, d)`` probe counts as p = 1) and each
-    gallery row. A probe with a value, float32 square or product that is
-    not finite gets 0 and inf for every row, which keep every row.
+    """Float64 ``(p, n)`` lower bounds on the distance ``_distances_to_stack``
+    returns for each of the float32 probes (``(p, s, d)``; one ``(s, d)``
+    probe counts as p = 1) and each gallery row. A probe with a bound that
+    is not finite (a value, float32 square or product overflowed) gets 0
+    for every row, which keeps every row.
 
     Per strip, with a the probe strip, b a gallery strip, u = 2**-24 and
     g' = d*u/(1 - d*u), the float32 sums A = |a|^2, B = |b|^2 and
@@ -157,15 +157,15 @@ def _distance_bounds(probes: np.ndarray, gallery: FeatureSet) -> np.ndarray:
     (A + B + 4d*2**-126)/(1 - g'), A + B + P is within
     2g'/(1 - g')*(A + B) + 7d*2**-126 of |a - b|^2. With g at d + 1 terms,
     c = 2g/(1 - g) and t = d*2**-122 (``_bound_slack``), the set caches
-    L = (1 - c)*B - t and H = (1 + c)*B + t (``FeatureSet.strip_norm_terms``),
-    and the float64 sums lo2 = L + P + (1 - c)*A and hi2 = H + P + (1 + c)*A
-    enclose |a - b|^2 with a margin of at least 2u*(A + B) + 9d*2**-126.
-    Their float64 roundings, at most seven of 2**-53 times a value below
-    3*(A + B) + t, stay far inside it. So each strip distance lies in
-    [sqrt(max(lo2, 0)), sqrt(hi2)], and so does their mean. The float64
-    means carry at most s + 4 roundings of 2**-53 each, and the float64
-    value ``_distances_to_stack`` returns at most s + d/2 + 2: widening by
-    (2s + d + 8)*2**-53 relative makes [lo, hi] enclose that value.
+    L = (1 - c)*B - t (``FeatureSet.strip_norm_terms``), and the float64
+    sum lo2 = L + P + (1 - c)*A falls below |a - b|^2 by a margin of at
+    least 2u*(A + B) + 9d*2**-126. Its float64 roundings, at most seven of
+    2**-53 times a value below 3*(A + B) + t, stay far inside it. So each
+    strip distance is at least sqrt(max(lo2, 0)) (a product that overflows
+    to -inf gives 0), and so is their mean. The float64 mean carries at
+    most s + 4 roundings of 2**-53 each, and the float64 value
+    ``_distances_to_stack`` returns at most s + d/2 + 2: shrinking by
+    (2s + d + 8)*2**-53 relative keeps lo at or below that value.
     """
     strips, terms = gallery.strips, gallery.strip_norm_terms
     n, s, d = strips.shape
@@ -175,31 +175,29 @@ def _distance_bounds(probes: np.ndarray, gallery: FeatureSet) -> np.ndarray:
     # the products of one block of rows per float32 GEMM, a float64 pass
     # over the products of several blocks (see BLOCK_BYTES)
     step = _block_rows(s, d, 16)
-    span = max(step, BLOCK_BYTES // (16 * s * p))
-    out = np.empty((2, p, n))
+    span = max(step, BLOCK_BYTES // (8 * s * p))
+    out = np.empty((p, n))
     products = np.empty((s, min(span, n), p), dtype=np.float32)
-    work = np.empty((2, *products.shape))
+    work = np.empty(products.shape)
     with np.errstate(over="ignore", invalid="ignore"):
         neg2 = np.ascontiguousarray(probes.transpose(1, 2, 0)) * np.float32(-2)
-        own = np.multiply.outer(np.array([1 - c, 1 + c]), np.vecdot(probes, probes).T[:, None])
+        own = (1 - c) * np.einsum("psd,psd->sp", probes, probes)[:, None]
         for start in range(0, n, span):
             stop = min(start + span, n)
             for row in range(start, stop, step):
                 end = min(row + step, stop)
                 np.matmul(strips[row:end].transpose(1, 0, 2), neg2,
                           out=products[:, row - start : end - start])
-            w = work[:, :, : stop - start]
-            np.add(products[:, : stop - start], terms[:, :, start:stop, None], out=w)
+            w = work[:, : stop - start]
+            np.add(products[:, : stop - start], terms[:, start:stop, None], out=w)
             w += own
-            np.maximum(w[0], 0.0, out=w[0])
+            np.maximum(w, 0.0, out=w)
             np.sqrt(w, out=w)
-            np.add.reduce(w, axis=1, out=out[:, :, start:stop].transpose(0, 2, 1))
-    widen = (2 * s + d + 8) * 2.0**-53
-    out[0] *= (1 - widen) / s
-    out[1] *= (1 + widen) / s
-    # one sum is finite exactly when every upper bound is
-    if not math.isfinite(out[1].sum()):
-        out[:, ~np.isfinite(out[1]).all(axis=1)] = np.array([0.0, np.inf])[:, None, None]
+            np.add.reduce(w, axis=0, out=out[:, start:stop].T)
+    out *= (1 - (2 * s + d + 8) * 2.0**-53) / s
+    # one sum is finite exactly when every bound is
+    if not math.isfinite(out.sum()):
+        out[~np.isfinite(out).all(axis=1)] = 0.0
     return out
 
 
@@ -238,8 +236,8 @@ def _rank(probes: Sequence[FeatureMap], eligible: Sequence[np.ndarray], gallery:
     """Each probe's top k (all with ``k=None``) of its ``eligible`` rows.
     Probes whose k reaches their eligible rows take one exact pass over
     the gallery together; the others are bounded ``GROUP_PROBES`` at a
-    time, and each group re-scores exactly, in one pass, only the rows
-    that can reach each probe's k-th."""
+    time, and each group scores exactly, in two pair passes, each probe's
+    k lowest-bound rows and then the other rows that can reach its k-th."""
     out: list = [None] * len(probes)
     exact = [i for i, rows in enumerate(eligible) if k is None or k >= len(rows)]
     if exact:
@@ -250,22 +248,27 @@ def _rank(probes: Sequence[FeatureMap], eligible: Sequence[np.ndarray], gallery:
     for first in range(0, len(bounded), GROUP_PROBES):
         group = bounded[first : first + GROUP_PROBES]
         strips = np.array([probes[i].strips for i in group])
-        bounds = _distance_bounds(strips, gallery)
-        kept = []
-        for i, lo, hi in zip(group, bounds[0], bounds[1]):
-            # the k smallest hi bound k exact distances, so the k-th is at
-            # most cut; only rows whose lo exceeds it can be skipped
-            rows = eligible[i]
-            kept.append(rows[lo[rows] <= np.partition(hi[rows], k - 1)[k - 1]])
-        sizes = [len(rows) for rows in kept]
-        owner = np.repeat(np.arange(len(group)), sizes)
-        dists = _distances_to_stack(strips.astype(np.float64), gallery.strips,
-                                    np.concatenate(kept), owner)
-        for i, rows, dist in zip(group, kept, np.split(dists, np.cumsum(sizes[:-1]))):
-            # keep every distance up to the k-th, so ties at the cut still
-            # break by id below
-            keep = dist <= np.partition(dist, k - 1)[k - 1]
-            out[i] = _ranked(probes[i].sequence_id, gallery, rows[keep], dist[keep], k)
+        wide = strips.astype(np.float64)
+        # NaN for rows a probe does not rank: partitioned last, below no cut
+        lo = np.full((len(group), len(gallery)), np.nan)
+        for row, bounds, i in zip(lo, _distance_bounds(strips, gallery), group):
+            row[eligible[i]] = bounds[eligible[i]]
+        # any k rows' largest exact distance is at least the k-th smallest
+        # (ties included), so no row whose lower bound exceeds it is needed
+        picks = np.argpartition(lo, k - 1, axis=1)[:, :k]
+        owner = np.repeat(np.arange(len(group)), k)
+        near = _distances_to_stack(wide, gallery.strips, picks.ravel(), owner)
+        below = lo <= near.reshape(-1, k).max(axis=1, keepdims=True)
+        np.put_along_axis(below, picks, False, axis=1)  # scored already
+        others, rows = np.nonzero(below)
+        far = _distances_to_stack(wide, gallery.strips, rows, others)
+        owner, rows, dists = (np.concatenate(pair) for pair in
+                              ((owner, others), (picks.ravel(), rows), (near, far)))
+        # each probe's pairs in (distance, id) order, probe by probe
+        order = np.lexsort((gallery.id_rank[rows], dists, owner))
+        for i, start in zip(group, np.searchsorted(owner[order], np.arange(len(group)))):
+            top = order[start : start + k]
+            out[i] = _ranked(probes[i].sequence_id, gallery, rows[top], dists[top], k)
     return out
 
 

@@ -1,10 +1,12 @@
 import importlib.util
+import json
 import subprocess
 from pathlib import Path
 
 import pytest
 
-AB_PATH = Path(__file__).resolve().parent.parent / "tools" / "ab.py"
+ROOT = Path(__file__).resolve().parent.parent
+AB_PATH = ROOT / "tools" / "ab.py"
 
 END_TO_END = [
     {"name": "step_ms_tail", "unit": "ms", "better": "lower", "bound": 0.25},
@@ -159,3 +161,23 @@ def test_summary_gives_each_printed_metric_quartiles_per_side(ab):
     assert topk["change"]["median"] == 204.0
     # runs without printed lines, as older records hold, summarize to none
     assert ab.summarize([_pair(1, (9.0, 20.0), (5.0, 19.0))], END_TO_END)["printed"] == {}
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
+def test_every_committed_record_holds_what_ab_writes(path):
+    # every perf change commits the record tools/ab.py wrote for it
+    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    record = json.loads(path.read_text())
+    assert record["topic"] == path.stem.removeprefix("BENCH_")
+    for side in ("base", "change"):
+        assert record[side]["src_lines"] > 0
+    assert record["workloads"]
+    for workload, result in record["workloads"].items():
+        for spec in end_to_end:
+            metric = result["metrics"][spec["name"]]
+            for side in ("base", "change"):
+                assert metric[side]["q1"] <= metric[side]["median"] <= metric[side]["q3"]
+            assert metric["bound_verdict"] in ("within", "outside", "unresolved"), workload
+        for side in ("base", "change"):
+            operations = result["operations"][side]
+            assert 0 <= operations["failed"] <= operations["attempted"], (workload, side)

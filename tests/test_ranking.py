@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from gaitrerank import ranking
+from gaitrerank.cli import main
 from gaitrerank.baseline import BaselineConfig, baseline_rerank, init_baseline
 from gaitrerank.errors import DataError, FormatError, NonFiniteError, ShapeError
 from gaitrerank.feature_store import FeatureMap, FeatureSet
@@ -158,16 +160,26 @@ def _bitwise(rl: RankedList) -> tuple:
 
 
 def _count_rescored(monkeypatch) -> list[int]:
-    """Patch the exact distance pass to record, per call and in probe
-    order, how many rows it scores for each probe: every row of the stack
-    for a full pass, the pairs each probe owns for a pair pass."""
+    """Patch the exact distance pass to record, in probe order, how many
+    rows it scores for each probe: every row of the stack for a full
+    pass, and for a bounded group the pairs each probe owns in the
+    group's two pair passes together."""
     exact = ranking._distances_to_stack
     rescored = []
+    second = False  # the next pair pass is its group's second
 
     def counting(probes, stack, rows=None, owner=None):
+        nonlocal second
         p = probes.size // stack[0].size
-        rescored.extend([len(stack)] * p if rows is None
-                        else np.bincount(owner, minlength=p).tolist())
+        if rows is None:
+            rescored.extend([len(stack)] * p)
+        else:
+            counts = np.bincount(owner, minlength=p).tolist()
+            if second:
+                rescored[-p:] = [a + b for a, b in zip(rescored[-p:], counts)]
+            else:
+                rescored.extend(counts)
+            second = not second
         return exact(probes, stack, rows, owner)
 
     monkeypatch.setattr(ranking, "_distances_to_stack", counting)
@@ -202,6 +214,9 @@ def test_top_k_is_the_exact_full_list_prefix_bitwise(scale, ties):
     gallery = _gallery(values * scale)
     probes = [gallery.entries[0], gallery.entries[n // 2],
               FeatureMap("zz-outside", "zz", values[1] * scale * 1.5 + 0.25 * scale)]
+    # an infinite value: every distance is inf, and the probe's own id
+    # must still be left out
+    probes.append(FeatureMap(gallery.entries[1].sequence_id, "x", np.full((s, d), np.inf)))
     for probe in probes:
         full = rank_gallery(probe, gallery)
         eligible = len(full)
@@ -231,8 +246,8 @@ def test_distance_bounds_enclose_every_exact_distance(kind):
     gallery = _gallery(values)
     for probe in (*gallery.entries[:5], FeatureMap("x", "x", values[7] * 0.5)):
         exact = ranking._distances_to_stack(probe.strips.astype(np.float64), gallery.strips)
-        lo, hi = ranking._distance_bounds(probe.strips, gallery)
-        assert (lo <= exact).all() and (exact <= hi).all()
+        lo = ranking._distance_bounds(probe.strips, gallery)
+        assert (lo <= exact).all()
         assert (lo >= 0).all()
 
 
@@ -255,20 +270,19 @@ def test_product_blocks_cover_every_row_up_to_a_partial_last_block(monkeypatch):
     for probe in (gallery.entries[0], gallery.entries[-1],
                   FeatureMap("zz-outside", "zz", values[3] * 0.5)):
         exact = ranking._distances_to_stack(probe.strips.astype(np.float64), gallery.strips)
-        lo, hi = ranking._distance_bounds(probe.strips, gallery)
-        assert (lo <= exact).all() and (exact <= hi).all()
+        lo = ranking._distance_bounds(probe.strips, gallery)
+        assert (lo <= exact).all() and (lo >= 0).all()
         full = rank_gallery(probe, gallery)
         for k in (1, 7, block + 1, len(full) - 1):
             want = RankedList(probe.sequence_id, full.items[:k])
             assert _bitwise(rank_gallery(probe, gallery, k)) == _bitwise(want), (probe, k)
 
     # float32 squares overflow in one row of the last, partial block only:
-    # no bounds (0 and inf), so every eligible row is scored exactly
+    # a lower bound of 0 for every row, so every eligible row is scored
     values[-2] *= 1e20
     gallery = _gallery(values)
     probe = gallery.entries[0]
-    lo, hi = ranking._distance_bounds(probe.strips, gallery)
-    assert (lo == 0).all() and (hi == np.inf).all()
+    assert (ranking._distance_bounds(probe.strips, gallery) == 0).all()
     rescored = _count_rescored(monkeypatch)
     top = rank_gallery(probe, gallery, k=5)
     assert rescored == [n - 1]
@@ -301,6 +315,69 @@ def test_rank_all_top_k_groups_equal_per_probe_rank_gallery_bitwise(monkeypatch,
     # index: every row for the huge probe, a few for each of the others
     assert rescored[5] == n
     assert max(rescored[:5] + rescored[6:]) < n // 4, rescored
+
+
+def _inverted_gallery() -> tuple[FeatureSet, list[FeatureMap]]:
+    """Rows whose exact distances to the probes differ by less than the
+    bounds' slack: at a common offset of 1000, 6 rows lie 3.0-3.0004 from
+    the probes and 8 rows 3.001-3.002, but the latter have the larger
+    norms, so the wider slack gives them the lower bounds."""
+    s, d = 4, 8
+    centre = np.zeros((s, d))
+    centre[:, 0] = 1000.0
+
+    def row(shift, eps):
+        v = centre.copy()
+        v[:, 0] += shift
+        v[:, 1] = eps
+        return v
+
+    rng = np.random.default_rng(37)
+    values = [row(-3.0, 0.01 * j) for j in range(6)] + [row(3.001, 0.01 * j) for j in range(8)]
+    values += [centre + 10 * rng.standard_normal((s, d)) for _ in range(20)]
+    gallery = _gallery(np.array(values))
+    probes = [FeatureMap(f"zz{j}", "zz", centre + 0.002 * j * np.eye(s, d, 2)) for j in range(5)]
+    return gallery, probes + list(gallery.entries[:2]) + list(gallery.entries[6:8])
+
+
+@pytest.mark.parametrize("group", [1, 3, 16])
+def test_top_k_cut_holds_when_the_lowest_bounds_are_not_the_top_k(monkeypatch, group):
+    monkeypatch.setattr(ranking, "GROUP_PROBES", group)
+    gallery, probes = _inverted_gallery()
+    # the 6 rows with the smallest lower bounds are not the 6 nearest
+    lo = ranking._distance_bounds(probes[0].strips, gallery)[0]
+    exact = ranking._distances_to_stack(probes[0].strips.astype(np.float64), gallery.strips)[0]
+    assert set(np.argsort(lo)[:6]) & set(np.argsort(exact)[:6]) == set()
+
+    exact_pass = ranking._distances_to_stack
+    scored = []
+
+    def recording(wide, stack, rows=None, owner=None):
+        if rows is not None:
+            scored.extend((wide[o].tobytes(), r) for o, r in zip(owner.tolist(), rows.tolist()))
+        return exact_pass(wide, stack, rows, owner)
+
+    monkeypatch.setattr(ranking, "_distances_to_stack", recording)
+    for k in (1, 3, 6, 7, 10, 15):
+        want = [_bitwise(RankedList(p.sequence_id, rank_gallery(p, gallery).items[:k])) for p in probes]
+        scored.clear()
+        assert [_bitwise(rank_gallery(p, gallery, k)) for p in probes] == want, k
+        assert len(set(scored)) == len(scored), k
+        scored.clear()
+        assert [_bitwise(rl) for rl in rank_all(probes, gallery, k)] == want, k
+        # no (probe, row) pair is scored twice
+        assert len(set(scored)) == len(scored), k
+
+
+def test_top_k_needs_no_numpy_2_function(monkeypatch, tmp_path, capsys):
+    # pyproject.toml allows numpy 1.24, which has no np.vecdot
+    monkeypatch.delattr(np, "vecdot", raising=False)
+    gallery = FeatureSet.from_entries(make_maps(6, 3, 4, 8, seed=2))
+    lists = rank_all(gallery, gallery, k=3)
+    assert lists == [RankedList(rl.probe_id, rl.items[:3]) for rl in rank_all(gallery, gallery)]
+    assert main(["synth", "--ids", "6", "--per-id", "2", "--strips", "3", "--dim", "4",
+                 "--out", str(tmp_path / "f.gfm")]) == 0
+    assert json.loads(capsys.readouterr().out)["sequences"] == 12
 
 
 def test_pair_pass_equals_the_full_pass_bitwise_in_any_order(monkeypatch):
