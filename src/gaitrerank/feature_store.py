@@ -37,6 +37,12 @@ PARTITIONS = ("train", "val", "gallery", "probe")
 
 _HEADER = struct.Struct("<4sIII")
 _U16 = struct.Struct("<H")
+_escape = json.encoder.encode_basestring_ascii
+
+# bytes of values per write of save_feature_set, 256 entries at 16 x 64:
+# saving the 10,000 x 16 x 64 set took 78-88 ms at 64 KB to 4 MB per
+# write and 142 ms at one 4 KB entry per write (median of 9)
+WRITE_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -217,12 +223,6 @@ class FeatureSet:
         terms.flags.writeable = False
         return terms
 
-    def manifest(self) -> dict[str, dict[str, str]]:
-        return {
-            sid: {"identity": iid, "partition": self.partition}
-            for sid, iid in zip(self.sequence_ids, self.identity_ids)
-        }
-
 
 def manifest_path(path) -> Path:
     return Path(str(path) + ".manifest.json")
@@ -292,21 +292,47 @@ def _write_atomic(path, mode: str) -> Iterator[IO]:
         raise
 
 
+def _prefixed_id(text: str, sid: str) -> bytes:
+    """An id as GFM1 stores it: u16 length, then utf-8 bytes."""
+    raw = text.encode("utf-8")
+    if len(raw) > 0xFFFF:
+        raise FormatError(f"id longer than 65535 bytes in {sid!r}")
+    return _U16.pack(len(raw)) + raw
+
+
+def _manifest_text(fs: FeatureSet) -> str:
+    """The manifest of ``fs``, each sequence id mapped to ``{"identity":
+    ..., "partition": ...}``, as ``json.dumps(manifest, indent=2,
+    sort_keys=True)`` plus a newline would write it, without json's
+    pure-Python indenting encoder: the records follow one template, and
+    each id is escaped by the function ``json.dumps`` escapes it with."""
+    if not len(fs):
+        return "{}\n"
+    tail = f'\n    "partition": {_escape(fs.partition)}\n  }}'
+    records = ",\n".join(
+        f'  {_escape(sid)}: {{\n    "identity": {_escape(iid)},{tail}'
+        for sid, iid in sorted(zip(fs.sequence_ids, fs.identity_ids))
+    )
+    return "{\n" + records + "\n}\n"
+
+
 def save_feature_set(fs: FeatureSet, path) -> None:
     """Write the GFM1 binary file plus its JSON manifest sidecar, each
-    atomically."""
+    atomically. The entries go out WRITE_BYTES of values at a time, one
+    write each, so the file's bytes are never held whole."""
+    step = max(1, WRITE_BYTES // (4 * fs.s * fs.d))
+    rows = fs.strips.astype("<f4", copy=False)
     with _write_atomic(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, len(fs), fs.s, fs.d))
-        rows = fs.strips.astype("<f4", copy=False)
-        for sid, iid, row in zip(fs.sequence_ids, fs.identity_ids, rows):
-            for text in (sid, iid):
-                raw = text.encode("utf-8")
-                if len(raw) > 0xFFFF:
-                    raise FormatError(f"id longer than 65535 bytes in {sid!r}")
-                fh.write(_U16.pack(len(raw)) + raw)
-            fh.write(row)
+        for start in range(0, len(fs), step):
+            stop = start + step
+            parts = []
+            for sid, iid, row in zip(fs.sequence_ids[start:stop], fs.identity_ids[start:stop],
+                                     rows[start:stop]):
+                parts += (_prefixed_id(sid, sid), _prefixed_id(iid, sid), row)
+            fh.write(b"".join(parts))
     with _write_atomic(manifest_path(path), "w") as fh:
-        fh.write(json.dumps(fs.manifest(), indent=2, sort_keys=True) + "\n")
+        fh.write(_manifest_text(fs))
 
 
 def load_feature_set(path) -> FeatureSet:

@@ -231,6 +231,16 @@ def _check_k(k: int | None) -> None:
         raise DataError(f"k must be >= 1, got {k}")
 
 
+def _refuse_nan(stack: np.ndarray, probes: Sequence[FeatureMap], group: Sequence[int]) -> None:
+    """A NonFiniteError naming the first probe of ``group`` (stacked in
+    ``stack``) that holds a NaN: its distances would all be NaN, and its
+    top-k list no prefix of its full list. An infinite value ranks, since
+    its distances are inf."""
+    if np.isnan(stack).any():
+        first = group[int(np.isnan(stack).any(axis=(1, 2)).argmax())]
+        raise NonFiniteError(f"NaN in probe {probes[first].sequence_id!r}")
+
+
 def _rank(probes: Sequence[FeatureMap], eligible: Sequence[np.ndarray], gallery: FeatureSet,
           k: int | None) -> list[RankedList]:
     """Each probe's top k (all with ``k=None``) of its ``eligible`` rows.
@@ -242,12 +252,14 @@ def _rank(probes: Sequence[FeatureMap], eligible: Sequence[np.ndarray], gallery:
     exact = [i for i, rows in enumerate(eligible) if k is None or k >= len(rows)]
     if exact:
         stack = np.array([probes[i].strips for i in exact], dtype=np.float64)
+        _refuse_nan(stack, probes, exact)
         for i, dists in zip(exact, _distances_to_stack(stack, gallery.strips)):
             out[i] = _ranked(probes[i].sequence_id, gallery, eligible[i], dists[eligible[i]], k)
     bounded = [i for i, rows in enumerate(eligible) if k is not None and k < len(rows)]
     for first in range(0, len(bounded), GROUP_PROBES):
         group = bounded[first : first + GROUP_PROBES]
         strips = np.array([probes[i].strips for i in group])
+        _refuse_nan(strips, probes, group)
         wide = strips.astype(np.float64)
         # NaN for rows a probe does not rank: partitioned last, below no cut
         lo = np.full((len(group), len(gallery)), np.nan)
@@ -277,7 +289,7 @@ def rank_gallery(probe: FeatureMap, gallery: FeatureSet, k: int | None = None) -
 
     The probe's own sequence_id is excluded. Ties are broken by ascending
     sequence_id so rankings are deterministic. ``k=None`` ranks the whole
-    gallery.
+    gallery. A probe holding a NaN is a NonFiniteError naming it.
     """
     rows = _eligible_rows(probe, gallery)
     _check_k(k)

@@ -14,6 +14,7 @@ from gaitrerank.errors import (
     ShapeError,
 )
 from gaitrerank.feature_store import (
+    PARTITIONS,
     FeatureMap,
     FeatureSet,
     load_feature_set,
@@ -60,6 +61,58 @@ def test_manifest_sidecar_contents(tmp_path, small_set):
     assert set(manifest) == set(small_set.ids())
     rec = manifest[small_set.ids()[0]]
     assert rec == {"identity": "id000", "partition": "train"}
+
+
+def ref_saved_bytes(fs):
+    """save_feature_set's two files as an entry-at-a-time loop and json's
+    own indenting encoder write them: the chunked writer and its manifest
+    template must give these bytes."""
+    blob = struct.pack("<4sIII", b"GFM1", len(fs), fs.s, fs.d)
+    for sid, iid, row in zip(fs.sequence_ids, fs.identity_ids, fs.strips):
+        for text in (sid, iid):
+            raw = text.encode("utf-8")
+            blob += struct.pack("<H", len(raw)) + raw
+        blob += row.astype("<f4").tobytes()
+    manifest = {sid: {"identity": iid, "partition": fs.partition}
+                for sid, iid in zip(fs.sequence_ids, fs.identity_ids)}
+    return blob, (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
+# non-ASCII, quotes, backslashes, control characters and mixed lengths
+ODD_IDS = ["\u00e9-\u00fc", 'q"uote', "back\\slash", "ctl\x00\x01\x1f\x7f", "tab\tline\n",
+           "emoji\U0001f600", "long" * 300, "a", "Z", " lead"]
+
+
+@pytest.mark.parametrize("partition", PARTITIONS)
+@pytest.mark.parametrize(
+    "n, write_rows",
+    [(0, 1), (1, 256), (10, 256), (10, 3), (10, 1)],
+    ids=["empty", "one-entry", "one-write", "ends-mid-write", "one-entry-per-write"],
+)
+def test_save_writes_the_reference_bytes(tmp_path, monkeypatch, partition, n, write_rows):
+    s, d = 3, 5
+    monkeypatch.setattr(feature_store, "WRITE_BYTES", 4 * s * d * write_rows)
+    values = np.random.default_rng(n).standard_normal((n, s, d))
+    fs = FeatureSet(values, tuple(ODD_IDS[:n]), tuple(sid[::-1] + "\u2603" for sid in ODD_IDS[:n]),
+                    partition)
+    path = tmp_path / "feat.gfm"
+    save_feature_set(fs, path)
+    assert (path.read_bytes(), manifest_path(path).read_bytes()) == ref_saved_bytes(fs)
+
+
+def test_save_holds_one_write_of_values_at_a_time(tmp_path):
+    fs = FeatureSet.from_entries(make_maps(250, 4, 16, 64, seed=6))
+    path = tmp_path / "feat.gfm"
+    tracemalloc.start()
+    try:
+        save_feature_set(fs, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert load_feature_set(path).strips.tobytes() == fs.strips.tobytes()
+    # one write's values (1 MB), its ids and the 71 KB manifest; the file
+    # held whole would take all of strips.nbytes (4 MB)
+    assert peak < feature_store.WRITE_BYTES + (256 << 10) < fs.strips.nbytes / 2, peak
 
 
 def test_load_missing_file(tmp_path):

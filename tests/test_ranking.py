@@ -225,6 +225,28 @@ def test_top_k_is_the_exact_full_list_prefix_bitwise(scale, ties):
             assert _bitwise(rank_gallery(probe, gallery, k)) == _bitwise(want), (probe, k)
 
 
+@pytest.mark.parametrize("group", [1, 16])
+@pytest.mark.parametrize("k", [None, 3])
+def test_a_probe_holding_a_nan_is_refused_by_name(monkeypatch, k, group):
+    monkeypatch.setattr(ranking, "GROUP_PROBES", group)
+    # every distance of a NaN probe is NaN and every lower bound 0: its k=3
+    # list was the first eligible rows in entry order (g00, g02, g05), not
+    # the prefix of its full list (g00, g01, g02)
+    values = np.random.default_rng(5).standard_normal((8, 2, 3))
+    sids = tuple(f"g{i:02d}" for i in (0, 5, 2, 7, 1, 4, 6, 3))
+    gallery = FeatureSet(values, sids, sids)
+    nan = values[0].copy()
+    nan[1, 2] = np.nan
+    probes = [gallery.entries[1], FeatureMap("p-nan", "p", nan), FeatureMap("g03", "g", nan)]
+    with pytest.raises(NonFiniteError, match=r"^NaN in probe 'p-nan'$"):
+        rank_gallery(probes[1], gallery, k)
+    # in one group or one group per probe, the first NaN probe is named
+    with pytest.raises(NonFiniteError, match=r"^NaN in probe 'p-nan'$"):
+        rank_all(probes, gallery, k)
+    with pytest.raises(NonFiniteError, match=r"^NaN in probe 'g03'$"):
+        rank_all(probes[::-1], gallery, k)
+
+
 @pytest.mark.parametrize(
     "kind", ["normal", "offset", "mixed-scales", "quantised", "tiny", "huge-finite"]
 )

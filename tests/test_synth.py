@@ -1,8 +1,62 @@
 import numpy as np
 import pytest
 
+from gaitrerank import synth
 from gaitrerank.feature_store import FeatureSet
-from gaitrerank.synth import describe, generate
+from gaitrerank.synth import COVARIATE_SCALE, SIGMA_CENTER, SIGMA_ROWS, describe, generate
+
+
+def ref_generate(identities, per_identity, s, d, hardness, noise, seed):
+    """generate as a loop that draws and stores one sequence at a time:
+    the chunked draws must give its strips bit for bit."""
+    rng = np.random.default_rng(seed)
+    bases = []
+    for first in range(0, identities, 2):
+        center = rng.normal(0.0, SIGMA_CENTER, size=d)
+        rows = rng.normal(0.0, SIGMA_ROWS, size=(s, d))
+        bases.append(center + rows)
+        if first + 1 < identities:
+            bases.append(center + np.roll(rows, 1, axis=0))
+    covariate = COVARIATE_SCALE * hardness * noise
+    strips = np.empty((identities * per_identity, s, d), dtype=np.float32)
+    sequence_ids, identity_ids = [], []
+    for i, base in enumerate(bases):
+        blended = (1.0 - hardness) * base + hardness * base.mean(axis=0)
+        ident = f"id{i:03d}"
+        for t in range(per_identity):
+            shift = covariate * rng.standard_normal(d)
+            strips[i * per_identity + t] = blended + shift + noise * rng.standard_normal((s, d))
+            sequence_ids.append(f"{ident}-{t:02d}")
+            identity_ids.append(ident)
+    return strips, tuple(sequence_ids), tuple(identity_ids)
+
+
+@pytest.mark.parametrize(
+    "identities, per_identity, s, d, hardness, noise",
+    [
+        (7, 3, 4, 8, 0.5, 0.2),  # odd identities: the last pair has one member
+        (2, 2, 2, 1, 0.3, 0.1),  # the smallest set
+        (3, 2, 5, 6, 0.7, 0.3),  # less than one chunk
+        (9, 5, 3, 4, 0.7, 0.3),  # 45 sequences: ends mid-chunk
+        (4, 4, 3, 2, 0.6, 0.4),  # exactly one chunk
+        (6, 3, 9, 1, 0.7, 0.3),  # s = 9, d = 1: means over nine values
+        (5, 4, 4, 6, 0.5, 0.0),  # no noise
+        (5, 4, 4, 6, 0.0, 0.3),  # hardness 0: no blend, no covariate
+        (5, 4, 4, 6, 1.0, 0.3),  # hardness 1: every base its mean row
+        (40, 6, 8, 16, 0.7, 0.3),  # the pinned fixture
+    ],
+)
+@pytest.mark.parametrize("chunk", [16, 5])
+def test_generate_is_bitwise_the_per_sequence_loop(
+    monkeypatch, identities, per_identity, s, d, hardness, noise, chunk
+):
+    monkeypatch.setattr(synth, "CHUNK_SEQUENCES", chunk)
+    fs = generate(identities, per_identity, s, d, hardness, noise, seed=identities + s)
+    strips, sequence_ids, identity_ids = ref_generate(
+        identities, per_identity, s, d, hardness, noise, seed=identities + s
+    )
+    assert fs.strips.tobytes() == strips.tobytes()
+    assert (fs.sequence_ids, fs.identity_ids) == (sequence_ids, identity_ids)
 
 
 def test_generate_is_bitwise_deterministic():
