@@ -58,13 +58,15 @@ class FeatureMap:
     strips: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.ascontiguousarray(self.strips, dtype=np.float32)
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
+        arr = self.strips  # a set's entries, views of its float32 array, are kept as they are
+        if not (type(arr) is np.ndarray and arr.dtype == np.float32 and arr.flags.c_contiguous):
+            arr = np.ascontiguousarray(arr, dtype=np.float32)
+            object.__setattr__(self, "strips", arr)
+        if arr.ndim != 2 or not arr.size:
             raise ShapeError(
                 f"strips of {self.sequence_id!r} must be a non-empty 2-d "
                 f"matrix, got shape {arr.shape}"
             )
-        object.__setattr__(self, "strips", arr)
 
     @property
     def s(self) -> int:

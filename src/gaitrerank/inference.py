@@ -38,11 +38,10 @@ def _rerank_with(score, probe: FeatureMap, initial: RankedList, features, k: int
             f"initial list is for probe {initial.probe_id!r}, "
             f"got features for {probe.sequence_id!r}"
         )
-    items = initial.items
-    if not items:
+    if not len(initial):
         raise DataError(f"probe {initial.probe_id!r}: empty initial list")
-    kk = min(k, len(items))
-    ids = [cid for cid, _ in items[:kk]]
+    kk = min(k, len(initial))
+    ids = initial.ids(kk)
     try:
         if isinstance(features, FeatureSet):
             row = features.row_of
@@ -82,25 +81,19 @@ def splice_reordered(
     [0, first-tail-distance]. Returns ``initial`` itself when the order is
     already correct, so an order-preserving re-rank is a byte-level no-op.
     """
-    prefix, tail = initial.items[:kk], initial.items[kk:]
-    order = sorted(range(kk), key=lambda i: (values[i], prefix[i][0]))
+    prefix = initial.ids(kk)
+    order = sorted(range(kk), key=lambda i: (values[i], prefix[i]))
     if order == list(range(kk)):
         return initial
-    ranked = [float(values[i]) for i in order]
-    if tail:
-        bound = tail[0][1]
+    ranked = np.asarray(values, dtype=np.float64)[order]
+    tail = initial.dists[kk:]
+    if len(tail):
         lo, hi = ranked[0], ranked[-1]
-        if hi > lo:
-            # clamp: the affine map can overshoot bound by one ulp
-            scaled = [min((x - lo) * bound / (hi - lo), bound) for x in ranked]
-        else:
-            scaled = [0.0] * kk
-    else:
-        scaled = ranked
-    new_items = tuple(
-        (prefix[i][0], float(x)) for i, x in zip(order, scaled)
-    ) + tuple(tail)
-    return RankedList(probe_id=initial.probe_id, items=new_items)
+        # clamp: the affine map can overshoot tail[0] by one ulp
+        ranked = (np.minimum((ranked - lo) * tail[0] / (hi - lo), tail[0]) if hi > lo
+                  else np.zeros(kk))
+    return RankedList(initial.probe_id, dists=np.concatenate([ranked, tail]),
+                      ids=tuple([prefix[i] for i in order] + initial.ids()[kk:]))
 
 
 def rerank_all(

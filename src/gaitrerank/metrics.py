@@ -39,11 +39,8 @@ def rank_k_accuracy(
     hits = {k: 0 for k in ks}
     for rl in lists:
         probe_ident = _identity_of(identities, rl.probe_id)
-        match_pos = None
-        for pos, (cid, _) in enumerate(rl.items, start=1):
-            if _identity_of(identities, cid) == probe_ident:
-                match_pos = pos
-                break
+        match_pos = next((pos for pos, cid in enumerate(rl.ids(), start=1)
+                          if _identity_of(identities, cid) == probe_ident), None)
         for k in ks:
             if match_pos is not None and match_pos <= k:
                 hits[k] += 1
@@ -55,7 +52,7 @@ def average_precision(rl: RankedList, identities: Mapping[str, str]) -> float | 
     probe_ident = _identity_of(identities, rl.probe_id)
     precisions = []
     seen = 0
-    for pos, (cid, _) in enumerate(rl.items, start=1):
+    for pos, cid in enumerate(rl.ids(), start=1):
         if _identity_of(identities, cid) == probe_ident:
             seen += 1
             precisions.append(seen / pos)
@@ -90,22 +87,20 @@ def tpr_at_fpr(
     _check_k(k)
     if not all(0.0 <= t <= 1.0 for t in fprs):
         raise DataError(f"all FPR targets must lie in [0, 1], got {list(fprs)}")
-    scores = []
-    labels = []
+    dists, labels = [], []
     for rl in lists:
         probe_ident = _identity_of(identities, rl.probe_id)
-        for cid, dist in rl.items[:k]:
-            scores.append(-dist)
-            labels.append(_identity_of(identities, cid) == probe_ident)
+        dists += rl.dists[:k].tolist()
+        labels += [_identity_of(identities, cid) == probe_ident for cid in rl.ids(k)]
     pos = sum(labels)
     neg = len(labels) - pos
     if pos == 0 or neg == 0:
         raise DataError(
             f"degenerate pair pool: {pos} positives, {neg} negatives"
         )
-    order = np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
+    order = np.argsort(np.asarray(dists, dtype=np.float64), kind="stable")  # -score ascending
     y = np.asarray(labels, dtype=bool)[order]
-    s = np.asarray(scores, dtype=np.float64)[order]
+    s = np.asarray(dists, dtype=np.float64)[order]
     tp = np.cumsum(y)
     fp = np.cumsum(~y)
     # thresholds at distinct score values only: last index of each run

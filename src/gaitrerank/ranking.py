@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -42,21 +41,49 @@ from .errors import DataError, FormatError, NonFiniteError, ShapeError
 from .feature_store import FeatureMap, FeatureSet, _bound_slack, _read_text, _write_atomic
 
 
-@dataclass(frozen=True)
 class RankedList:
-    """A probe id plus gallery candidates sorted ascending by distance."""
+    """A probe id plus gallery candidates sorted ascending by distance, held
+    as columns: ``dists``, a read-only float64 array, and the ids, a tuple
+    or, from stage one, the gallery's id tuple and the intp ``rows`` picked
+    from it. ``RankedList(probe_id, items)`` takes (id, distance) pairs, and
+    ``items`` builds them when read. Lists are equal by value, so unhashable.
+    """
 
-    probe_id: str
-    items: tuple[tuple[str, float], ...]
+    __slots__ = ("probe_id", "dists", "_ids", "_rows")
+
+    def __init__(self, probe_id: str, items: Iterable[tuple[str, float]] = (), *,
+                 dists=None, ids: Sequence[str] = (), rows: np.ndarray | None = None) -> None:
+        if dists is None:
+            items = tuple(items)
+            dists, ids = [d for _, d in items], tuple(cid for cid, _ in items)
+        dists = np.asarray(dists, dtype=np.float64).view()  # shares an array argument's memory
+        dists.flags.writeable = False
+        self.probe_id, self.dists, self._ids, self._rows = probe_id, dists, ids, rows
 
     def __len__(self) -> int:
-        return len(self.items)
+        return len(self.dists)
 
-    def ids(self) -> list[str]:
-        return [cid for cid, _ in self.items]
+    def __eq__(self, other):
+        if not isinstance(other, RankedList):
+            return NotImplemented
+        return (self.probe_id == other.probe_id and np.array_equal(self.dists, other.dists)
+                and self.ids() == other.ids())
+
+    def __repr__(self) -> str:
+        return f"RankedList({self.probe_id!r}, {self.items!r})"
+
+    @property
+    def items(self) -> tuple[tuple[str, float], ...]:
+        return tuple(zip(self.ids(), self.dists.tolist()))
+
+    def ids(self, stop: int | None = None) -> list[str]:
+        """The candidate ids, the first ``stop`` of them given ``stop``."""
+        if self._rows is None:
+            return list(self._ids[:stop])
+        return list(map(self._ids.__getitem__, self._rows[:stop].tolist()))
 
     def distances(self) -> list[float]:
-        return [d for _, d in self.items]
+        return self.dists.tolist()
 
 
 def strip_mean_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -201,29 +228,17 @@ def _distance_bounds(probes: np.ndarray, gallery: FeatureSet) -> np.ndarray:
     return out
 
 
-def _eligible_rows(probe: FeatureMap, gallery: FeatureSet) -> np.ndarray:
-    """The gallery rows ``probe`` ranks against: all but its own id."""
+def _own_row(probe: FeatureMap, gallery: FeatureSet) -> int:
+    """The gallery row of ``probe``'s own id, which it does not rank, or -1."""
     if probe.strips.shape != (gallery.s, gallery.d):
         raise ShapeError(
             f"probe {probe.sequence_id!r} is {probe.strips.shape}, "
             f"gallery declares ({gallery.s}, {gallery.d})"
         )
-    rows = np.flatnonzero(gallery.id_rank != gallery.rank_of.get(probe.sequence_id, -1))
-    if not len(rows):
+    row = gallery.row_of.get(probe.sequence_id, -1)
+    if len(gallery) - (row >= 0) < 1:
         raise DataError(f"empty effective gallery for probe {probe.sequence_id!r}")
-    return rows
-
-
-def _ranked(probe_id: str, gallery: FeatureSet, rows: np.ndarray, dists: np.ndarray,
-            k: int | None) -> RankedList:
-    """The first k of ``rows`` by (distance, sequence id); ``dists`` holds
-    their distances."""
-    order = np.lexsort((gallery.id_rank[rows], dists))[:k]
-    ids = gallery.sequence_ids
-    return RankedList(
-        probe_id=probe_id,
-        items=tuple(zip([ids[i] for i in rows[order].tolist()], dists[order].tolist())),
-    )
+    return row
 
 
 def _check_k(k: int | None) -> None:
@@ -241,30 +256,45 @@ def _refuse_nan(stack: np.ndarray, probes: Sequence[FeatureMap], group: Sequence
         raise NonFiniteError(f"NaN in probe {probes[first].sequence_id!r}")
 
 
-def _rank(probes: Sequence[FeatureMap], eligible: Sequence[np.ndarray], gallery: FeatureSet,
+def _drop_own(values: np.ndarray, own: np.ndarray) -> np.ndarray:
+    """``values`` with NaN, sorted last, at each row's ``own`` column (-1: none)."""
+    at = np.flatnonzero(own >= 0)
+    values[at, own[at]] = np.nan
+    return values
+
+
+def _rank(probes: Sequence[FeatureMap], own: np.ndarray, gallery: FeatureSet,
           k: int | None) -> list[RankedList]:
-    """Each probe's top k (all with ``k=None``) of its ``eligible`` rows.
-    Probes whose k reaches their eligible rows take one exact pass over
-    the gallery together; the others are bounded ``GROUP_PROBES`` at a
-    time, and each group scores exactly, in two pair passes, each probe's
-    k lowest-bound rows and then the other rows that can reach its k-th."""
+    """Each probe's top k (all with ``k=None``) of the gallery rows but its
+    ``own`` row (-1 for none). Probes whose k reaches their eligible rows
+    take one exact pass over the gallery together, then one stable sort
+    per ``GROUP_PROBES`` of their distances with the rows in id order; the
+    others are bounded ``GROUP_PROBES`` at a time, and each group scores
+    exactly, in two pair passes, each probe's k lowest-bound rows and then
+    the other rows that can reach its k-th."""
     out: list = [None] * len(probes)
-    exact = [i for i, rows in enumerate(eligible) if k is None or k >= len(rows)]
+    eligible = (len(gallery) - (own >= 0)).tolist()
+    exact = [i for i, m in enumerate(eligible) if k is None or k >= m]
     if exact:
         stack = np.array([probes[i].strips for i in exact], dtype=np.float64)
         _refuse_nan(stack, probes, exact)
-        for i, dists in zip(exact, _distances_to_stack(stack, gallery.strips)):
-            out[i] = _ranked(probes[i].sequence_id, gallery, eligible[i], dists[eligible[i]], k)
-    bounded = [i for i, rows in enumerate(eligible) if k is not None and k < len(rows)]
+        dists = _drop_own(_distances_to_stack(stack, gallery.strips), own[exact])
+        by_id = np.argsort(gallery.id_rank)  # the rows in tie-break order
+        for first in range(0, len(exact), GROUP_PROBES):
+            block = dists[first : first + GROUP_PROBES, by_id]
+            order = np.argsort(block, axis=1, kind="stable")
+            block, rows = np.take_along_axis(block, order, axis=1), by_id[order]
+            for i, top, top_rows in zip(exact[first:], block, rows):
+                out[i] = RankedList(probes[i].sequence_id, dists=top[: eligible[i]],
+                                    ids=gallery.sequence_ids, rows=top_rows[: eligible[i]])
+    bounded = [i for i, m in enumerate(eligible) if k is not None and k < m]
     for first in range(0, len(bounded), GROUP_PROBES):
         group = bounded[first : first + GROUP_PROBES]
         strips = np.array([probes[i].strips for i in group])
         _refuse_nan(strips, probes, group)
         wide = strips.astype(np.float64)
-        # NaN for rows a probe does not rank: partitioned last, below no cut
-        lo = np.full((len(group), len(gallery)), np.nan)
-        for row, bounds, i in zip(lo, _distance_bounds(strips, gallery), group):
-            row[eligible[i]] = bounds[eligible[i]]
+        # a probe's own row is partitioned last, below no cut
+        lo = _drop_own(_distance_bounds(strips, gallery), own[group])
         # any k rows' largest exact distance is at least the k-th smallest
         # (ties included), so no row whose lower bound exceeds it is needed
         picks = np.argpartition(lo, k - 1, axis=1)[:, :k]
@@ -280,7 +310,8 @@ def _rank(probes: Sequence[FeatureMap], eligible: Sequence[np.ndarray], gallery:
         order = np.lexsort((gallery.id_rank[rows], dists, owner))
         for i, start in zip(group, np.searchsorted(owner[order], np.arange(len(group)))):
             top = order[start : start + k]
-            out[i] = _ranked(probes[i].sequence_id, gallery, rows[top], dists[top], k)
+            out[i] = RankedList(probes[i].sequence_id, dists=dists[top],
+                                ids=gallery.sequence_ids, rows=rows[top])
     return out
 
 
@@ -291,9 +322,9 @@ def rank_gallery(probe: FeatureMap, gallery: FeatureSet, k: int | None = None) -
     sequence_id so rankings are deterministic. ``k=None`` ranks the whole
     gallery. A probe holding a NaN is a NonFiniteError naming it.
     """
-    rows = _eligible_rows(probe, gallery)
+    own = _own_row(probe, gallery)
     _check_k(k)
-    return _rank([probe], [rows], gallery, k)[0]
+    return _rank([probe], np.array([own]), gallery, k)[0]
 
 
 def rank_all(probes, gallery: FeatureSet, k: int | None = None) -> list[RankedList]:
@@ -303,18 +334,16 @@ def rank_all(probes, gallery: FeatureSet, k: int | None = None) -> list[RankedLi
     lists one bound pass per group of probes."""
     _check_k(k)
     probes = list(probes)
-    eligible = []
+    own = []
     for probe in probes:
         try:
-            eligible.append(_eligible_rows(probe, gallery))
+            own.append(_own_row(probe, gallery))
         except (DataError, ShapeError) as exc:
             raise type(exc)(f"probe {probe.sequence_id!r}: {exc}") from exc
-    return _rank(probes, eligible, gallery, k)
+    return _rank(probes, np.array(own, dtype=np.intp), gallery, k)
 
 
-# one record per call on json's C encoder: the bytes of
-# json.dumps(record, separators=(",", ":"), allow_nan=False)
-_encode_record = json.JSONEncoder(separators=(",", ":"), allow_nan=False, check_circular=False).encode
+_escape = json.encoder.encode_basestring_ascii
 
 
 def write_ranked_lists(
@@ -323,18 +352,20 @@ def write_ranked_lists(
     latencies_ms: Sequence[float] | None = None,
 ) -> None:
     """One JSON record per probe, written as it is formatted; optional
-    per-probe latency field. A NaN or infinite value, which
+    per-probe latency field. Each line holds the bytes of ``json.dumps(record,
+    separators=(",", ":"), allow_nan=False)``: ids escaped as json escapes
+    them, distances as ``repr`` of a float. A NaN or infinite value, which
     ``read_ranked_lists`` would reject, is a NonFiniteError naming the
     probe, and leaves the previous file or none."""
     with _write_atomic(path, "w") as fh:
         for i, rl in enumerate(lists):
-            rec = {"probe_id": rl.probe_id, "items": rl.items}
-            if latencies_ms is not None:
-                rec["latency_ms"] = latencies_ms[i]
-            try:
-                fh.write(_encode_record(rec) + "\n")
-            except ValueError as exc:
-                raise NonFiniteError(f"probe {rl.probe_id!r}: NaN or Inf in its ranked list") from exc
+            latency = [] if latencies_ms is None else [latencies_ms[i]]
+            if not (np.isfinite(rl.dists).all() and np.isfinite(latency).all()):
+                raise NonFiniteError(f"probe {rl.probe_id!r}: NaN or Inf in its ranked list")
+            pairs = zip(map(_escape, rl.ids()), rl.dists.tolist())
+            items = ",".join([f"[{cid},{d!r}]" for cid, d in pairs])
+            tail = "".join(f',"latency_ms":{json.dumps(x)}' for x in latency)
+            fh.write(f'{{"probe_id":{_escape(rl.probe_id)},"items":[{items}]{tail}}}\n')
 
 
 # the parsed JSON types a record field of each kind accepts: nothing is
@@ -362,15 +393,14 @@ def read_ranked_lists(path) -> list[RankedList]:
             probe_id = _json_values([rec["probe_id"]], str)[0]
             pairs = _json_values(rec["items"], list)
             ids = _json_values([cid for cid, _ in pairs], str)  # a ValueError unless pairs
-            rl = RankedList(probe_id, tuple(zip(ids, _json_values([d for _, d in pairs], float))))
+            dists = np.array(_json_values([d for _, d in pairs], float))
         except (json.JSONDecodeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise FormatError(f"{path}:{lineno}: bad ranked-list record ({exc})") from exc
-        dists = rl.distances()
-        if not all(math.isfinite(d) for d in dists):
+        if not np.isfinite(dists).all():
             raise NonFiniteError(f"{path}:{lineno}: NaN or Inf distance")
-        if any(b < a for a, b in zip(dists, dists[1:])):
+        if (np.diff(dists) < 0).any():
             raise FormatError(f"{path}:{lineno}: distances are not ascending")
-        if len(set(rl.ids())) != len(pairs):
+        if len(set(ids)) != len(ids):
             raise FormatError(f"{path}:{lineno}: duplicate candidate id")
-        out.append(rl)
+        out.append(RankedList(probe_id, dists=dists, ids=ids))
     return out

@@ -33,6 +33,13 @@ def test_feature_map_coerces_to_float32():
     assert m.strips.dtype == np.float32
     assert m.strips.flags["C_CONTIGUOUS"]
     assert (m.s, m.d) == (2, 3)
+    wide = np.arange(12, dtype=np.float32).reshape(3, 4)
+    for given in (wide.tolist(), wide.T.copy().T, wide.astype(">f4")):
+        m = FeatureMap("a-00", "a", given)
+        assert m.strips.dtype == np.float32 and m.strips.flags["C_CONTIGUOUS"]
+        assert m.strips.dtype.isnative and m.strips.tobytes() == wide.tobytes()
+    # a contiguous float32 matrix, as every entry of a set is, is kept as it is
+    assert FeatureMap("a-00", "a", wide).strips is wide
 
 
 def test_feature_map_rejects_bad_shapes():
@@ -40,6 +47,9 @@ def test_feature_map_rejects_bad_shapes():
         FeatureMap("a-00", "a", np.ones(3))
     with pytest.raises(ShapeError):
         FeatureMap("a-00", "a", np.ones((0, 3)))
+    for bad in (np.ones((2, 2, 2), dtype=np.float32), np.ones((2, 0), dtype=np.float32)):
+        with pytest.raises(ShapeError):
+            FeatureMap("a-00", "a", bad)
 
 
 def test_roundtrip_is_bit_exact(tmp_path, small_set):
@@ -251,7 +261,7 @@ def _assert_entries_view_the_array(fs):
     assert fs.strips.dtype == np.float32 and not fs.strips.flags.writeable
     assert fs.strips.shape == (len(fs), fs.s, fs.d)
     for row, e in zip(fs.strips, fs.entries):
-        assert np.shares_memory(e.strips, fs.strips)
+        assert np.shares_memory(e.strips, fs.strips) and not e.strips.flags.writeable
         assert e.strips.tobytes() == row.tobytes()
 
 

@@ -1,5 +1,6 @@
-"""Property test of the ranked-list writer: the lines it builds by hand
-are the bytes ``json.dumps(record, separators=(",", ":"))`` writes."""
+"""The ranked-list writer builds each line from a list's columns; these
+tests hold it to the bytes ``json.dumps(record, separators=(",", ":"))``
+writes, for hand-built lists (a property) and stage one's lists."""
 
 import json
 import sys
@@ -10,7 +11,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from gaitrerank.ranking import RankedList, write_ranked_lists
+from gaitrerank.feature_store import FeatureMap, FeatureSet
+from gaitrerank.ranking import RankedList, rank_all, write_ranked_lists
 
 EDGE_FLOATS = [-0.0, 0.0, 5e-324, 1e16, 1e-5, 1e-4, 0.1, 123456789.0, sys.float_info.max]
 FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS),
@@ -47,3 +49,41 @@ def test_writer_bytes_equal_json_dumps(tmp_path, lists, latencies, timed):
     path = tmp_path / "lists.jsonl"
     write_ranked_lists(lists, path, latencies_ms=latencies_ms)
     assert path.read_bytes() == json_dumps_lines(lists, latencies_ms)
+
+
+def json_dumps_record(rl, latency=None) -> bytes:
+    rec: dict = {"probe_id": rl.probe_id, "items": [[cid, d] for cid, d in rl.items]}
+    if latency is not None:
+        rec["latency_ms"] = latency
+    return (json.dumps(rec, separators=(",", ":"), allow_nan=False) + "\n").encode("utf-8")
+
+
+ODD_IDS = ['q"uote', "back\\slash", "tab\tnl\n", "nul\x00", "\x1f\x7f", "é", "日本", "\U0001f600"]
+
+
+def test_stage_one_and_hand_built_lists_write_json_dumps_bytes(tmp_path):
+    values = np.random.default_rng(3).standard_normal((len(ODD_IDS), 2, 3))
+    values[-1] = values[0]  # a tie, broken by id
+    gallery = FeatureSet.from_entries(
+        [FeatureMap(sid, "x", v) for sid, v in zip(ODD_IDS, values)])
+    lists = rank_all(gallery, gallery) + rank_all(gallery, gallery, k=3)
+    lists += [
+        RankedList("empty", ()),
+        RankedList("é\"\\", [(ODD_IDS[0], 0.0), (ODD_IDS[1], 5e-324), ("big", 1e308)]),
+        RankedList("integral", [("a", 1.0), ("b", 2.0), ("c", 1e16), ("d", 123456789.0)]),
+    ]
+    latencies = [0.125 * i for i in range(len(lists))]
+    path = tmp_path / "lists.jsonl"
+    for timed in (None, latencies):
+        write_ranked_lists(lists, path, latencies_ms=timed)
+        want = [json_dumps_record(rl, None if timed is None else timed[i])
+                for i, rl in enumerate(lists)]
+        assert path.read_bytes() == b"".join(want)
+    assert b'"latency_ms":0.125}' in path.read_bytes()
+
+
+def test_an_int_distance_is_written_as_a_float(tmp_path):
+    # a list holds its distances as float64, as the reader returns them
+    path = tmp_path / "lists.jsonl"
+    write_ranked_lists([RankedList("p", [("a", 1), ("b", 2)])], path)
+    assert path.read_bytes() == b'{"probe_id":"p","items":[["a",1.0],["b",2.0]]}\n'

@@ -10,7 +10,7 @@ from gaitrerank.cli import main
 from gaitrerank.baseline import BaselineConfig, baseline_rerank, init_baseline
 from gaitrerank.errors import DataError, FormatError, NonFiniteError, ShapeError
 from gaitrerank.feature_store import FeatureMap, FeatureSet
-from gaitrerank.inference import rerank_all
+from gaitrerank.inference import rerank_all, splice_reordered
 from gaitrerank.ranking import (
     RankedList,
     rank_all,
@@ -502,8 +502,10 @@ def test_ranked_lists_writer_refuses_non_finite_distances(tmp_path):
     finite = [RankedList("p", (("a", 0.5),))]
     write_ranked_lists(finite, path)
     before = path.read_bytes()
-    with pytest.raises(NonFiniteError, match="'p-01'"):
-        write_ranked_lists(lists, path)
+    for bad in (math.nan, math.inf, -math.inf):
+        lists[1] = RankedList("p-01", (("a-00", 0.5), ("b-00", bad)))
+        with pytest.raises(NonFiniteError, match="'p-01'"):
+            write_ranked_lists(lists, path)
     with pytest.raises(NonFiniteError, match="'p'"):
         write_ranked_lists(finite, path, latencies_ms=[math.inf])
     assert path.read_bytes() == before
@@ -575,3 +577,46 @@ def test_rank_all_full_lists_name_the_failing_probe():
     with pytest.raises(DataError) as exc:
         rank_all(alone, alone)
     assert str(exc.value) == "probe 'g000': empty effective gallery for probe 'g000'"
+
+
+def test_a_columnar_list_compares_by_value_with_an_items_built_one():
+    gallery = _gallery(np.random.default_rng(2).standard_normal((6, 2, 3)))
+    probe = gallery.entries[0]
+    for rl in (rank_gallery(probe, gallery), rank_gallery(probe, gallery, k=2)):
+        assert type(rl.items) is tuple and len(rl.items) == len(rl)
+        assert all(type(cid) is str and type(d) is float for cid, d in rl.items)
+        built = RankedList(probe.sequence_id, rl.items)
+        assert built == rl and rl == built and not built != rl
+        assert built.ids() == rl.ids() and built.distances() == rl.distances()
+        nudged = list(rl.items)
+        nudged[-1] = (nudged[-1][0], np.nextafter(nudged[-1][1], np.inf))
+        assert RankedList(probe.sequence_id, nudged) != rl
+        assert RankedList("other", rl.items) != rl
+        assert rl != list(rl.items)
+
+
+def test_a_ranked_list_refuses_hashing_and_its_distances_are_read_only():
+    # lists compare by value, so they are not hashable
+    gallery = _gallery(np.ones((3, 2, 2)))
+    rl = rank_gallery(gallery.entries[0], gallery)
+    for lst in (rl, RankedList("p", [("a", 0.5)])):
+        with pytest.raises(TypeError):
+            hash(lst)
+        with pytest.raises(ValueError):
+            lst.dists[0] = 0.0
+    dists = np.array([0.25, 0.5])
+    shared = RankedList("p", dists=dists, ids=("a", "b"))
+    assert dists.flags.writeable and not shared.dists.flags.writeable
+
+
+@pytest.mark.parametrize("k", [None, 4])
+def test_an_unchanged_order_splices_to_the_initial_list_itself(k):
+    gallery = _gallery(np.random.default_rng(4).standard_normal((7, 2, 3)))
+    for initial in (rank_gallery(gallery.entries[0], gallery, k=k),
+                    RankedList("p", [("a", 0.5), ("b", 0.75), ("c", 1.0), ("d", 1.0)])):
+        assert splice_reordered(initial, 3, [0.1, 0.2, 0.3]) is initial
+        # the reversed prefix is rescaled into [0, the first tail distance]
+        spliced = splice_reordered(initial, 3, [3.0, 2.0, 1.0])
+        assert spliced.ids() == initial.ids()[2::-1] + initial.ids()[3:]
+        bound = initial.dists[3]
+        assert spliced.distances() == [0.0, bound / 2, bound] + initial.distances()[3:]
