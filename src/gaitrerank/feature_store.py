@@ -44,6 +44,11 @@ _escape = json.encoder.encode_basestring_ascii
 # write and 142 ms at one 4 KB entry per write (median of 9)
 WRITE_BYTES = 1 << 20
 
+# bytes of values a set's own passes over its array take at a time: the
+# finiteness check's mask of a whole 10,000 x 16 x 64 array, 10 MB, once
+# freed, stayed resident as glibc heap
+PASS_BYTES = 1 << 20
+
 
 @dataclass(frozen=True)
 class FeatureMap:
@@ -86,6 +91,18 @@ def _bound_slack(d: int) -> tuple[float, float]:
     return 2 * g / (1 - g), d * 2.0**-122
 
 
+def _strip_sums(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stage one's strip-sum bound's view of float64 maps ``(m, s, d)``
+    holding float32 values: each map's strips summed over s in float64
+    and rounded to float32, ``(m, d)``, and a float64 ``(m,)`` bound on
+    how far that sum is from the exact one (``ranking._sum_bounds``
+    proves it). A sum beyond float32's range is Inf."""
+    _, s, d = maps.shape
+    with np.errstate(over="ignore"):
+        sums = maps.sum(axis=1).astype(np.float32)
+    return sums, 2.0**-20 * np.sqrt(s * np.einsum("msd,msd->m", maps, maps)) + d * 2.0**-123
+
+
 @dataclass(frozen=True, eq=False)
 class FeatureSet:
     """An ordered, immutable set of same-shape strip maps in one array.
@@ -93,9 +110,14 @@ class FeatureSet:
     ``strips`` is the read-only float32 ``(n, s, d)`` array of all maps in
     entry order, ``sequence_ids`` and ``identity_ids`` the ids in that
     order. The rest (the FeatureMap views in ``entries``, the id -> row
-    index, the ranking keys and the strip norm terms of stage one's
-    bounds) is derived on first use and cached: every layer reads
-    ``strips`` itself instead of copying it.
+    index, the ranking keys and the tables of stage one's bounds) is
+    derived on first use and cached: every layer reads ``strips`` itself
+    instead of copying it. Stage one's top-k cascade first reads
+    ``strip_sums``, each row's strips summed, a float32 ``(n, d)`` table
+    (2.56 MB beside the 41 MB of strips at 10,000 x 16 x 64), built on the
+    first top-k call against a set of ``ranking.CASCADE_ROWS`` rows or
+    more, never at load, then ``strip_norm_terms`` for the rows the sums
+    leave.
 
     A set is valid by construction, however it is built: s and d are at
     least 1 (else ShapeError), the partition is one of ``PARTITIONS``
@@ -122,8 +144,12 @@ class FeatureSet:
         if self.partition not in PARTITIONS:
             raise FormatError(f"unknown partition tag {self.partition!r}")
         n = len(strips)
-        finite = np.isfinite(strips).all(axis=(1, 2))
-        first_bad = int(np.argmin(finite)) if not finite.all() else n
+        first_bad, step = n, max(1, PASS_BYTES // (4 * strips.shape[1] * strips.shape[2]))
+        for start in range(0, n, step):
+            finite = np.isfinite(strips[start : start + step]).all(axis=(1, 2))
+            if not finite.all():
+                first_bad = start + int(np.argmin(finite))
+                break
         first_dup, seen = n, set()
         for i, sid in enumerate(self.sequence_ids):
             if sid in seen:
@@ -224,6 +250,27 @@ class FeatureSet:
         terms = norms.astype(np.float64) * (1 - c) - t
         terms.flags.writeable = False
         return terms
+
+    @cached_property
+    def strip_sums(self) -> tuple[np.ndarray, np.ndarray]:
+        """The gallery side of stage one's strip-sum bounds
+        (``ranking._sum_bounds``), built a block of rows at a time:
+        ``sums``, each row's strips summed over s, float32 ``(n, d)``
+        (2.56 MB at 10,000 x 16 x 64), and float64 ``terms``, ``(2, n)``:
+        the sums' squared norm terms, as ``strip_norm_terms`` has them
+        for strips, and the bound on each sum's rounding (``_strip_sums``)."""
+        n, s, d = self.strips.shape
+        sums, terms = np.empty((n, d), dtype=np.float32), np.empty((2, n))
+        step = max(1, PASS_BYTES // (8 * s * d))
+        work = np.empty((min(n, step), s, d))
+        for start in range(0, n, step):
+            block = work[: min(step, n - start)]
+            np.copyto(block, self.strips[start : start + step])
+            sums[start : start + step], terms[1, start : start + step] = _strip_sums(block)
+        c, t = _bound_slack(d)
+        terms[0] = np.einsum("nd,nd->n", sums, sums).astype(np.float64) * (1 - c) - t
+        sums.flags.writeable = terms.flags.writeable = False
+        return sums, terms
 
 
 def manifest_path(path) -> Path:

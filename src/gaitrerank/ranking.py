@@ -9,24 +9,34 @@ block once and scores all of its probes against it. Candidates are
 selected and ordered by (distance, sequence_id) with numpy, not Python
 sorts, using the id keys the set caches (``FeatureSet.id_rank``).
 
-A top-k call (``1 <= k <`` eligible rows) first bounds every row's
-distance from below through |a|^2 + |b|^2 - 2a.b per strip, the
-decomposition FAISS uses: float32 products of the doubled, negated
-probe with every gallery strip, plus float64 terms of the squared strip
-norms that the set caches once (``FeatureSet.strip_norm_terms``). The
-products are taken one block of gallery rows at a time for all strips,
-so each block is read from memory once, and the float64 arithmetic runs
-over the products of a few blocks at a time: nothing the size of the
-gallery's strips is allocated per call. ``rank_all`` bounds its top-k
-probes ``GROUP_PROBES`` at a time, one GEMM per block for the group.
-Each group then scores exactly, in one pass over (probe, row) pairs,
-each probe's k rows with the smallest lower bounds. The largest of those
-k distances is at least the k-th smallest, so a second pass scores only
-the other rows whose lower bound does not exceed it. The bounds are
-proven (see ``_distance_bounds``) never to exceed the exact float64
-distance, so every row at or below the k-th distance, ties included, is
-scored: the output is bit-identical to ranking the whole gallery. Full
-lists (``k=None``) take the exact path over every row.
+A top-k call (``1 <= k <`` eligible rows) bounds every row's distance
+from below and scores exactly only the rows that can reach the k-th, in
+a cascade of two bounds. The coarse one reads d values a row: with S a
+map's strips summed over s, the distance is at least |S_a - S_b|/s by
+the triangle inequality, and the set caches its rows' sums
+(``FeatureSet.strip_sums``), so one float32 GEMV per probe group forms
+|S_a|^2 + |S_b|^2 - 2S_a.S_b for every row (``_sum_bounds``). Each probe
+scores exactly its k rows with the lowest bounds; the largest of those k
+distances is at least the k-th smallest, so it is the probe's cut. The
+rows whose coarse bound does not exceed the cut are gathered and
+bounded again strip by strip: |a|^2 + |b|^2 - 2a.b per strip, the
+decomposition FAISS uses, from float32 products of the doubled, negated
+probe with the gathered strips plus float64 terms of the squared strip
+norms the set caches (``FeatureSet.strip_norm_terms``); a second exact
+pass scores the rows whose fine bound does not exceed the cut either.
+Where the coarse bound keeps most rows, as on maps drawn independently,
+and against a gallery under ``CASCADE_ROWS``, a probe streams the whole
+gallery through the fine bound instead, a block of rows at a time, so
+each block is read from memory once and nothing the size of the
+gallery's strips is allocated per call, and its picks are its k lowest
+fine bounds (``_lowest_bounds``). ``rank_all``
+bounds its top-k probes ``GROUP_PROBES`` at a time, one GEMM for the
+group, and each group makes its two exact passes over (probe, row)
+pairs. Both bounds are proven (``_distance_bounds``, ``_sum_bounds``)
+never to exceed the exact float64 distance, so every row at or below the
+k-th distance, ties included, is scored: the output is bit-identical to
+ranking the whole gallery. Full lists (``k=None``) take the exact path
+over every row.
 """
 
 from __future__ import annotations
@@ -38,7 +48,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DataError, FormatError, NonFiniteError, ShapeError
-from .feature_store import FeatureMap, FeatureSet, _bound_slack, _read_text, _write_atomic
+from .feature_store import (FeatureMap, FeatureSet, _bound_slack, _read_text, _strip_sums,
+                            _write_atomic)
 
 
 class RankedList:
@@ -121,6 +132,33 @@ BLOCK_BYTES = 1 << 20
 # probe took 7.8-9.0 ms alone, 3.5-4.5 in groups of 10 to 32
 GROUP_PROBES = 16
 
+# the cascade (_lowest_bounds) gathers the rows a probe's strip-sum
+# bounds keep where their share of the gallery, times the root of the
+# probes in its group, is at most DENSE_SHARE, and streams the whole
+# gallery otherwise. k=100 against the 10,000 x 16 x 64 synth gallery
+# at hardness 0 to 0.7 (median shares 0.99 to 0.04): a lone probe took
+# the same 5.7 ms either way at a share of 0.60, and gathering 9.3 ms
+# against 5.8 streaming at 0.99 and 1.6 against 6.0 at 0.04; in groups
+# of 16, which share one streaming pass, the two met near 0.2 (1.9 ms
+# gathering against 2.2 at 0.16, 3.8 against 2.5 at 0.34).
+DENSE_SHARE = 0.6
+
+# the share is estimated on every SAMPLE_STEP-th row, so a probe that
+# then streams reads a sixteenth of the strip sums, not all of them: at
+# hardness 0 a k=100 call took 3-6% longer than without the cascade,
+# and about 10% with the share taken from every row. A strided sample
+# leaves out most of the near rows of a gallery kept in identity order;
+# a prefix kept them and sent some probes to the gathering pass.
+SAMPLE_STEP = 16
+
+# galleries of fewer rows stream without the cascade, whose calls cost
+# about 0.2 ms a probe more: at hardness 0.7, k=100, a lone probe
+# against 1,000 rows at 16 x 64 took 1.49 ms gathering and 1.38
+# streaming, against 2,000 rows 1.20 and 1.51; in groups of 16, 0.86 and
+# 0.72 ms a probe at 2,000 rows and 1.03 and 1.44 at 4,000; at 8 x 16,
+# k=30, 0.49 and 0.32 ms alone at 1,000 rows, 0.51 and 0.64 at 2,000
+CASCADE_ROWS = 2048
+
 
 def _block_rows(s: int, d: int, value_bytes: int) -> int:
     """Gallery rows per block when each value takes ``value_bytes``."""
@@ -166,12 +204,14 @@ def _distances_to_stack(
     return out
 
 
-def _distance_bounds(probes: np.ndarray, gallery: FeatureSet) -> np.ndarray:
+def _distance_bounds(probes: np.ndarray, gallery: FeatureSet,
+                     rows: np.ndarray | None = None) -> np.ndarray:
     """Float64 ``(p, n)`` lower bounds on the distance ``_distances_to_stack``
     returns for each of the float32 probes (``(p, s, d)``; one ``(s, d)``
-    probe counts as p = 1) and each gallery row. A probe with a bound that
-    is not finite (a value, float32 square or product overflowed) gets 0
-    for every row, which keeps every row.
+    probe counts as p = 1) and each gallery row; given ``rows``, the
+    ``(p, m)`` bounds of those rows, gathered a block at a time. A probe
+    with a bound that is not finite (a value, float32 square or product
+    overflowed) gets 0 for every row, which keeps every row.
 
     Per strip, with a the probe strip, b a gallery strip, u = 2**-24 and
     g' = d*u/(1 - d*u), the float32 sums A = |a|^2, B = |b|^2 and
@@ -196,6 +236,8 @@ def _distance_bounds(probes: np.ndarray, gallery: FeatureSet) -> np.ndarray:
     """
     strips, terms = gallery.strips, gallery.strip_norm_terms
     n, s, d = strips.shape
+    if rows is not None:
+        n, terms = len(rows), terms[:, rows]
     probes = probes.reshape(-1, s, d)
     p = len(probes)
     c, _ = _bound_slack(d)
@@ -206,14 +248,20 @@ def _distance_bounds(probes: np.ndarray, gallery: FeatureSet) -> np.ndarray:
     out = np.empty((p, n))
     products = np.empty((s, min(span, n), p), dtype=np.float32)
     work = np.empty(products.shape)
+    gathered = None if rows is None else np.empty((min(step, n), s, d), dtype=np.float32)
     with np.errstate(over="ignore", invalid="ignore"):
         neg2 = np.ascontiguousarray(probes.transpose(1, 2, 0)) * np.float32(-2)
-        own = (1 - c) * np.einsum("psd,psd->sp", probes, probes)[:, None]
+        own = (1 - c) * np.einsum("psd,psd->sp", probes, probes).astype(np.float64)[:, None]
         for start in range(0, n, span):
             stop = min(start + span, n)
             for row in range(start, stop, step):
                 end = min(row + step, stop)
-                np.matmul(strips[row:end].transpose(1, 0, 2), neg2,
+                if rows is None:
+                    block = strips[row:end]
+                else:
+                    block = np.take(strips, rows[row:end], axis=0, out=gathered[: end - row],
+                                    mode="clip")
+                np.matmul(block.transpose(1, 0, 2), neg2,
                           out=products[:, row - start : end - start])
             w = work[:, : stop - start]
             np.add(products[:, : stop - start], terms[:, start:stop, None], out=w)
@@ -223,6 +271,56 @@ def _distance_bounds(probes: np.ndarray, gallery: FeatureSet) -> np.ndarray:
             np.add.reduce(w, axis=0, out=out[:, start:stop].T)
     out *= (1 - (2 * s + d + 8) * 2.0**-53) / s
     # one sum is finite exactly when every bound is
+    if not math.isfinite(out.sum()):
+        out[~np.isfinite(out).all(axis=1)] = 0.0
+    return out
+
+
+def _sum_bounds(probes: np.ndarray, gallery: FeatureSet, rows=slice(None)) -> np.ndarray:
+    """Float64 ``(p, n)`` lower bounds on the distance ``_distances_to_stack``
+    returns for each of the float64 probes holding float32 values
+    (``(p, s, d)``; one ``(s, d)`` probe counts as p = 1) and each gallery
+    row (the ``rows`` slice of them), from d values a row: the rows' strips
+    summed over s (``FeatureSet.strip_sums``), one float32 GEMV or GEMM
+    for all rows. A probe with a bound that is not finite (it holds an
+    Inf, or a float32 sum, square or product overflowed) gets 0 for every
+    row.
+
+    With S a map's strips summed, (1/s)*sum_i |a_i - b_i| >= (1/s)*|S_a - S_b|
+    by the triangle inequality. The float64 sum of a map's strips is off
+    from S by at most gamma_(s-1) times the sum of the absolute terms in
+    any order (Higham, s4.2; sums of float32 values are multiples of
+    2**-149, exact below 2**-96, so nothing underflows), and rounding it
+    to float32 (S', ``_strip_sums``) moves it by at most 2**-24 of its
+    size plus 2**-126. So |S' - S| <= 2**-23 * sqrt(s*F) + sqrt(d)*2**-126
+    by Cauchy-Schwarz over the strips, with F the map's sum of squares,
+    which the float64 sum of the exact squares of float32 values
+    underestimates by a relative gamma_(s*d) at most: e = 2**-20 *
+    sqrt(s*F) + d*2**-123 is almost eight times that bound, and the
+    argument below needs twice it. The sums are float32 vectors of d
+    values, so the argument of ``_distance_bounds`` for one strip holds
+    for them as it stands: with the set's terms L = (1 - c)*B - t of the
+    sums' float32 squared norms B, sqrt(max(L + P + (1 - c)*A, 0)) is at
+    most (1 + 2**-53)*|S'_a - S'_b|, and |S'_a - S'_b| is at most
+    |S_a - S_b| + (e_a + e_b)/7. Subtracting e_b and then e_a leaves at
+    most (1 + 3*2**-53)*|S_a - S_b|, the excess of e covering both
+    subtractions' roundings, and shrinking by (2s + d + 8)*2**-53
+    relative, as ``_distance_bounds`` does, keeps the bound's 1/s at or
+    below ``_distances_to_stack``'s value.
+    """
+    sums, terms = gallery.strip_sums
+    sums, terms = sums[rows], terms[:, rows]
+    _, s, d = gallery.strips.shape
+    own, err = _strip_sums(probes.reshape(-1, s, d))
+    c, _ = _bound_slack(d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.add(np.matmul(own * np.float32(-2), sums.T), terms[0])
+        out += (1 - c) * np.einsum("pd,pd->p", own, own).astype(np.float64)[:, None]
+        np.maximum(out, 0.0, out=out)
+        np.sqrt(out, out=out)
+        out -= terms[1]
+        out -= err[:, None]
+        out *= (1 - (2 * s + d + 8) * 2.0**-53) / s
     if not math.isfinite(out.sum()):
         out[~np.isfinite(out).all(axis=1)] = 0.0
     return out
@@ -263,6 +361,37 @@ def _drop_own(values: np.ndarray, own: np.ndarray) -> np.ndarray:
     return values
 
 
+def _lowest_bounds(strips: np.ndarray, wide: np.ndarray, own: np.ndarray,
+                   gallery: FeatureSet, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lower bounds on the distances of a group of probes (``strips``, and
+    as float64 ``wide``) to the gallery rows, NaN at each one's ``own`` row
+    (-1: none), so it is partitioned last, below no cut; each probe's k
+    rows with the lowest bounds; and which probes took the streaming
+    product bound pass (``_distance_bounds``). The others' bounds come
+    from their rows' strip sums (``_sum_bounds``)."""
+    p, n = len(strips), len(gallery)
+    dense = np.ones(p, dtype=bool)
+    if n >= CASCADE_ROWS:
+        # the share of the rows a probe's cut will keep by their sum
+        # bounds, estimated on a sample: those at or below the distance of
+        # the sampled row that ranks where its k-th pick would
+        rough = _drop_own(_sum_bounds(wide, gallery, np.s_[::SAMPLE_STEP]),
+                          np.where(own % SAMPLE_STEP, -1, own // SAMPLE_STEP))
+        m = rough.shape[1]
+        j = max(0, min(-(-k * m // n), m - 1) - 1)
+        far = gallery.strips[np.argpartition(rough, j, axis=1)[:, j] * SAMPLE_STEP] - wide
+        reach = np.sqrt((far * far).sum(axis=2)).mean(axis=1)
+        dense = (rough <= reach[:, None]).mean(axis=1) > DENSE_SHARE / math.sqrt(p)
+    if dense.all():
+        lo = _distance_bounds(strips, gallery)
+    else:
+        lo = _sum_bounds(wide, gallery)
+        if dense.any():
+            lo[dense] = _distance_bounds(strips[dense], gallery)
+    lo = _drop_own(lo, own)
+    return lo, np.argpartition(lo, k - 1, axis=1)[:, :k], dense
+
+
 def _rank(probes: Sequence[FeatureMap], own: np.ndarray, gallery: FeatureSet,
           k: int | None) -> list[RankedList]:
     """Each probe's top k (all with ``k=None``) of the gallery rows but its
@@ -293,15 +422,19 @@ def _rank(probes: Sequence[FeatureMap], own: np.ndarray, gallery: FeatureSet,
         strips = np.array([probes[i].strips for i in group])
         _refuse_nan(strips, probes, group)
         wide = strips.astype(np.float64)
-        # a probe's own row is partitioned last, below no cut
-        lo = _drop_own(_distance_bounds(strips, gallery), own[group])
+        lo, picks, dense = _lowest_bounds(strips, wide, own[group], gallery, k)
         # any k rows' largest exact distance is at least the k-th smallest
         # (ties included), so no row whose lower bound exceeds it is needed
-        picks = np.argpartition(lo, k - 1, axis=1)[:, :k]
         owner = np.repeat(np.arange(len(group)), k)
         near = _distances_to_stack(wide, gallery.strips, picks.ravel(), owner)
-        below = lo <= near.reshape(-1, k).max(axis=1, keepdims=True)
+        cut = near.reshape(-1, k).max(axis=1)
+        below = lo <= cut[:, None]
         np.put_along_axis(below, picks, False, axis=1)  # scored already
+        # a sparse probe's rows under the cut by their sum bounds, gathered,
+        # are bounded again strip by strip
+        for j in np.flatnonzero(~dense):
+            rows = np.flatnonzero(below[j])
+            below[j, rows] = _distance_bounds(strips[j], gallery, rows)[0] <= cut[j]
         others, rows = np.nonzero(below)
         far = _distances_to_stack(wide, gallery.strips, rows, others)
         owner, rows, dists = (np.concatenate(pair) for pair in

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gaitrerank import ranking
+from gaitrerank import ranking, synth
 from gaitrerank.cli import main
 from gaitrerank.baseline import BaselineConfig, baseline_rerank, init_baseline
 from gaitrerank.errors import DataError, FormatError, NonFiniteError, ShapeError
@@ -248,13 +248,25 @@ def test_a_probe_holding_a_nan_is_refused_by_name(monkeypatch, k, group):
 
 
 @pytest.mark.parametrize(
-    "kind", ["normal", "offset", "mixed-scales", "quantised", "tiny", "huge-finite"]
+    "kind",
+    ["normal", "offset", "mixed-scales", "quantised", "tiny", "huge-finite", "strip-constant",
+     "cancelling-strips"],
 )
 def test_distance_bounds_enclose_every_exact_distance(kind):
     rng = np.random.default_rng(len(kind))
     n, s, d = 200, 6, 33
     values = rng.standard_normal((n, s, d))
-    if kind == "offset":
+    if kind == "strip-constant":
+        # every strip of a map equal: the strip-sum bound is the exact
+        # distance in exact arithmetic, and only its slack keeps it below
+        values = np.repeat(values[:, :1], s, axis=1)
+    elif kind == "cancelling-strips":
+        # strip-constant but for +-2**60 in the first and last strip: the
+        # float64 strip sums lose a column's middle to rounding, which only
+        # the sums' error term covers
+        values = np.repeat(np.round(300 * values[:, :1]), s, axis=1)
+        values[:, 0], values[:, -1] = 2.0**60, -(2.0**60)
+    elif kind == "offset":
         # a large common offset: |a|^2 + |b|^2 - 2a.b cancels almost entirely
         values = 1000.0 + 1e-3 * values
     elif kind == "mixed-scales":
@@ -271,6 +283,10 @@ def test_distance_bounds_enclose_every_exact_distance(kind):
         lo = ranking._distance_bounds(probe.strips, gallery)
         assert (lo <= exact).all()
         assert (lo >= 0).all()
+        by_sums = ranking._sum_bounds(probe.strips.astype(np.float64), gallery)
+        assert (by_sums <= exact).all()
+        if kind == "strip-constant":
+            assert np.allclose(by_sums, exact, rtol=1e-5, atol=1e-4)
 
 
 def test_top_k_rescores_only_rows_that_can_reach_the_kth(monkeypatch):
@@ -337,6 +353,55 @@ def test_rank_all_top_k_groups_equal_per_probe_rank_gallery_bitwise(monkeypatch,
     # index: every row for the huge probe, a few for each of the others
     assert rescored[5] == n
     assert max(rescored[:5] + rescored[6:]) < n // 4, rescored
+
+
+@pytest.mark.parametrize("group", [1, 16])
+def test_top_k_on_a_synth_gallery_gathers_a_few_rows_not_every_row(monkeypatch, group):
+    # identities on strip-constant offsets, as synth draws them: the strip
+    # sums alone rule out most rows, so no probe takes the streaming pass
+    monkeypatch.setattr(ranking, "GROUP_PROBES", group)
+    gallery = synth.generate(600, 4, 8, 16, hardness=0.7, noise=0.3, seed=3)
+    n, k = len(gallery), 20
+    assert n >= ranking.CASCADE_ROWS
+    outside = FeatureMap("zz-outside", "zz", gallery.strips[5] + 0.1)
+    probes = list(gallery.entries[::197]) + [outside]
+    bounded, scored = [], []
+    product, exact = ranking._distance_bounds, ranking._distances_to_stack
+
+    def bounding(strips, gal, rows=None):
+        bounded.append(n if rows is None else len(rows))
+        return product(strips, gal, rows)
+
+    def scoring(wide, stack, rows=None, owner=None):
+        scored.append(len(stack) if rows is None else len(rows))
+        return exact(wide, stack, rows, owner)
+
+    monkeypatch.setattr(ranking, "_distance_bounds", bounding)
+    monkeypatch.setattr(ranking, "_distances_to_stack", scoring)
+    top = rank_all(probes, gallery, k=k)
+    # one gathered product pass per probe, far fewer rows than the gallery's;
+    # the streaming pass would bound all n rows
+    assert len(bounded) == len(probes) and max(bounded) < n // 10, bounded
+    assert sum(scored) < 3 * k * len(probes), scored
+    monkeypatch.undo()
+    full = rank_all(probes, gallery)
+    assert [_bitwise(rl) for rl in top] == [
+        _bitwise(RankedList(rl.probe_id, rl.items[:k])) for rl in full]
+
+
+@pytest.mark.parametrize("crossover", [-1.0, math.inf], ids=["streamed", "gathered"])
+def test_top_k_keeps_rows_tied_at_a_cut_of_zero(monkeypatch, crossover):
+    # four copies of each map: a probe equal to one has four rows at
+    # distance 0, whose bounds are 0 too, so the cut of 0 must keep them all
+    monkeypatch.setattr(ranking, "CASCADE_ROWS", 0)
+    monkeypatch.setattr(ranking, "DENSE_SHARE", crossover)
+    values = np.repeat(np.random.default_rng(0).standard_normal((5, 3, 4)), 4, axis=0)
+    gallery = _gallery(values)
+    probe = FeatureMap("zz", "zz", values[0])
+    full = rank_gallery(probe, gallery)
+    for k in (1, 2, 3, 5):
+        want = RankedList(probe.sequence_id, full.items[:k])
+        assert _bitwise(rank_gallery(probe, gallery, k)) == _bitwise(want), k
 
 
 def _inverted_gallery() -> tuple[FeatureSet, list[FeatureMap]]:

@@ -1,6 +1,9 @@
-"""Property test of stage one: ``rank_all``, full and top-k, against a
-per-probe reference that sorts ``strip_distance`` values in Python."""
+"""Property tests of stage one: ``rank_all``, full and top-k, against a
+per-probe reference that sorts ``strip_distance`` values in Python, and
+the top-k cascade's lists, gathered and streamed, against their full
+lists' prefixes."""
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -52,5 +55,41 @@ def test_rank_all_equals_the_sorted_reference_bitwise(n, s, d, distinct, exponen
             top = rank_all(probes, gallery, k=k)
             assert [rl.probe_id for rl in top] == [p.sequence_id for p in probes]
             # each top-k list is its full list's prefix, bitwise
+            assert [columns(rl) for rl in top] == [
+                (rl.ids()[:k], rl.dists[:k].tobytes()) for rl in full]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    identities=st.integers(2, 10), per_id=st.integers(1, 4), s=st.integers(1, 5),
+    d=st.integers(1, 6), exponent=st.sampled_from([-30, -12, 0, 9, 18]),
+    offset=st.sampled_from([0.0, 0.3, 4.0]), noise=st.sampled_from([0.0, 0.05, 0.5]),
+    group=st.sampled_from([1, 3, 16]), crossover=st.sampled_from([-1.0, 0.3, math.inf]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cascade_top_k_is_the_full_list_prefix_bitwise(identities, per_id, s, d, exponent, offset,
+                                                       noise, group, crossover, seed):
+    # strip-structured galleries as synth draws them: each identity's base
+    # rows plus a strip-constant offset per map, so the strip sums rule out
+    # rows; with no noise and no offset an identity's maps repeat
+    rng = np.random.default_rng(seed)
+    n = identities * per_id
+    owner = np.repeat(np.arange(identities), per_id)
+    values = rng.standard_normal((identities, s, d))[owner]
+    values += offset * rng.standard_normal((n, 1, d)) + noise * rng.standard_normal((n, s, d))
+    values *= 10.0**exponent
+    ids = [f"g{i:02d}" for i in rng.permutation(n)]
+    gallery = FeatureSet(values, tuple(ids), tuple(f"id{i}" for i in owner))
+    probes = [gallery.entries[0], gallery.entries[n // 2],
+              FeatureMap("zz-outside", "zz", values[-1] + 0.25 * 10.0**exponent),
+              FeatureMap(ids[-1], "moved", values[0]),
+              FeatureMap("zz-inf", "zz", np.full((s, d), np.inf))]
+    full = rank_all(probes, gallery)
+    # the cascade runs on any gallery; a crossover of -1 streams every
+    # probe, one of inf gathers every probe's rows
+    with mock.patch.multiple(ranking, CASCADE_ROWS=0, GROUP_PROBES=group,
+                             DENSE_SHARE=crossover):
+        for k in (1, 2, n - 1, n + 3):
+            top = rank_all(probes, gallery, k=k)
             assert [columns(rl) for rl in top] == [
                 (rl.ids()[:k], rl.dists[:k].tobytes()) for rl in full]
