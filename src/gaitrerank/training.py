@@ -118,6 +118,12 @@ class TrainingSet:
     def _eligible(self) -> tuple[TrainingEntry, ...]:
         return tuple(e for e in self.entries if e.eligible)
 
+    @cached_property
+    def _eligible_counts(self) -> np.ndarray:
+        # (eligible, 2): each eligible entry's positive and negative counts
+        counts = [(len(e.positives), len(e.negatives)) for e in self._eligible]
+        return np.array(counts, dtype=np.int64).reshape(-1, 2)
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -237,16 +243,15 @@ def sample_triplets(
         raise DataError("training set has no entry with both a positive and a negative")
     replace = len(eligible) < cfg.batch_probes
     probe_idx = rng.choice(len(eligible), size=cfg.batch_probes, replace=replace)
-    entries = [eligible[i] for i in probe_idx.tolist() for _ in range(cfg.triplets_per_probe)]
+    rows = np.repeat(probe_idx, cfg.triplets_per_probe)
     # one positive then one negative index per triplet, in one call: each
     # element of an array bound draws from the generator exactly as a
     # scalar rng.integers(bound) call would, so the draws are those of a
     # per-triplet loop
-    bounds = np.array([(len(e.positives), len(e.negatives)) for e in entries], dtype=np.int64)
-    picks = rng.integers(bounds).tolist()
+    picks = rng.integers(ts._eligible_counts[rows]).tolist()
     return [
         Triplet(probe_id=e.probe_id, pos_id=e.positives[p], neg_id=e.negatives[n])
-        for e, (p, n) in zip(entries, picks)
+        for e, (p, n) in zip(map(eligible.__getitem__, rows.tolist()), picks)
     ]
 
 

@@ -130,17 +130,50 @@ def test_init_weights_deterministic_and_shaped():
     assert all(np.all(params[f"block{b}.{n}"] == 0) for b in range(2) for n in ("b_q", "b_k", "b_v", "b_o"))
 
 
-@pytest.mark.parametrize("heads,blocks", [(1, 1), (2, 1), (2, 2)])
-def test_cross_attend_matches_scalar_reference(heads, blocks):
+@pytest.mark.parametrize(
+    "heads,hidden,blocks,biases",
+    # head_dim 8, 4 and 4 against d=6, then above, below and equal to d
+    # with every bias non-zero, the key bias included
+    [(1, 8, 1, False), (2, 8, 1, False), (2, 8, 2, False),
+     (1, 8, 1, True), (2, 8, 2, True), (2, 12, 2, True)],
+    ids=["1-1", "2-1", "2-2", "1-1-biases", "2-2-biases", "2-2-biases-d-equals-head_dim"],
+)
+def test_cross_attend_matches_scalar_reference(heads, hidden, blocks, biases):
     """attended_pair conditions each map on the other with one weight set."""
-    cfg = RerankerConfig(s=4, d=6, num_classes=3, heads=heads, hidden=8, blocks=blocks, mlp_hidden=5)
+    cfg = RerankerConfig(s=4, d=6, num_classes=3, heads=heads, hidden=hidden, blocks=blocks,
+                         mlp_hidden=5)
     w = init_weights(cfg, seed=7, dtype=np.float64)
+    if biases:
+        bias_rng = np.random.default_rng(2)
+        for name, arr in w.params().items():
+            if name.startswith("block") and arr.ndim == 1:
+                arr[:] = bias_rng.standard_normal(arr.shape)
     rng = np.random.default_rng(1)
     x = rng.standard_normal((4, 6))
     kv = rng.standard_normal((4, 6))
     e_x, e_kv = attended_pair(x, kv, w)
     np.testing.assert_allclose(e_x, ref_cross_attend(x, kv, w), rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(e_kv, ref_cross_attend(kv, x, w), rtol=1e-12, atol=1e-12)
+
+    # a key bias adds the same amount to every score of a query row: moving
+    # it moves no output bit, and its gradient is exactly zero
+    moved = w.copy()
+    for i in range(blocks):
+        moved.params()[f"block{i}.b_k"][:] += 1.5
+    for got, want in zip(attended_pair(x, kv, moved), (e_x, e_kv)):
+        assert got.tobytes() == want.tobytes()
+    batch = random_batch(cfg, B=3, seed=3)
+    _, grads = forward_backward(batch, w, alpha=0.05, beta=0.1)
+    for i in range(blocks):
+        assert not grads[f"block{i}.b_k"].any()
+    if biases:
+        # zero biases hide the bias terms of the chain rule through the fold
+        pick = np.random.default_rng(4)
+        for name, g in grads.items():
+            for idx in pick.choice(g.size, size=min(4, g.size), replace=False):
+                fd = fd_gradient(batch, w, 0.05, 0.1, name, idx)
+                a = g.reshape(-1)[idx]
+                assert abs(a - fd) <= 1e-4 * max(abs(a), abs(fd), 1e-4), name
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -333,7 +366,7 @@ def test_engine_computes_in_the_parameters_dtype():
     maps, index = batch.unique_maps()
     out, caches = _attention_forward(maps, index[:, 0], index[:, 1], w, want_cache=True)
     arrays = [out, *_arrays(caches)]
-    assert len(arrays) == 1 + 7 * cfg.blocks
+    assert len(arrays) == 3 + 5 * cfg.blocks
     assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
     _, grads = forward_backward(batch, w, alpha=0.01, beta=0.1)
     assert {g.dtype for g in grads.values()} == {np.dtype(np.float32)}

@@ -19,8 +19,8 @@ quartiles, the change's wins, losses and ties over the pairs, whether a
 gain is shown and the metric's bound verdict (see ``summarize``). Every
 printed metric (``rank_topk_probes_per_s``, ``baseline_iters_per_s``, ...)
 gets each side's median and quartiles too. It also holds one traced run
-per side and workload (seed 1) and, at ``--size full``, the wall time of
-one Tier-1 test run per side.
+per side and workload (seed 1) and, at ``--size full``, the wall time and
+the ten slowest test phases of one Tier-1 test run per side.
 """
 
 from __future__ import annotations
@@ -144,14 +144,18 @@ def _bench(tree: Path, workload: str, seed: int, settings: dict, trace: int) -> 
 
 
 def _tier1(tree: Path) -> dict:
-    """Wall time and summary line of one Tier-1 test run in ``tree``."""
+    """Wall time, summary line and the ten slowest test phases (pytest's
+    ``--durations`` lines) of one Tier-1 test run in ``tree``."""
     env = {**os.environ, "PYTHONPATH": "src"}
-    argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"]
+    argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--durations=10"]
     t0 = time.perf_counter()
     proc = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
     wall = time.perf_counter() - t0
-    summary = (proc.stdout.strip().splitlines() or [""])[-1]
-    return {"wall_s": round(wall, 1), "exit_code": proc.returncode, "summary": summary}
+    lines = proc.stdout.strip().splitlines()
+    durations = [line for line in lines if line.split(" ", 1)[0].endswith("s")
+                 and line.split()[1:2] in (["call"], ["setup"], ["teardown"])]
+    return {"wall_s": round(wall, 1), "exit_code": proc.returncode,
+            "summary": (lines or [""])[-1], "durations": durations}
 
 
 def _side(tree: Path, rev: str) -> dict:
