@@ -82,27 +82,6 @@ class FeatureMap:
         return self.strips.shape[1]
 
 
-def _bound_slack(d: int) -> tuple[float, float]:
-    """(c, t) of stage one's bound prefilter for strips of d values: a
-    float32 squared distance formed from three sums of d terms is within
-    c times the sum of its two squared norms, plus t, of the exact one
-    (``ranking._distance_bounds`` proves it)."""
-    g = (d + 1) * 2.0**-24 / (1 - (d + 1) * 2.0**-24)
-    return 2 * g / (1 - g), d * 2.0**-122
-
-
-def _strip_sums(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stage one's strip-sum bound's view of float64 maps ``(m, s, d)``
-    holding float32 values: each map's strips summed over s in float64
-    and rounded to float32, ``(m, d)``, and a float64 ``(m,)`` bound on
-    how far that sum is from the exact one (``ranking._sum_bounds``
-    proves it). A sum beyond float32's range is Inf."""
-    _, s, d = maps.shape
-    with np.errstate(over="ignore"):
-        sums = maps.sum(axis=1).astype(np.float32)
-    return sums, 2.0**-20 * np.sqrt(s * np.einsum("msd,msd->m", maps, maps)) + d * 2.0**-123
-
-
 @dataclass(frozen=True, eq=False)
 class FeatureSet:
     """An ordered, immutable set of same-shape strip maps in one array.
@@ -110,14 +89,11 @@ class FeatureSet:
     ``strips`` is the read-only float32 ``(n, s, d)`` array of all maps in
     entry order, ``sequence_ids`` and ``identity_ids`` the ids in that
     order. The rest (the FeatureMap views in ``entries``, the id -> row
-    index, the ranking keys and the tables of stage one's bounds) is
-    derived on first use and cached: every layer reads ``strips`` itself
-    instead of copying it. Stage one's top-k cascade first reads
-    ``strip_sums``, each row's strips summed, a float32 ``(n, d)`` table
-    (2.56 MB beside the 41 MB of strips at 10,000 x 16 x 64), built on the
-    first top-k call against a set of ``ranking.CASCADE_ROWS`` rows or
-    more, never at load, then ``strip_norm_terms`` for the rows the sums
-    leave.
+    index, the ranking keys and ``bound_table``, the gallery side of stage
+    one's top-k bounds) is derived on first use and cached: every layer
+    reads ``strips`` itself instead of copying it. ``bound_table`` is
+    built in one pass over ``strips`` on the first top-k call against the
+    set, never at load.
 
     A set is valid by construction, however it is built: s and d are at
     least 1 (else ShapeError), the partition is one of ``PARTITIONS``
@@ -239,38 +215,11 @@ class FeatureSet:
         return np.array([self.rank_of[sid] for sid in self.sequence_ids], dtype=np.intp)
 
     @cached_property
-    def strip_norm_terms(self) -> np.ndarray:
-        """The gallery side of stage one's lower bounds
-        (``ranking._distance_bounds``), shape ``(s, n)`` float64, each
-        strip's terms contiguous over the set's rows: ``(1 - c)*B - t``,
-        with B a strip's squared norm summed in float32, and c and t the
-        bounds' slack for d values (``_bound_slack``)."""
-        c, t = _bound_slack(self.d)
-        norms = np.einsum("nsd,nsd->sn", self.strips, self.strips)
-        terms = norms.astype(np.float64) * (1 - c) - t
-        terms.flags.writeable = False
-        return terms
+    def bound_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The gallery side of stage one's top-k bounds (``ranking._bound_table``)."""
+        from .ranking import _bound_table  # ranking imports this module
 
-    @cached_property
-    def strip_sums(self) -> tuple[np.ndarray, np.ndarray]:
-        """The gallery side of stage one's strip-sum bounds
-        (``ranking._sum_bounds``), built a block of rows at a time:
-        ``sums``, each row's strips summed over s, float32 ``(n, d)``
-        (2.56 MB at 10,000 x 16 x 64), and float64 ``terms``, ``(2, n)``:
-        the sums' squared norm terms, as ``strip_norm_terms`` has them
-        for strips, and the bound on each sum's rounding (``_strip_sums``)."""
-        n, s, d = self.strips.shape
-        sums, terms = np.empty((n, d), dtype=np.float32), np.empty((2, n))
-        step = max(1, PASS_BYTES // (8 * s * d))
-        work = np.empty((min(n, step), s, d))
-        for start in range(0, n, step):
-            block = work[: min(step, n - start)]
-            np.copyto(block, self.strips[start : start + step])
-            sums[start : start + step], terms[1, start : start + step] = _strip_sums(block)
-        c, t = _bound_slack(d)
-        terms[0] = np.einsum("nd,nd->n", sums, sums).astype(np.float64) * (1 - c) - t
-        sums.flags.writeable = terms.flags.writeable = False
-        return sums, terms
+        return _bound_table(self.strips)
 
 
 def manifest_path(path) -> Path:

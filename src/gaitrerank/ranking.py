@@ -11,32 +11,31 @@ sorts, using the id keys the set caches (``FeatureSet.id_rank``).
 
 A top-k call (``1 <= k <`` eligible rows) bounds every row's distance
 from below and scores exactly only the rows that can reach the k-th, in
-a cascade of two bounds. The coarse one reads d values a row: with S a
-map's strips summed over s, the distance is at least |S_a - S_b|/s by
-the triangle inequality, and the set caches its rows' sums
-(``FeatureSet.strip_sums``), so one float32 GEMV per probe group forms
-|S_a|^2 + |S_b|^2 - 2S_a.S_b for every row (``_sum_bounds``). Each probe
+a cascade of two bounds, one kernel (``_bounds``): |a|^2 + |b|^2 - 2a.b,
+the decomposition FAISS uses, from float32 products of the doubled,
+negated probe's vectors with a table's rows plus float64 terms of the
+rows' squared norms, which the set caches, built in one pass over its
+strips (``FeatureSet.bound_table``). The coarse bound reads d values a
+row: with S a map's strips summed over s, the distance is at least
+|S_a - S_b|/s by the triangle inequality, so one float32 GEMV per probe
+group over the rows' sums bounds every row (``_sum_bounds``). Each probe
 scores exactly its k rows with the lowest bounds; the largest of those k
 distances is at least the k-th smallest, so it is the probe's cut. The
 rows whose coarse bound does not exceed the cut are gathered and
-bounded again strip by strip: |a|^2 + |b|^2 - 2a.b per strip, the
-decomposition FAISS uses, from float32 products of the doubled, negated
-probe with the gathered strips plus float64 terms of the squared strip
-norms the set caches (``FeatureSet.strip_norm_terms``); a second exact
+bounded again strip by strip (``_distance_bounds``); a second exact
 pass scores the rows whose fine bound does not exceed the cut either.
 Where the coarse bound keeps most rows, as on maps drawn independently,
 and against a gallery under ``CASCADE_ROWS``, a probe streams the whole
 gallery through the fine bound instead, a block of rows at a time, so
 each block is read from memory once and nothing the size of the
 gallery's strips is allocated per call, and its picks are its k lowest
-fine bounds (``_lowest_bounds``). ``rank_all``
-bounds its top-k probes ``GROUP_PROBES`` at a time, one GEMM for the
-group, and each group makes its two exact passes over (probe, row)
-pairs. Both bounds are proven (``_distance_bounds``, ``_sum_bounds``)
-never to exceed the exact float64 distance, so every row at or below the
-k-th distance, ties included, is scored: the output is bit-identical to
-ranking the whole gallery. Full lists (``k=None``) take the exact path
-over every row.
+fine bounds (``_lowest_bounds``). ``rank_all`` bounds its top-k probes
+``GROUP_PROBES`` at a time, one GEMM for the group, and each group makes
+its two exact passes over (probe, row) pairs. Both bounds are proven
+never to exceed the exact float64 distance, in any summation order, so
+every row at or below the k-th distance, ties included, is scored: the
+output is bit-identical to ranking the whole gallery. Full lists
+(``k=None``) take the exact path over every row.
 """
 
 from __future__ import annotations
@@ -48,8 +47,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DataError, FormatError, NonFiniteError, ShapeError
-from .feature_store import (FeatureMap, FeatureSet, _bound_slack, _read_text, _strip_sums,
-                            _write_atomic)
+from .feature_store import FeatureMap, FeatureSet, _read_text, _write_atomic
 
 
 class RankedList:
@@ -204,126 +202,163 @@ def _distances_to_stack(
     return out
 
 
-def _distance_bounds(probes: np.ndarray, gallery: FeatureSet,
-                     rows: np.ndarray | None = None) -> np.ndarray:
-    """Float64 ``(p, n)`` lower bounds on the distance ``_distances_to_stack``
-    returns for each of the float32 probes (``(p, s, d)``; one ``(s, d)``
-    probe counts as p = 1) and each gallery row; given ``rows``, the
-    ``(p, m)`` bounds of those rows, gathered a block at a time. A probe
-    with a bound that is not finite (a value, float32 square or product
-    overflowed) gets 0 for every row, which keeps every row.
+def _bound_slack(d: int) -> tuple[float, float]:
+    """(c, t) of the bounds on vectors of d values (``_bounds`` proves them)."""
+    g = (d + 1) * 2.0**-24 / (1 - (d + 1) * 2.0**-24)
+    return 2 * g / (1 - g), d * 2.0**-122
 
-    Per strip, with a the probe strip, b a gallery strip, u = 2**-24 and
-    g' = d*u/(1 - d*u), the float32 sums A = |a|^2, B = |b|^2 and
-    P = (-2a).b (doubling a float32 is exact) are each off by at most
-    g'*sum|terms| + 2d*2**-126 in any summation order (Higham, "Accuracy
-    and Stability of Numerical Algorithms", 2002, s3.1; the absolute term
-    covers subnormal products and sums, even flushed to zero), so neither
-    the block a product is taken in, nor the other probes of its GEMM, nor
-    the order BLAS sums it in matters. As sum|2a_k*b_k| <= |a|^2 + |b|^2 <=
-    (A + B + 4d*2**-126)/(1 - g'), A + B + P is within
-    2g'/(1 - g')*(A + B) + 7d*2**-126 of |a - b|^2. With g at d + 1 terms,
-    c = 2g/(1 - g) and t = d*2**-122 (``_bound_slack``), the set caches
-    L = (1 - c)*B - t (``FeatureSet.strip_norm_terms``), and the float64
-    sum lo2 = L + P + (1 - c)*A falls below |a - b|^2 by a margin of at
-    least 2u*(A + B) + 9d*2**-126. Its float64 roundings, at most seven of
-    2**-53 times a value below 3*(A + B) + t, stay far inside it. So each
-    strip distance is at least sqrt(max(lo2, 0)) (a product that overflows
-    to -inf gives 0), and so is their mean. The float64 mean carries at
-    most s + 4 roundings of 2**-53 each, and the float64 value
-    ``_distances_to_stack`` returns at most s + d/2 + 2: shrinking by
-    (2s + d + 8)*2**-53 relative keeps lo at or below that value.
-    """
-    strips, terms = gallery.strips, gallery.strip_norm_terms
+
+def _strip_sums(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Float64 maps ``(m, s, d)`` holding float32 values as the strip-sum
+    bound sees them: each map's strips summed over s in float64 and
+    rounded to float32, ``(m, 1, d)`` (a sum beyond float32's range is
+    Inf), and e, a float64 ``(m,)`` bound on that sum's rounding."""
+    _, s, d = maps.shape
+    with np.errstate(over="ignore"):
+        sums = maps.sum(axis=1, keepdims=True).astype(np.float32)
+    return sums, 2.0**-20 * np.sqrt(s * np.einsum("msd,msd->m", maps, maps)) + d * 2.0**-123
+
+
+def _bound_table(strips: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The gallery side of both bounds, built in one pass over the float32
+    ``strips`` ``(n, s, d)``, a block of rows at a time
+    (``FeatureSet.bound_table`` caches it): the rows' strip sums, float32
+    ``(n, 1, d)`` (2.56 MB beside 41 MB of strips at 10,000 x 16 x 64);
+    the float64 terms L = (1 - c)*B - t of their strips, ``(s, n)``, a
+    row's contiguous, as its strips are gathered; and float64 ``(2, n)``,
+    each contiguous over the rows: L of each sum, then the sum's rounding
+    term e (``_strip_sums``). B is a squared norm summed in float32, and c
+    and t the slack of d values (``_bound_slack``)."""
     n, s, d = strips.shape
+    c, t = _bound_slack(d)
+    sums, terms, sum_terms = np.empty((n, 1, d), np.float32), np.empty((n, s)).T, np.empty((2, n))
+    step = _block_rows(s, d, 8)
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        norms = np.einsum("nsd,nsd->sn", strips[rows], strips[rows]).astype(np.float64)
+        terms[:, rows] = norms * (1 - c) - t
+        sums[rows], sum_terms[1, rows] = _strip_sums(strips[rows].astype(np.float64))
+    sum_terms[0] = np.einsum("nrd,nrd->n", sums, sums).astype(np.float64) * (1 - c) - t
+    sums.flags.writeable = terms.flags.writeable = sum_terms.flags.writeable = False
+    return sums, terms, sum_terms
+
+
+def _bounds(vectors: np.ndarray, table: np.ndarray, terms: np.ndarray, s: int,
+            rows: np.ndarray | None = None, err: np.ndarray | None = None) -> np.ndarray:
+    """Float64 ``(p, n)`` lower bounds on the distance ``_distances_to_stack``
+    returns between maps of s strips, from float32 vectors ``(p, r, d)``
+    (one ``(r, d)`` counts as p = 1) against float32 table rows ``(n, r,
+    d)`` and the rows' float64 terms ``(r, n)`` (``_bound_table``); given
+    ``rows``, the ``(p, m)`` bounds of those rows, gathered a block at a
+    time. Given ``err``, the probes' rounding terms ``(p,)``, ``terms``
+    holds the rows' as a last row, and both are subtracted. The per-strip
+    bound (``_distance_bounds``) takes the strips, r = s; the strip-sum
+    bound (``_sum_bounds``) each map's strips summed, r = 1, less their
+    rounding terms. A probe with a bound that is not finite (a value, sum,
+    float32 square or product overflowed) gets 0 for every row, which
+    keeps every row.
+
+    Per vector, with a the probe's, b the row's, u = 2**-24 and g' =
+    d*u/(1 - d*u), the float32 sums A = |a|^2, B = |b|^2 and P = (-2a).b
+    (doubling a float32 is exact) are each off by at most g'*sum|terms| +
+    2d*2**-126 in any summation order (Higham, "Accuracy and Stability of
+    Numerical Algorithms", 2002, s3.1; the absolute term covers subnormal
+    products and sums, even flushed to zero), so neither the block a
+    product is taken in, nor the other probes of its GEMM, nor the order
+    BLAS sums it in matters. As sum|2a_k*b_k| <= |a|^2 + |b|^2 <= (A + B +
+    4d*2**-126)/(1 - g'), A + B + P is within 2g'/(1 - g')*(A + B) +
+    7d*2**-126 of |a - b|^2. With g at d + 1 terms, c = 2g/(1 - g) and t =
+    d*2**-122 (``_bound_slack``), the table holds L = (1 - c)*B - t, and
+    the float64 sum lo2 = L + P + (1 - c)*A falls below |a - b|^2 by a
+    margin of at least 2u*(A + B) + 9d*2**-126. Its float64 roundings, at
+    most seven of 2**-53 times a value below 3*(A + B) + t, stay far
+    inside it. So |a - b| is at least sqrt(max(lo2, 0)) (a product that
+    overflows to -inf gives 0). At r = s the vectors are the strips, so
+    the mean of the roots, their float64 sum divided by s, is at most the
+    distance. It carries at most s + 4 roundings of 2**-53 each, and the
+    float64 value ``_distances_to_stack`` returns at most s + d/2 + 2:
+    shrinking by (2s + d + 8)*2**-53 relative keeps the bound at or below
+    that value.
+
+    At r = 1, with S a map's strips summed, (1/s)*sum_i |a_i - b_i| >=
+    (1/s)*|S_a - S_b| by the triangle inequality. The float64 sum of a
+    map's strips is off from S by at most gamma_(s-1) times the sum of the
+    absolute terms in any order (Higham, s4.2; sums of float32 values are
+    multiples of 2**-149, exact below 2**-96, so nothing underflows), and
+    rounding it to float32 (S', ``_strip_sums``) moves it by at most 2**-24
+    of its size plus 2**-126. So |S' - S| <= 2**-23 * sqrt(s*F) +
+    sqrt(d)*2**-126 by Cauchy-Schwarz over the strips, with F the map's sum
+    of squares, which the float64 sum of the exact squares of float32
+    values underestimates by a relative gamma_(s*d) at most: e = 2**-20 *
+    sqrt(s*F) + d*2**-123 is almost eight times that bound, and the
+    argument here needs twice it. The root above, for a = S'_a and b =
+    S'_b, is at most (1 + 2**-53)*|S'_a - S'_b|, and |S'_a - S'_b| is at
+    most |S_a - S_b| + (e_a + e_b)/7. Subtracting e_b and then e_a leaves
+    at most (1 + 3*2**-53)*|S_a - S_b|, the excess of e covering both
+    subtractions' roundings, and the same division by s and shrinking keep
+    the bound at or below ``_distances_to_stack``'s value.
+    """
+    n, r, d = table.shape
     if rows is not None:
         n, terms = len(rows), terms[:, rows]
-    probes = probes.reshape(-1, s, d)
-    p = len(probes)
+    vectors = vectors.reshape(-1, r, d)
+    p = len(vectors)
     c, _ = _bound_slack(d)
-    # the products of one block of rows per float32 GEMM, a float64 pass
-    # over the products of several blocks (see BLOCK_BYTES)
-    step = _block_rows(s, d, 16)
-    span = max(step, BLOCK_BYTES // (8 * s * p))
+    if r == 1:
+        # nothing is re-read or summed: one GEMM, and the float64 pass in
+        # ``out`` (blocked as below, a group's sum bounds took 13% longer)
+        step = span = max(n, 1)
+    else:
+        # the products of one block of rows per float32 GEMM, the block
+        # re-read once per vector, a float64 pass over several blocks'
+        # products (see BLOCK_BYTES)
+        step = _block_rows(r, d, 16)
+        span = max(step, BLOCK_BYTES // (8 * r * p))
     out = np.empty((p, n))
-    products = np.empty((s, min(span, n), p), dtype=np.float32)
-    work = np.empty(products.shape)
-    gathered = None if rows is None else np.empty((min(step, n), s, d), dtype=np.float32)
+    products = np.empty((r, p, min(span, n)), dtype=np.float32)
+    work = None if r == 1 else np.empty(products.shape)
+    gathered = None if rows is None else np.empty((min(step, n), r, d), dtype=np.float32)
     with np.errstate(over="ignore", invalid="ignore"):
-        neg2 = np.ascontiguousarray(probes.transpose(1, 2, 0)) * np.float32(-2)
-        own = (1 - c) * np.einsum("psd,psd->sp", probes, probes).astype(np.float64)[:, None]
+        neg2 = np.ascontiguousarray(vectors.transpose(1, 2, 0)) * np.float32(-2)
+        own = (1 - c) * np.einsum("prd,prd->rp", vectors, vectors).astype(np.float64)[..., None]
         for start in range(0, n, span):
             stop = min(start + span, n)
             for row in range(start, stop, step):
                 end = min(row + step, stop)
-                if rows is None:
-                    block = strips[row:end]
-                else:
-                    block = np.take(strips, rows[row:end], axis=0, out=gathered[: end - row],
-                                    mode="clip")
+                block = table[row:end] if rows is None else np.take(
+                    table, rows[row:end], axis=0, out=gathered[: end - row], mode="clip")
                 np.matmul(block.transpose(1, 0, 2), neg2,
-                          out=products[:, row - start : end - start])
-            w = work[:, : stop - start]
-            np.add(products[:, : stop - start], terms[:, start:stop, None], out=w)
+                          out=products[..., row - start : end - start].transpose(0, 2, 1))
+            w = out[None, :, start:stop] if work is None else work[..., : stop - start]
+            np.add(products[..., : stop - start], terms[:r, None, start:stop], out=w)
             w += own
             np.maximum(w, 0.0, out=w)
             np.sqrt(w, out=w)
-            np.add.reduce(w, axis=0, out=out[:, start:stop].T)
-    out *= (1 - (2 * s + d + 8) * 2.0**-53) / s
+            if work is not None:
+                np.add.reduce(w, axis=0, out=out[:, start:stop])
+        if err is not None:
+            out -= terms[r]
+            out -= err[:, None]
+        out *= (1 - (2 * s + d + 8) * 2.0**-53) / s
     # one sum is finite exactly when every bound is
     if not math.isfinite(out.sum()):
         out[~np.isfinite(out).all(axis=1)] = 0.0
     return out
 
 
-def _sum_bounds(probes: np.ndarray, gallery: FeatureSet, rows=slice(None)) -> np.ndarray:
-    """Float64 ``(p, n)`` lower bounds on the distance ``_distances_to_stack``
-    returns for each of the float64 probes holding float32 values
-    (``(p, s, d)``; one ``(s, d)`` probe counts as p = 1) and each gallery
-    row (the ``rows`` slice of them), from d values a row: the rows' strips
-    summed over s (``FeatureSet.strip_sums``), one float32 GEMV or GEMM
-    for all rows. A probe with a bound that is not finite (it holds an
-    Inf, or a float32 sum, square or product overflowed) gets 0 for every
-    row.
+def _distance_bounds(probes: np.ndarray, gallery: FeatureSet,
+                     rows: np.ndarray | None = None) -> np.ndarray:
+    """``_bounds`` of the float32 probes' strips (``(p, s, d)``; one ``(s,
+    d)`` probe counts as p = 1) against the gallery rows' (``rows`` of them)."""
+    return _bounds(probes, gallery.strips, gallery.bound_table[1], gallery.s, rows)
 
-    With S a map's strips summed, (1/s)*sum_i |a_i - b_i| >= (1/s)*|S_a - S_b|
-    by the triangle inequality. The float64 sum of a map's strips is off
-    from S by at most gamma_(s-1) times the sum of the absolute terms in
-    any order (Higham, s4.2; sums of float32 values are multiples of
-    2**-149, exact below 2**-96, so nothing underflows), and rounding it
-    to float32 (S', ``_strip_sums``) moves it by at most 2**-24 of its
-    size plus 2**-126. So |S' - S| <= 2**-23 * sqrt(s*F) + sqrt(d)*2**-126
-    by Cauchy-Schwarz over the strips, with F the map's sum of squares,
-    which the float64 sum of the exact squares of float32 values
-    underestimates by a relative gamma_(s*d) at most: e = 2**-20 *
-    sqrt(s*F) + d*2**-123 is almost eight times that bound, and the
-    argument below needs twice it. The sums are float32 vectors of d
-    values, so the argument of ``_distance_bounds`` for one strip holds
-    for them as it stands: with the set's terms L = (1 - c)*B - t of the
-    sums' float32 squared norms B, sqrt(max(L + P + (1 - c)*A, 0)) is at
-    most (1 + 2**-53)*|S'_a - S'_b|, and |S'_a - S'_b| is at most
-    |S_a - S_b| + (e_a + e_b)/7. Subtracting e_b and then e_a leaves at
-    most (1 + 3*2**-53)*|S_a - S_b|, the excess of e covering both
-    subtractions' roundings, and shrinking by (2s + d + 8)*2**-53
-    relative, as ``_distance_bounds`` does, keeps the bound's 1/s at or
-    below ``_distances_to_stack``'s value.
-    """
-    sums, terms = gallery.strip_sums
-    sums, terms = sums[rows], terms[:, rows]
-    _, s, d = gallery.strips.shape
-    own, err = _strip_sums(probes.reshape(-1, s, d))
-    c, _ = _bound_slack(d)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = np.add(np.matmul(own * np.float32(-2), sums.T), terms[0])
-        out += (1 - c) * np.einsum("pd,pd->p", own, own).astype(np.float64)[:, None]
-        np.maximum(out, 0.0, out=out)
-        np.sqrt(out, out=out)
-        out -= terms[1]
-        out -= err[:, None]
-        out *= (1 - (2 * s + d + 8) * 2.0**-53) / s
-    if not math.isfinite(out.sum()):
-        out[~np.isfinite(out).all(axis=1)] = 0.0
-    return out
+
+def _sum_bounds(probes: np.ndarray, gallery: FeatureSet, rows=slice(None)) -> np.ndarray:
+    """``_bounds`` of the strip sums of float64 probes holding float32 values
+    (``(p, s, d)``) against the gallery rows' (the ``rows`` slice of them)."""
+    vectors, err = _strip_sums(probes.reshape(-1, gallery.s, gallery.d))
+    sums, _, terms = gallery.bound_table
+    return _bounds(vectors, sums[rows], terms[:, rows], gallery.s, err=err)
 
 
 def _own_row(probe: FeatureMap, gallery: FeatureSet) -> int:
@@ -367,16 +402,18 @@ def _lowest_bounds(strips: np.ndarray, wide: np.ndarray, own: np.ndarray,
     as float64 ``wide``) to the gallery rows, NaN at each one's ``own`` row
     (-1: none), so it is partitioned last, below no cut; each probe's k
     rows with the lowest bounds; and which probes took the streaming
-    product bound pass (``_distance_bounds``). The others' bounds come
-    from their rows' strip sums (``_sum_bounds``)."""
-    p, n = len(strips), len(gallery)
+    per-strip bound pass (``_distance_bounds``). The others' bounds come
+    from the strip sums (``_bounds`` at r = 1), the probes' summed once."""
+    p, n, s = len(strips), len(gallery), gallery.s
     dense = np.ones(p, dtype=bool)
     if n >= CASCADE_ROWS:
+        sums, _, terms = gallery.bound_table
+        vectors, err = _strip_sums(wide)
         # the share of the rows a probe's cut will keep by their sum
         # bounds, estimated on a sample: those at or below the distance of
         # the sampled row that ranks where its k-th pick would
-        rough = _drop_own(_sum_bounds(wide, gallery, np.s_[::SAMPLE_STEP]),
-                          np.where(own % SAMPLE_STEP, -1, own // SAMPLE_STEP))
+        rough = _bounds(vectors, sums[::SAMPLE_STEP], terms[:, ::SAMPLE_STEP], s, err=err)
+        rough = _drop_own(rough, np.where(own % SAMPLE_STEP, -1, own // SAMPLE_STEP))
         m = rough.shape[1]
         j = max(0, min(-(-k * m // n), m - 1) - 1)
         far = gallery.strips[np.argpartition(rough, j, axis=1)[:, j] * SAMPLE_STEP] - wide
@@ -385,7 +422,7 @@ def _lowest_bounds(strips: np.ndarray, wide: np.ndarray, own: np.ndarray,
     if dense.all():
         lo = _distance_bounds(strips, gallery)
     else:
-        lo = _sum_bounds(wide, gallery)
+        lo = _bounds(vectors, sums, terms, s, err=err)
         if dense.any():
             lo[dense] = _distance_bounds(strips[dense], gallery)
     lo = _drop_own(lo, own)
@@ -489,13 +526,19 @@ def write_ranked_lists(
     separators=(",", ":"), allow_nan=False)``: ids escaped as json escapes
     them, distances as ``repr`` of a float. A NaN or infinite value, which
     ``read_ranked_lists`` would reject, is a NonFiniteError naming the
-    probe, and leaves the previous file or none."""
+    probe, and leaves the previous file or none. Stage one's lists share
+    their gallery's id tuple, which is escaped once per call."""
+    escaped: dict = {}  # id() of a shared id tuple -> (the tuple, kept alive; its ids escaped)
     with _write_atomic(path, "w") as fh:
         for i, rl in enumerate(lists):
             latency = [] if latencies_ms is None else [latencies_ms[i]]
             if not (np.isfinite(rl.dists).all() and np.isfinite(latency).all()):
                 raise NonFiniteError(f"probe {rl.probe_id!r}: NaN or Inf in its ranked list")
-            pairs = zip(map(_escape, rl.ids()), rl.dists.tolist())
+            if rl._rows is not None and id(rl._ids) not in escaped:
+                escaped[id(rl._ids)] = rl._ids, list(map(_escape, rl._ids))
+            ids = (map(_escape, rl._ids) if rl._rows is None
+                   else map(escaped[id(rl._ids)][1].__getitem__, rl._rows.tolist()))
+            pairs = zip(ids, rl.dists.tolist())
             items = ",".join([f"[{cid},{d!r}]" for cid, d in pairs])
             tail = "".join(f',"latency_ms":{json.dumps(x)}' for x in latency)
             fh.write(f'{{"probe_id":{_escape(rl.probe_id)},"items":[{items}]{tail}}}\n')

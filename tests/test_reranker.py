@@ -222,16 +222,20 @@ def test_pair_distances_matches_per_pair_calls(w_dtype, map_dtype):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_pair_distances_agree_with_per_pair_calls_within_rounding(dtype, m):
     """At some shapes the batched GEMMs round differently from the
-    one-pair ones, so agreement is to a few ulps of the compute dtype."""
-    cfg = RerankerConfig(s=7, d=3, num_classes=2, heads=4, hidden=36, mlp_hidden=4)
-    w = init_weights(cfg, seed=m, dtype=dtype)
-    rng = np.random.default_rng(m)
-    probe = rng.standard_normal((7, 3)).astype(dtype)
-    cands = rng.standard_normal((m, 7, 3)).astype(dtype)
-    singles = [rerank_distance(probe, c, w) for c in cands]
-    np.testing.assert_allclose(
-        pair_distances(probe, cands, w), singles, rtol=64 * np.finfo(dtype).eps, atol=0
-    )
+    one-pair ones, so agreement is to a few ulps of the compute dtype.
+    At s=7, d=3 they agree bitwise; 100 float32 candidates at s=8, d=24
+    differ, which the last assertion checks, so rounding is tested."""
+    for s, d, hidden in ((7, 3, 36), (8, 24, 64)):
+        cfg = RerankerConfig(s=s, d=d, num_classes=2, heads=4, hidden=hidden, mlp_hidden=4)
+        w = init_weights(cfg, seed=m, dtype=dtype)
+        rng = np.random.default_rng(m)
+        probe = rng.standard_normal((s, d)).astype(dtype)
+        cands = rng.standard_normal((m, s, d)).astype(dtype)
+        singles = [rerank_distance(probe, c, w) for c in cands]
+        batched = pair_distances(probe, cands, w)
+        np.testing.assert_allclose(batched, singles, rtol=64 * np.finfo(dtype).eps, atol=0)
+    if dtype == np.float32 and m == 100:
+        assert not np.array_equal(batched, singles)
 
 
 def test_shape_guards():
