@@ -1,13 +1,13 @@
 """First-stage gallery ranking by the strip-averaged Euclidean distance.
 
 Every probe ranks against the gallery ``FeatureSet``'s own float32 array
-(``FeatureSet.strips``); nothing is stacked or copied per gallery.
-Distances are exact float64, computed over fixed blocks of gallery rows
-in one summation order, so rankings are reproducible bit-for-bit and do
-not depend on the block size. ``rank_all`` without a k converts each
-block once and scores all of its probes against it. Candidates are
-selected and ordered by (distance, sequence_id) with numpy, not Python
-sorts, using the id keys the set caches (``FeatureSet.id_rank``).
+(``FeatureSet.strips``), never copied; the probes are one float32 array,
+a probe set's ``strips`` or a sequence of maps stacked once. Distances
+are exact float64, over fixed blocks of gallery rows in one summation
+order, so rankings are bit-for-bit reproducible whatever the block size.
+``rank_all`` without a k converts each block once and scores all of its
+probes against it. Candidates are ordered by (distance, sequence_id) in
+numpy sorts on the id keys the set caches (``FeatureSet.id_rank``).
 
 A top-k call (``1 <= k <`` eligible rows) bounds every row's distance
 from below and scores exactly only the rows that can reach the k-th, in
@@ -361,32 +361,9 @@ def _sum_bounds(probes: np.ndarray, gallery: FeatureSet, rows=slice(None)) -> np
     return _bounds(vectors, sums[rows], terms[:, rows], gallery.s, err=err)
 
 
-def _own_row(probe: FeatureMap, gallery: FeatureSet) -> int:
-    """The gallery row of ``probe``'s own id, which it does not rank, or -1."""
-    if probe.strips.shape != (gallery.s, gallery.d):
-        raise ShapeError(
-            f"probe {probe.sequence_id!r} is {probe.strips.shape}, "
-            f"gallery declares ({gallery.s}, {gallery.d})"
-        )
-    row = gallery.row_of.get(probe.sequence_id, -1)
-    if len(gallery) - (row >= 0) < 1:
-        raise DataError(f"empty effective gallery for probe {probe.sequence_id!r}")
-    return row
-
-
 def _check_k(k: int | None) -> None:
     if k is not None and k < 1:
         raise DataError(f"k must be >= 1, got {k}")
-
-
-def _refuse_nan(stack: np.ndarray, probes: Sequence[FeatureMap], group: Sequence[int]) -> None:
-    """A NonFiniteError naming the first probe of ``group`` (stacked in
-    ``stack``) that holds a NaN: its distances would all be NaN, and its
-    top-k list no prefix of its full list. An infinite value ranks, since
-    its distances are inf."""
-    if np.isnan(stack).any():
-        first = group[int(np.isnan(stack).any(axis=(1, 2)).argmax())]
-        raise NonFiniteError(f"NaN in probe {probes[first].sequence_id!r}")
 
 
 def _drop_own(values: np.ndarray, own: np.ndarray) -> np.ndarray:
@@ -429,37 +406,36 @@ def _lowest_bounds(strips: np.ndarray, wide: np.ndarray, own: np.ndarray,
     return lo, np.argpartition(lo, k - 1, axis=1)[:, :k], dense
 
 
-def _rank(probes: Sequence[FeatureMap], own: np.ndarray, gallery: FeatureSet,
+def _rank(strips: np.ndarray, ids: Sequence[str], own: np.ndarray, gallery: FeatureSet,
           k: int | None) -> list[RankedList]:
-    """Each probe's top k (all with ``k=None``) of the gallery rows but its
+    """Each float32 probe of ``strips`` ``(p, s, d)``, named by ``ids``,
+    ranked: its top k (all with ``k=None``) of the gallery rows but its
     ``own`` row (-1 for none). Probes whose k reaches their eligible rows
     take one exact pass over the gallery together, then one stable sort
     per ``GROUP_PROBES`` of their distances with the rows in id order; the
     others are bounded ``GROUP_PROBES`` at a time, and each group scores
     exactly, in two pair passes, each probe's k lowest-bound rows and then
     the other rows that can reach its k-th."""
-    out: list = [None] * len(probes)
-    eligible = (len(gallery) - (own >= 0)).tolist()
-    exact = [i for i, m in enumerate(eligible) if k is None or k >= m]
-    if exact:
-        stack = np.array([probes[i].strips for i in exact], dtype=np.float64)
-        _refuse_nan(stack, probes, exact)
-        dists = _drop_own(_distances_to_stack(stack, gallery.strips), own[exact])
+    out: list = [None] * len(ids)
+    eligible = len(gallery) - (own >= 0)
+    bounded = eligible > (len(gallery) if k is None else k)
+    exact, bounded = np.flatnonzero(~bounded), np.flatnonzero(bounded)
+    if len(exact):
+        wide = strips[exact].astype(np.float64)
+        dists = _drop_own(_distances_to_stack(wide, gallery.strips), own[exact])
         by_id = np.argsort(gallery.id_rank)  # the rows in tie-break order
         for first in range(0, len(exact), GROUP_PROBES):
             block = dists[first : first + GROUP_PROBES, by_id]
             order = np.argsort(block, axis=1, kind="stable")
             block, rows = np.take_along_axis(block, order, axis=1), by_id[order]
-            for i, top, top_rows in zip(exact[first:], block, rows):
-                out[i] = RankedList(probes[i].sequence_id, dists=top[: eligible[i]],
+            for i, top, top_rows in zip(exact[first:].tolist(), block, rows):
+                out[i] = RankedList(ids[i], dists=top[: eligible[i]],
                                     ids=gallery.sequence_ids, rows=top_rows[: eligible[i]])
-    bounded = [i for i, m in enumerate(eligible) if k is not None and k < m]
     for first in range(0, len(bounded), GROUP_PROBES):
         group = bounded[first : first + GROUP_PROBES]
-        strips = np.array([probes[i].strips for i in group])
-        _refuse_nan(strips, probes, group)
-        wide = strips.astype(np.float64)
-        lo, picks, dense = _lowest_bounds(strips, wide, own[group], gallery, k)
+        maps = strips[group]
+        wide = maps.astype(np.float64)
+        lo, picks, dense = _lowest_bounds(maps, wide, own[group], gallery, k)
         # any k rows' largest exact distance is at least the k-th smallest
         # (ties included), so no row whose lower bound exceeds it is needed
         owner = np.repeat(np.arange(len(group)), k)
@@ -471,18 +447,46 @@ def _rank(probes: Sequence[FeatureMap], own: np.ndarray, gallery: FeatureSet,
         # are bounded again strip by strip
         for j in np.flatnonzero(~dense):
             rows = np.flatnonzero(below[j])
-            below[j, rows] = _distance_bounds(strips[j], gallery, rows)[0] <= cut[j]
+            below[j, rows] = _distance_bounds(maps[j], gallery, rows)[0] <= cut[j]
         others, rows = np.nonzero(below)
         far = _distances_to_stack(wide, gallery.strips, rows, others)
         owner, rows, dists = (np.concatenate(pair) for pair in
                               ((owner, others), (picks.ravel(), rows), (near, far)))
         # each probe's pairs in (distance, id) order, probe by probe
         order = np.lexsort((gallery.id_rank[rows], dists, owner))
-        for i, start in zip(group, np.searchsorted(owner[order], np.arange(len(group)))):
+        for i, start in zip(group.tolist(), np.searchsorted(owner[order], np.arange(len(group)))):
             top = order[start : start + k]
-            out[i] = RankedList(probes[i].sequence_id, dists=dists[top],
-                                ids=gallery.sequence_ids, rows=rows[top])
+            out[i] = RankedList(ids[i], dists=dists[top], ids=gallery.sequence_ids, rows=rows[top])
     return out
+
+
+def _ranked(probes, gallery: FeatureSet, k: int | None) -> list[RankedList]:
+    """``rank_all``, which checks in turn: k; each probe's shape against the
+    gallery's; each probe's effective gallery (the rows but its own) for
+    rows; and, in one pass over the stacked maps (a set holds none), each
+    probe for a NaN, whose distances would all be NaN and its top-k list no
+    prefix of its full list (an inf ranks). Errors name the first probe."""
+    _check_k(k)
+    if isinstance(probes, FeatureSet):
+        strips, ids = probes.strips, probes.sequence_ids
+        shapes = [strips.shape[1:]] if len(ids) else []
+    else:
+        probes = list(probes)
+        ids, shapes = [p.sequence_id for p in probes], [p.strips.shape for p in probes]
+    want = (gallery.s, gallery.d)
+    for i, shape in enumerate(shapes):
+        if shape != want:
+            raise ShapeError(f"probe {ids[i]!r}: probe {ids[i]!r} is {shape}, gallery declares {want}")
+    own = np.array([gallery.row_of.get(sid, -1) for sid in ids], dtype=np.intp)
+    empty = len(gallery) - (own >= 0) < 1
+    if empty.any():
+        raise DataError("probe {0!r}: empty effective gallery for probe {0!r}".format(ids[empty.argmax()]))
+    if not isinstance(probes, FeatureSet):
+        strips = np.array([p.strips for p in probes], dtype=np.float32).reshape(-1, *want)
+        nan = np.isnan(strips).any(axis=(1, 2))
+        if nan.any():
+            raise NonFiniteError(f"NaN in probe {ids[int(nan.argmax())]!r}")
+    return _rank(strips, ids, own, gallery, k)
 
 
 def rank_gallery(probe: FeatureMap, gallery: FeatureSet, k: int | None = None) -> RankedList:
@@ -492,25 +496,15 @@ def rank_gallery(probe: FeatureMap, gallery: FeatureSet, k: int | None = None) -
     sequence_id so rankings are deterministic. ``k=None`` ranks the whole
     gallery. A probe holding a NaN is a NonFiniteError naming it.
     """
-    own = _own_row(probe, gallery)
-    _check_k(k)
-    return _rank([probe], np.array([own]), gallery, k)[0]
+    return _ranked([probe], gallery, k)[0]
 
 
 def rank_all(probes, gallery: FeatureSet, k: int | None = None) -> list[RankedList]:
-    """rank_gallery for every probe (a FeatureSet or a sequence of
-    FeatureMaps), preserving probe input order, with the same lists. Full
-    lists take one distance pass over the gallery for all probes, top-k
-    lists one bound pass per group of probes."""
-    _check_k(k)
-    probes = list(probes)
-    own = []
-    for probe in probes:
-        try:
-            own.append(_own_row(probe, gallery))
-        except (DataError, ShapeError) as exc:
-            raise type(exc)(f"probe {probe.sequence_id!r}: {exc}") from exc
-    return _rank(probes, np.array(own, dtype=np.intp), gallery, k)
+    """rank_gallery for every probe, in input order, with the same lists.
+    The probes are one float32 array: a FeatureSet's ``strips``, or a
+    sequence of FeatureMaps stacked once. Full lists take one distance pass
+    over the gallery for all probes, top-k lists one per group of probes."""
+    return _ranked(probes, gallery, k)
 
 
 _escape = json.encoder.encode_basestring_ascii

@@ -159,8 +159,8 @@ def split_train_val(
     features: FeatureSet, val_fraction: float = VAL_FRACTION
 ) -> tuple[FeatureSet, FeatureSet]:
     """Hold out the last ``val_fraction`` of identities (ceil, sorted
-    order) for validation. Sequences of one identity never straddle the
-    split."""
+    order) for validation: each part holds its rows of ``features.strips``
+    in entry order, and one identity's sequences never straddle the split."""
     if not 0.0 < val_fraction < 1.0:
         raise DataError(f"val_fraction must be in (0, 1), got {val_fraction}")
     identities = features.identities()
@@ -170,11 +170,10 @@ def split_train_val(
         )
     n_val = math.ceil(val_fraction * len(identities))
     val_ids = set(identities[len(identities) - n_val :])
-    train_entries = [e for e in features.entries if e.identity_id not in val_ids]
-    val_entries = [e for e in features.entries if e.identity_id in val_ids]
-    train = FeatureSet.from_entries(train_entries, partition="train", s=features.s, d=features.d)
-    val = FeatureSet.from_entries(val_entries, partition="val", s=features.s, d=features.d)
-    return train, val
+    held = np.array([iid in val_ids for iid in features.identity_ids])
+    ids = np.array([features.sequence_ids, features.identity_ids], dtype=object)
+    return tuple(FeatureSet(features.strips[rows], *map(tuple, ids[:, rows]), partition)
+                 for rows, partition in ((~held, "train"), (held, "val")))
 
 
 def build_training_set(partition: FeatureSet, v: int = 30) -> TrainingSet:

@@ -96,6 +96,22 @@ def test_corrupt_features_exit_4(capsys, tmp_path, workdir):
     assert json.loads(err)["error"] == "format"
 
 
+def test_rank_probes_of_another_shape_exit_5_naming_the_first(capsys, tmp_path, workdir):
+    probes, out = tmp_path / "probes.gfm", tmp_path / "o.jsonl"
+    assert run(capsys, "synth", "--ids", "2", "--per-id", "2", "--strips", "3", "--dim", "5",
+               "--seed", "1", "--out", str(probes))[0] == 0
+    first = load_feature_set(probes).sequence_ids[0]
+    code, stdout, err = run(capsys, "rank", "--probes", str(probes),
+                            "--gallery", str(workdir / "feats.gfm"), "--out", str(out))
+    assert code == 5 and stdout == ""
+    assert err.endswith("\n") and err.count("\n") == 1
+    assert json.loads(err) == {
+        "error": "shape",
+        "message": f"probe {first!r}: probe {first!r} is (3, 5), gallery declares (4, 6)",
+    }
+    assert not out.exists()
+
+
 def test_full_training_pipeline_and_eval(tmp_path, capsys, workdir):
     feats = str(workdir / "feats.gfm")
     initial = str(workdir / "initial.jsonl")

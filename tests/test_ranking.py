@@ -95,13 +95,50 @@ def test_rank_gallery_k_validation_and_empty_gallery():
         rank_gallery(entries[0], gallery2, k=0)
 
 
-def test_rank_all_accepts_set_or_sequence():
+@pytest.mark.parametrize(
+    "cascade",
+    [{}, {"CASCADE_ROWS": 0, "DENSE_SHARE": -1}, {"CASCADE_ROWS": 0, "DENSE_SHARE": math.inf}],
+    ids=["default", "streaming", "gathering"],
+)
+def test_rank_all_accepts_set_or_sequence(monkeypatch, cascade):
+    for name, value in cascade.items():
+        monkeypatch.setattr(ranking, name, value)
     entries = make_maps(6, 2, 3, 3, seed=1)
     gallery = FeatureSet.from_entries(entries)
     a = rank_all(gallery, gallery, k=4)
     b = rank_all(entries, gallery, k=4)
     assert [rl.probe_id for rl in a] == [e.sequence_id for e in entries]
     assert a == b
+    # a probe set whose ids are in the gallery and outside it, interleaved
+    rng = np.random.default_rng(4)
+    outside = [FeatureMap(f"zz{i}", "zz", rng.standard_normal((3, 3))) for i in range(4)]
+    maps = [m for pair in zip(entries[::3], outside) for m in pair]
+    probes = FeatureSet.from_entries(maps, partition="probe")
+    n = len(gallery)
+    # k = n - 1 is every eligible row of a probe in the gallery, n of one outside it
+    for k in (None, 1, 4, n - 1, n, n + 3):
+        want = [_bitwise(rl) for rl in rank_all(maps, gallery, k)]
+        assert [_bitwise(rl) for rl in rank_all(probes, gallery, k)] == want, k
+        assert "entries" not in vars(probes)
+
+
+def test_rank_all_of_no_probes_is_empty_whatever_their_shape():
+    gallery = FeatureSet.from_entries(make_maps(3, 2, 2, 3, seed=1))
+    assert rank_all([], gallery) == []
+    other = FeatureSet(np.empty((0, 5, 7)), (), (), "probe")
+    for k in (None, 1):
+        assert rank_all(other, gallery, k) == []
+
+
+def test_rank_gallery_does_not_go_through_rank_all(monkeypatch):
+    # perfbench wraps both names: work counted under each would count twice
+    def refuse(*args, **kwargs):
+        raise AssertionError("rank_gallery called rank_all")
+
+    monkeypatch.setattr(ranking, "rank_all", refuse)
+    gallery = FeatureSet.from_entries(make_maps(3, 2, 2, 3, seed=1))
+    for k in (None, 2):
+        assert isinstance(ranking.rank_gallery(gallery.entries[0], gallery, k), RankedList)
 
 
 def oracle_rank(probe, gallery, k=None):

@@ -59,6 +59,15 @@ def test_split_train_val_partitions_identities():
     tr2, va2 = split_train_val(fs, val_fraction=0.10)
     assert tr.ids() == tr2.ids() and va.ids() == va2.ids()
     assert va.identities() == ["id018", "id019"]
+    # each part is its rows of the one array, bitwise, in entry order, with
+    # its ids aligned; no FeatureMap is built for the split
+    assert "entries" not in vars(fs)
+    rows = [[fs.row_of[sid] for sid in part.sequence_ids] for part in (tr, va)]
+    assert sorted(rows[0] + rows[1]) == list(range(len(fs)))
+    for part, part_rows in zip((tr, va), rows):
+        assert part_rows == sorted(part_rows)
+        assert part.strips.tobytes() == fs.strips[part_rows].tobytes()
+        assert part.identity_ids == tuple(fs.identity_ids[r] for r in part_rows)
 
 
 def test_split_train_val_requires_enough_identities():
