@@ -3,9 +3,10 @@
 Instead of attending, the baseline concatenates probe and candidate maps
 into a 2s x d block, flattens it, and scores the pair with a two-layer
 MLP trained under binary cross-entropy on same/different-identity
-labels. Candidates are then re-ordered by descending positive score.
-Note the concatenation order makes the score asymmetric in its
-arguments; the probe always occupies the first block.
+labels. ``baseline_rerank``, which is ``inference.rerank``, re-orders
+candidates by descending score. Note the concatenation order makes the
+score asymmetric in its arguments; the probe always occupies the first
+block.
 """
 
 from __future__ import annotations
@@ -17,9 +18,8 @@ import numpy as np
 
 from . import training as tr
 from .errors import ShapeError
-from .feature_store import FeatureMap, FeatureSet
-from .inference import _rerank_with
-from .ranking import RankedList
+from .feature_store import FeatureSet
+from .inference import rerank as baseline_rerank  # noqa: F401 (one re-rank path, both models)
 from .reranker import ParamStore, _glorot_params, _load_params, _save_params, _stable_sigmoid
 
 BASELINE_MAGIC = b"CGBL"
@@ -123,23 +123,6 @@ def bce_forward_backward(
     grads["w1"] = x.T @ dpre
     grads["b1"] = dpre.sum(axis=0)
     return loss, grads
-
-
-def baseline_rerank(
-    probe: FeatureMap,
-    initial: RankedList,
-    features,
-    weights: BaselineWeights,
-    k: int = 10,
-) -> RankedList:
-    """Re-order the top-k by descending pair score; same tail and
-    set-preservation rules as the attention re-ranker."""
-
-    def score(probe_map, candidate_maps):
-        neg = -baseline_scores(probe_map, candidate_maps, weights)
-        return neg - neg.min()
-
-    return _rerank_with(score, probe, initial, features, k)
 
 
 # ---------------------------------------------------------------------------

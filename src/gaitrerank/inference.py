@@ -1,5 +1,7 @@
-"""Second-stage re-ranking: re-order each probe's top-K by the
-cross-attention distance and splice the result onto the untouched tail.
+"""Second-stage re-ranking: re-order each probe's top-K by a pair model
+and splice the result onto the untouched tail. ``rerank`` is the one path
+for both models (``baseline.baseline_rerank`` is the same function); they
+differ only in how the candidates are scored.
 
 The re-ranked prefix and the tail live on different distance scales, so
 the prefix distances are affinely rescaled into [0, first-tail-distance]
@@ -24,20 +26,23 @@ from .reranker import RerankerWeights, pair_distances
 DEFAULT_K = 10
 
 
-def _rerank_with(score, probe: FeatureMap, initial: RankedList, features, k: int) -> RankedList:
-    """Guards, candidate lookup and splice shared by both re-rankers.
-
-    ``features`` is a FeatureSet, whose rows are gathered in one index,
-    or a mapping of sequence id -> map. ``score(probe_map,
-    candidate_maps)`` returns one value per stacked top-k candidate; the
-    prefix is re-ordered ascending by it.
-    """
+def rerank(
+    probe: FeatureMap,
+    initial: RankedList,
+    features,
+    weights,
+    k: int = DEFAULT_K,
+) -> RankedList:
+    """Re-order the first min(k, len) items of ``initial`` ascending by the
+    pair value, sequence id as tie-break: the attended distance for
+    RerankerWeights, the negated pair score shifted to a minimum of 0 for
+    BaselineWeights. ``features`` is a FeatureSet (rows gathered in one
+    index) or a mapping of sequence id -> map. Items beyond k keep their
+    order and distances; the prefix keeps its id set."""
     _check_k(k)
     if probe.sequence_id != initial.probe_id:
-        raise DataError(
-            f"initial list is for probe {initial.probe_id!r}, "
-            f"got features for {probe.sequence_id!r}"
-        )
+        raise DataError(f"initial list is for probe {initial.probe_id!r}, "
+                        f"got features for {probe.sequence_id!r}")
     if not len(initial):
         raise DataError(f"probe {initial.probe_id!r}: empty initial list")
     kk = min(k, len(initial))
@@ -50,27 +55,14 @@ def _rerank_with(score, probe: FeatureMap, initial: RankedList, features, k: int
             cand = np.stack([np.asarray(features[cid], dtype=np.float32) for cid in ids])
     except KeyError as exc:
         raise MissingIdError(f"no features for candidate {exc.args[0]!r}") from exc
-    return splice_reordered(initial, kk, score(probe.strips, cand))
+    if isinstance(weights, RerankerWeights):
+        values = pair_distances(probe.strips, cand, weights)
+    else:
+        from .baseline import baseline_scores  # baseline imports this module
 
-
-def rerank(
-    probe: FeatureMap,
-    initial: RankedList,
-    features,
-    weights: RerankerWeights,
-    k: int = DEFAULT_K,
-) -> RankedList:
-    """Re-order the first min(k, len) items of ``initial`` ascending by
-    the attended pair distance, sequence id as tie-break.
-
-    Items beyond k keep their original order and distances. The id set of
-    the prefix is preserved by construction.
-    """
-
-    def score(probe_map, candidate_maps):
-        return pair_distances(probe_map, candidate_maps, weights)
-
-    return _rerank_with(score, probe, initial, features, k)
+        values = -baseline_scores(probe.strips, cand, weights)
+        values -= values.min()
+    return splice_reordered(initial, kk, values)
 
 
 def splice_reordered(
@@ -103,23 +95,18 @@ def rerank_all(
     weights,
     k: int = DEFAULT_K,
 ) -> tuple[list[RankedList], list[float]]:
-    """Elementwise re-rank over aligned (probes, initial_lists) with either
-    model: ``rerank`` for RerankerWeights, ``baseline.baseline_rerank``
-    for BaselineWeights. Returns the lists plus per-probe wall-clock
-    latency in milliseconds."""
+    """``rerank`` over aligned (probes, initial_lists) with either model.
+    Checks k once, before any probe. Returns the lists plus per-probe
+    wall-clock latency in milliseconds; an error gets the probe's id as
+    a note."""
+    _check_k(k)
     if len(probes) != len(initial_lists):
-        raise DataError(
-            f"{len(probes)} probes but {len(initial_lists)} initial lists"
-        )
-    if isinstance(weights, RerankerWeights):
-        one = rerank
-    else:
-        from .baseline import baseline_rerank as one  # baseline imports this module
+        raise DataError(f"{len(probes)} probes but {len(initial_lists)} initial lists")
     lists, latencies = [], []
     for probe, initial in zip(probes, initial_lists):
         t0 = time.perf_counter()
         try:
-            lists.append(one(probe, initial, features, weights, k=k))
+            lists.append(rerank(probe, initial, features, weights, k=k))
         except Exception as exc:
             exc.add_note(f"probe {probe.sequence_id!r}")
             raise

@@ -163,6 +163,41 @@ def test_summary_gives_each_printed_metric_quartiles_per_side(ab):
     assert ab.summarize([_pair(1, (9.0, 20.0), (5.0, 19.0))], END_TO_END)["printed"] == {}
 
 
+SMALL_MODULE = '''"""Module docstring,
+over two lines."""
+
+import os  # a comment
+
+
+class Point:
+    """Class docstring."""
+
+    x = 1
+    """An attribute note is an expression, not a docstring."""
+    # a comment line
+
+    def text(self):
+        """Function
+        docstring."""
+        s = """a string
+        that is not a docstring"""
+        return s
+
+
+def sep():
+    return os.sep
+'''
+
+
+def test_code_lines_leave_out_comments_blank_lines_and_docstrings(ab, tmp_path):
+    module = tmp_path / "small.py"
+    module.write_text(SMALL_MODULE)
+    assert len(module.read_bytes().splitlines()) == 23
+    # import, class, x, the attribute note, def text, the two lines of s,
+    # return s, def sep, return os.sep
+    assert ab._code_lines(module.read_text()) == 10
+
+
 @pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
 def test_every_committed_record_holds_what_ab_writes(path):
     # every perf change commits the record tools/ab.py wrote for it

@@ -241,6 +241,52 @@ def test_rerank_baseline_missing_candidate_names_probe(tmp_path, capsys, workdir
     assert "id000-00" in rec["message"] and "ghost-00" in rec["message"]
 
 
+def _model_file(tmp_path, flag, s, d):
+    """A model for ``rerank``'s ``flag`` at strip shape (s, d)."""
+    if flag == "--checkpoint":
+        path = tmp_path / "w.cgrk"
+        cfg = RerankerConfig(s=s, d=d, num_classes=9, heads=2, hidden=8, mlp_hidden=8)
+        save_checkpoint(init_weights(cfg, seed=0), path)
+    else:
+        path = tmp_path / "b.cgbl"
+        save_baseline(init_baseline(BaselineConfig(s=s, d=d, hidden=8), seed=0), path)
+    return str(path)
+
+
+@pytest.mark.parametrize("flag", ["--checkpoint", "--baseline-checkpoint"])
+@pytest.mark.parametrize("lists", ["empty", "full"])
+@pytest.mark.parametrize("k", ["0", "-3"])
+def test_rerank_refuses_k_below_1_before_any_probe(tmp_path, capsys, workdir, flag, lists, k):
+    feats, out = str(workdir / "feats.gfm"), tmp_path / "o.jsonl"
+    initial = workdir / "initial.jsonl"
+    if lists == "empty":
+        initial = tmp_path / "empty.jsonl"
+        initial.write_text("")
+    code, _, err = run(capsys, "rerank", flag, _model_file(tmp_path, flag, 4, 6),
+                       "--probes", feats, "--gallery", feats, "--initial", str(initial),
+                       "--k", k, "--out", str(out))
+    assert code == 9
+    assert json.loads(err) == {"error": "data", "message": f"k must be >= 1, got {k}"}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--checkpoint", "--baseline-checkpoint"])
+def test_rerank_model_of_another_shape_exits_5_naming_the_first_probe(tmp_path, capsys, workdir,
+                                                                      flag):
+    feats, out = str(workdir / "feats.gfm"), tmp_path / "o.jsonl"
+    initial = workdir / "initial.jsonl"
+    first = read_ranked_lists(initial)[0].probe_id
+    code, stdout, err = run(capsys, "rerank", flag, _model_file(tmp_path, flag, 3, 5),
+                            "--probes", feats, "--gallery", feats, "--initial", str(initial),
+                            "--out", str(out))
+    assert code == 5 and stdout == ""
+    assert err.endswith("\n") and err.count("\n") == 1
+    report = json.loads(err)
+    assert report["error"] == "shape"
+    assert report["message"].startswith(f"probe {first!r}: ")
+    assert not out.exists()
+
+
 def test_diag_strips_with_and_without_checkpoint(tmp_path, capsys, workdir):
     feats = str(workdir / "feats.gfm")
     out = tmp_path / "cos.csv"

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from gaitrerank import inference
+from gaitrerank.baseline import BaselineConfig, baseline_rerank, init_baseline
 from gaitrerank.errors import DataError, MissingIdError
 from gaitrerank.feature_store import FeatureMap, FeatureSet
 from gaitrerank.inference import rerank, rerank_all, splice_reordered
@@ -136,15 +138,32 @@ def test_zeroed_attention_rerank_is_a_bitwise_no_op(setup):
         assert out is initial
 
 
-def test_rerank_all_matches_elementwise_and_reports_latency(setup):
+@pytest.mark.parametrize("model", ["reranker", "baseline"])
+def test_rerank_all_matches_elementwise_and_reports_latency(setup, model, monkeypatch):
     fs, weights = setup
+    one = rerank
+    if model == "baseline":
+        weights, one = init_baseline(BaselineConfig(s=4, d=6, hidden=8), seed=2), baseline_rerank
     probes = list(fs.entries)
     lists = rank_all(fs, fs, k=None)
     seq, lat = rerank_all(probes, lists, fs, weights, k=5)
     assert len(seq) == len(probes) and len(lat) == len(probes)
     assert all(ms >= 0 for ms in lat)
     for probe, initial, out in zip(probes, lists, seq):
-        assert out == rerank(probe, initial, fs, weights, k=5)
+        expected = one(probe, initial, fs, weights, k=5)
+        assert out == expected and out.dists.tobytes() == expected.dists.tobytes()
+
+    # one re-rank path serves both models, looked up once per probe
+    assert baseline_rerank is inference.rerank
+    calls = []
+
+    def counting(probe, *args, **kwargs):
+        calls.append(probe.sequence_id)
+        return rerank(probe, *args, **kwargs)
+
+    monkeypatch.setattr(inference, "rerank", counting)
+    assert rerank_all(probes, lists, fs, weights, k=5)[0] == seq
+    assert calls == [p.sequence_id for p in probes]
 
 
 def test_rerank_all_length_mismatch(setup):

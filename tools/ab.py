@@ -12,20 +12,23 @@ pair to pair. The two revisions must hold the same ``perfbench/`` and
 ``BENCHMARK.json``.
 
 The record (``BENCH_<topic>.json`` by default) holds both commit ids and
-the tree ids of their ``src/``, the ``src/`` line counts, perfbench's
-environment records, every run's end-to-end metrics and printed metric
-lines and, per metric of ``BENCHMARK.json``, each side's median and
-quartiles, the change's wins, losses and ties over the pairs, whether a
-gain is shown and the metric's bound verdict (see ``summarize``). Every
-printed metric (``rank_topk_probes_per_s``, ``baseline_iters_per_s``, ...)
-gets each side's median and quartiles too. It also holds one traced run
-per side and workload (seed 1) and, at ``--size full``, the wall time and
-the ten slowest test phases of one Tier-1 test run per side.
+the tree ids of their ``src/``, the ``src/`` line and code-line counts
+(see ``_code_lines``), perfbench's environment records, every run's
+end-to-end metrics and printed metric lines and, per metric of
+``BENCHMARK.json``, each side's median and quartiles, the change's wins,
+losses and ties over the pairs, whether a gain is shown and the metric's
+bound verdict (see ``summarize``). Every printed metric
+(``rank_topk_probes_per_s``, ``baseline_iters_per_s``, ...) gets each
+side's median and quartiles too. It also holds one traced run per side
+and workload (seed 1) and, at ``--size full``, the wall time and the ten
+slowest test phases of one Tier-1 test run per side.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
+import io
 import json
 import os
 import shutil
@@ -34,6 +37,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -158,13 +162,32 @@ def _tier1(tree: Path) -> dict:
             "summary": (lines or [""])[-1], "durations": durations}
 
 
+def _code_lines(source: str) -> int:
+    """Lines of ``source`` that hold a token other than a comment and are
+    not part of a module, class or function docstring."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+                and ast.get_docstring(node, clean=False) is not None):
+            doc = node.body[0]
+            docstrings.update(range(doc.lineno, doc.end_lineno + 1))
+    layout = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+              tokenize.ENDMARKER}
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in layout:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - docstrings)
+
+
 def _side(tree: Path, rev: str) -> dict:
-    src = (tree / "src").rglob("*.py")
+    src = list((tree / "src").rglob("*.py"))
     return {
         "rev": rev,
         "commit": _git("rev-parse", "HEAD", cwd=tree),
         "src_tree": _git("rev-parse", "HEAD:src", cwd=tree),
         "src_lines": sum(len(p.read_bytes().splitlines()) for p in src),
+        "src_code_lines": sum(_code_lines(p.read_text(encoding="utf-8")) for p in src),
     }
 
 
