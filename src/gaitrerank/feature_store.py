@@ -89,11 +89,11 @@ class FeatureSet:
     ``strips`` is the read-only float32 ``(n, s, d)`` array of all maps in
     entry order, ``sequence_ids`` and ``identity_ids`` the ids in that
     order. The rest (the FeatureMap views in ``entries``, the id -> row
-    index, the ranking keys and ``bound_table``, the gallery side of stage
-    one's top-k bounds) is derived on first use and cached: every layer
-    reads ``strips`` itself instead of copying it. ``bound_table`` is
-    built in one pass over ``strips`` on the first top-k call against the
-    set, never at load.
+    index, the ranking keys, and ``bound_table`` and ``sum_table``, the
+    gallery side of stage one's top-k bounds) is derived on first use and
+    cached: every layer reads ``strips`` itself instead of copying it.
+    Each table is built in one pass over ``strips`` on the first top-k
+    call that reads it, never at load.
 
     A set is valid by construction, however it is built: s and d are at
     least 1 (else ShapeError), the partition is one of ``PARTITIONS``
@@ -215,11 +215,21 @@ class FeatureSet:
         return np.array([self.rank_of[sid] for sid in self.sequence_ids], dtype=np.intp)
 
     @cached_property
-    def bound_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The gallery side of stage one's top-k bounds (``ranking._bound_table``)."""
-        from .ranking import _bound_table  # ranking imports this module
+    def bound_table(self) -> np.ndarray:
+        """The gallery side of stage one's per-strip bound: float64 terms of
+        the strips' norms, ``(s, n)`` (``ranking._norm_terms``)."""
+        from .ranking import _norm_terms  # ranking imports this module
 
-        return _bound_table(self.strips)
+        return _norm_terms(self.strips)
+
+    @cached_property
+    def sum_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """The gallery side of stage one's strip-sum bound
+        (``ranking._sum_table``), which only galleries of at least
+        ``ranking.CASCADE_ROWS`` rows read."""
+        from .ranking import _sum_table
+
+        return _sum_table(self.strips)
 
 
 def manifest_path(path) -> Path:

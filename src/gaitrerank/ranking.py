@@ -14,28 +14,28 @@ from below and scores exactly only the rows that can reach the k-th, in
 a cascade of two bounds, one kernel (``_bounds``): |a|^2 + |b|^2 - 2a.b,
 the decomposition FAISS uses, from float32 products of the doubled,
 negated probe's vectors with a table's rows plus float64 terms of the
-rows' squared norms, which the set caches, built in one pass over its
-strips (``FeatureSet.bound_table``). The coarse bound reads d values a
-row: with S a map's strips summed over s, the distance is at least
-|S_a - S_b|/s by the triangle inequality, so one float32 GEMV per probe
-group over the rows' sums bounds every row (``_sum_bounds``). Each probe
-scores exactly its k rows with the lowest bounds; the largest of those k
-distances is at least the k-th smallest, so it is the probe's cut. The
-rows whose coarse bound does not exceed the cut are gathered and
-bounded again strip by strip (``_distance_bounds``); a second exact
-pass scores the rows whose fine bound does not exceed the cut either.
-Where the coarse bound keeps most rows, as on maps drawn independently,
-and against a gallery under ``CASCADE_ROWS``, a probe streams the whole
-gallery through the fine bound instead, a block of rows at a time, so
-each block is read from memory once and nothing the size of the
-gallery's strips is allocated per call, and its picks are its k lowest
-fine bounds (``_lowest_bounds``). ``rank_all`` bounds its top-k probes
-``GROUP_PROBES`` at a time, one GEMM for the group, and each group makes
-its two exact passes over (probe, row) pairs. Both bounds are proven
-never to exceed the exact float64 distance, in any summation order, so
-every row at or below the k-th distance, ties included, is scored: the
-output is bit-identical to ranking the whole gallery. Full lists
-(``k=None``) take the exact path over every row.
+rows' squared norms, which the set caches (``FeatureSet.sum_table``,
+``FeatureSet.bound_table``). The coarse bound reads d values a row: with
+S a map's strips summed over s, the distance is at least |S_a - S_b|/s
+by the triangle inequality, so one float32 GEMV per probe group over the
+rows' sums bounds every row (``_sum_bounds``). Each probe scores exactly
+its k rows with the lowest bounds; the largest of those k distances is
+at least the k-th smallest, so it is the probe's cut. The rows whose
+coarse bound does not exceed the cut are gathered and bounded again
+strip by strip (``_distance_bounds``); a second exact pass scores the
+rows whose fine bound does not exceed the cut either. Where the coarse
+bounds keep most rows, as on maps drawn independently, a probe streams
+the whole gallery through the fine bound instead (``_lowest_bounds``
+decides from the coarse bounds), a block of rows at a time, so each
+block is read once and nothing the size of the gallery's strips is
+allocated per call, and its picks are its k lowest fine bounds. A
+gallery under ``CASCADE_ROWS`` is streamed without the coarse bound.
+``rank_all`` bounds its top-k probes ``GROUP_PROBES`` at a time, one
+GEMM for the group, and each group makes its two exact passes over
+(probe, row) pairs. Both bounds are proven never to exceed the exact
+float64 distance, in any summation order, so every row at or below the
+k-th distance, ties included, is scored: the output is bit-identical to
+ranking the whole gallery. Full lists (``k=None``) take the exact path.
 """
 
 from __future__ import annotations
@@ -130,31 +130,23 @@ BLOCK_BYTES = 1 << 20
 # probe took 7.8-9.0 ms alone, 3.5-4.5 in groups of 10 to 32
 GROUP_PROBES = 16
 
-# the cascade (_lowest_bounds) gathers the rows a probe's strip-sum
-# bounds keep where their share of the gallery, times the root of the
-# probes in its group, is at most DENSE_SHARE, and streams the whole
-# gallery otherwise. k=100 against the 10,000 x 16 x 64 synth gallery
-# at hardness 0 to 0.7 (median shares 0.99 to 0.04): a lone probe took
-# the same 5.7 ms either way at a share of 0.60, and gathering 9.3 ms
-# against 5.8 streaming at 0.99 and 1.6 against 6.0 at 0.04; in groups
-# of 16, which share one streaming pass, the two met near 0.2 (1.9 ms
-# gathering against 2.2 at 0.16, 3.8 against 2.5 at 0.34).
+# a probe streams (_lowest_bounds) where the share of the rows its sum
+# bounds keep, those at or below the exact distance of the row of its
+# k-th lowest, times the root of the probes in its group, exceeds
+# DENSE_SHARE. k=100 against the 10,000 x 16 x 64 synth gallery at
+# hardness 0 to 0.7 (median shares 0.99 to 0.04), caches evicted: a lone
+# probe took 7.6 ms gathering against 8.2 streaming at a share of 0.51,
+# 9.8 against 7.8 at 0.76; in groups of 16, which share one streaming
+# pass, 2.6 against 3.2 ms a probe at 0.16 and 4.3 against 3.1 at 0.31
 DENSE_SHARE = 0.6
 
-# the share is estimated on every SAMPLE_STEP-th row, so a probe that
-# then streams reads a sixteenth of the strip sums, not all of them: at
-# hardness 0 a k=100 call took 3-6% longer than without the cascade,
-# and about 10% with the share taken from every row. A strided sample
-# leaves out most of the near rows of a gallery kept in identity order;
-# a prefix kept them and sent some probes to the gathering pass.
-SAMPLE_STEP = 16
-
-# galleries of fewer rows stream without the cascade, whose calls cost
-# about 0.2 ms a probe more: at hardness 0.7, k=100, a lone probe
-# against 1,000 rows at 16 x 64 took 1.49 ms gathering and 1.38
-# streaming, against 2,000 rows 1.20 and 1.51; in groups of 16, 0.86 and
-# 0.72 ms a probe at 2,000 rows and 1.03 and 1.44 at 4,000; at 8 x 16,
-# k=30, 0.49 and 0.32 ms alone at 1,000 rows, 0.51 and 0.64 at 2,000
+# galleries of fewer rows stream without the cascade, whose 120 more
+# numpy calls cost 0.09 ms a lone probe, 0.04 a probe in a group (64
+# rows at 8 x 16). Caches evicted, at hardness 0.7: a lone probe took
+# 1.10 ms with the cascade and 1.28 without against 1,000 rows at 16 x
+# 64, k=100, and groups of 16 0.76 ms a probe either way up to 2,000
+# rows; at 8 x 16, k=30, groups took 0.16 and 0.14 ms a probe at 1,000
+# rows, 0.18 and 0.23 at 2,000
 CASCADE_ROWS = 2048
 
 
@@ -219,28 +211,31 @@ def _strip_sums(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return sums, 2.0**-20 * np.sqrt(s * np.einsum("msd,msd->m", maps, maps)) + d * 2.0**-123
 
 
-def _bound_table(strips: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The gallery side of both bounds, built in one pass over the float32
-    ``strips`` ``(n, s, d)``, a block of rows at a time
-    (``FeatureSet.bound_table`` caches it): the rows' strip sums, float32
-    ``(n, 1, d)`` (2.56 MB beside 41 MB of strips at 10,000 x 16 x 64);
-    the float64 terms L = (1 - c)*B - t of their strips, ``(s, n)``, a
-    row's contiguous, as its strips are gathered; and float64 ``(2, n)``,
-    each contiguous over the rows: L of each sum, then the sum's rounding
-    term e (``_strip_sums``). B is a squared norm summed in float32, and c
-    and t the slack of d values (``_bound_slack``)."""
+def _norm_terms(table: np.ndarray) -> np.ndarray:
+    """The float64 terms L = (1 - c)*B - t of float32 table rows ``(n, r,
+    d)``, ``(r, n)`` with a row's contiguous, as its vectors are gathered:
+    B is a vector's squared norm summed in float32, c and t the slack of d
+    values (``_bound_slack``); ``FeatureSet.bound_table`` of the strips."""
+    c, t = _bound_slack(table.shape[2])
+    terms = np.einsum("nrd,nrd->nr", table, table).astype(np.float64) * (1 - c) - t
+    terms.flags.writeable = False
+    return terms.T
+
+
+def _sum_table(strips: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``FeatureSet.sum_table``, built in one pass over the float32 ``strips``
+    ``(n, s, d)``, a block of rows at a time: the strip sums, float32 ``(n,
+    1, d)`` (2.56 MB beside 41 MB of strips at 10,000 x 16 x 64), and float64
+    ``(2, n)``: L of each sum (``_norm_terms``), then e (``_strip_sums``)."""
     n, s, d = strips.shape
-    c, t = _bound_slack(d)
-    sums, terms, sum_terms = np.empty((n, 1, d), np.float32), np.empty((n, s)).T, np.empty((2, n))
+    sums, terms = np.empty((n, 1, d), np.float32), np.empty((2, n))
     step = _block_rows(s, d, 8)
     for start in range(0, n, step):
         rows = slice(start, start + step)
-        norms = np.einsum("nsd,nsd->sn", strips[rows], strips[rows]).astype(np.float64)
-        terms[:, rows] = norms * (1 - c) - t
-        sums[rows], sum_terms[1, rows] = _strip_sums(strips[rows].astype(np.float64))
-    sum_terms[0] = np.einsum("nrd,nrd->n", sums, sums).astype(np.float64) * (1 - c) - t
-    sums.flags.writeable = terms.flags.writeable = sum_terms.flags.writeable = False
-    return sums, terms, sum_terms
+        sums[rows], terms[1, rows] = _strip_sums(strips[rows].astype(np.float64))
+    terms[0] = _norm_terms(sums)[0]
+    sums.flags.writeable = terms.flags.writeable = False
+    return sums, terms
 
 
 def _bounds(vectors: np.ndarray, table: np.ndarray, terms: np.ndarray, s: int,
@@ -248,7 +243,7 @@ def _bounds(vectors: np.ndarray, table: np.ndarray, terms: np.ndarray, s: int,
     """Float64 ``(p, n)`` lower bounds on the distance ``_distances_to_stack``
     returns between maps of s strips, from float32 vectors ``(p, r, d)``
     (one ``(r, d)`` counts as p = 1) against float32 table rows ``(n, r,
-    d)`` and the rows' float64 terms ``(r, n)`` (``_bound_table``); given
+    d)`` and the rows' float64 terms ``(r, n)`` (``_norm_terms``); given
     ``rows``, the ``(p, m)`` bounds of those rows, gathered a block at a
     time. Given ``err``, the probes' rounding terms ``(p,)``, ``terms``
     holds the rows' as a last row, and both are subtracted. The per-strip
@@ -350,15 +345,14 @@ def _distance_bounds(probes: np.ndarray, gallery: FeatureSet,
                      rows: np.ndarray | None = None) -> np.ndarray:
     """``_bounds`` of the float32 probes' strips (``(p, s, d)``; one ``(s,
     d)`` probe counts as p = 1) against the gallery rows' (``rows`` of them)."""
-    return _bounds(probes, gallery.strips, gallery.bound_table[1], gallery.s, rows)
+    return _bounds(probes, gallery.strips, gallery.bound_table, gallery.s, rows)
 
 
-def _sum_bounds(probes: np.ndarray, gallery: FeatureSet, rows=slice(None)) -> np.ndarray:
+def _sum_bounds(probes: np.ndarray, gallery: FeatureSet) -> np.ndarray:
     """``_bounds`` of the strip sums of float64 probes holding float32 values
-    (``(p, s, d)``) against the gallery rows' (the ``rows`` slice of them)."""
+    (``(p, s, d)``) against every gallery row's (``FeatureSet.sum_table``)."""
     vectors, err = _strip_sums(probes.reshape(-1, gallery.s, gallery.d))
-    sums, _, terms = gallery.bound_table
-    return _bounds(vectors, sums[rows], terms[:, rows], gallery.s, err=err)
+    return _bounds(vectors, *gallery.sum_table, gallery.s, err=err)
 
 
 def _check_k(k: int | None) -> None:
@@ -373,37 +367,41 @@ def _drop_own(values: np.ndarray, own: np.ndarray) -> np.ndarray:
     return values
 
 
+def _lowest(values: np.ndarray, k: int) -> np.ndarray:
+    """Each row's k lowest columns of ``values`` ``(p, n)``, NaN last: those at
+    or below its k-th value, found by np.partition, unless values tie there
+    (over 10,000 bounds of a row, 0.03 ms against np.argpartition's 0.04-0.14)."""
+    kth = np.partition(values, k - 1, axis=1)[:, k - 1 : k]
+    keep = np.flatnonzero(values <= kth)
+    if len(keep) > len(values) * k:
+        return np.argpartition(values, k - 1, axis=1)[:, :k]
+    return (keep % values.shape[1]).reshape(-1, k)
+
+
 def _lowest_bounds(strips: np.ndarray, wide: np.ndarray, own: np.ndarray,
                    gallery: FeatureSet, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lower bounds on the distances of a group of probes (``strips``, and
     as float64 ``wide``) to the gallery rows, NaN at each one's ``own`` row
     (-1: none), so it is partitioned last, below no cut; each probe's k
     rows with the lowest bounds; and which probes took the streaming
-    per-strip bound pass (``_distance_bounds``). The others' bounds come
-    from the strip sums (``_bounds`` at r = 1), the probes' summed once."""
-    p, n, s = len(strips), len(gallery), gallery.s
-    dense = np.ones(p, dtype=bool)
-    if n >= CASCADE_ROWS:
-        sums, _, terms = gallery.bound_table
-        vectors, err = _strip_sums(wide)
-        # the share of the rows a probe's cut will keep by their sum
-        # bounds, estimated on a sample: those at or below the distance of
-        # the sampled row that ranks where its k-th pick would
-        rough = _bounds(vectors, sums[::SAMPLE_STEP], terms[:, ::SAMPLE_STEP], s, err=err)
-        rough = _drop_own(rough, np.where(own % SAMPLE_STEP, -1, own // SAMPLE_STEP))
-        m = rough.shape[1]
-        j = max(0, min(-(-k * m // n), m - 1) - 1)
-        far = gallery.strips[np.argpartition(rough, j, axis=1)[:, j] * SAMPLE_STEP] - wide
-        reach = np.sqrt((far * far).sum(axis=2)).mean(axis=1)
-        dense = (rough <= reach[:, None]).mean(axis=1) > DENSE_SHARE / math.sqrt(p)
-    if dense.all():
-        lo = _distance_bounds(strips, gallery)
-    else:
-        lo = _bounds(vectors, sums, terms, s, err=err)
-        if dense.any():
-            lo[dense] = _distance_bounds(strips[dense], gallery)
-    lo = _drop_own(lo, own)
-    return lo, np.argpartition(lo, k - 1, axis=1)[:, :k], dense
+    per-strip bound pass (``_distance_bounds``): against ``CASCADE_ROWS``
+    rows or more, only those whose strip-sum bounds (``_sum_bounds``) keep
+    too many rows (``DENSE_SHARE``)."""
+    p, n = len(strips), len(gallery)
+    if n < CASCADE_ROWS:
+        lo = _drop_own(_distance_bounds(strips, gallery), own)
+        return lo, _lowest(lo, k), np.ones(p, dtype=bool)
+    lo = _drop_own(_sum_bounds(wide, gallery), own)
+    picks, at = _lowest(lo, k), np.arange(p)
+    # the rows a probe's cut would keep by their sum bounds, counted at the
+    # exact distance of its k-th lowest's row, which the cut is at least
+    kth = picks[at, lo[at[:, None], picks].argmax(axis=1)]
+    reach = _distances_to_stack(wide, gallery.strips, kth, at)
+    dense = np.count_nonzero(lo <= reach[:, None], axis=1) > n * DENSE_SHARE / math.sqrt(p)
+    if dense.any():
+        lo[dense] = _drop_own(_distance_bounds(strips[dense], gallery), own[dense])
+        picks[dense] = _lowest(lo[dense], k)
+    return lo, picks, dense
 
 
 def _rank(strips: np.ndarray, ids: Sequence[str], own: np.ndarray, gallery: FeatureSet,
@@ -442,13 +440,14 @@ def _rank(strips: np.ndarray, ids: Sequence[str], own: np.ndarray, gallery: Feat
         near = _distances_to_stack(wide, gallery.strips, picks.ravel(), owner)
         cut = near.reshape(-1, k).max(axis=1)
         below = lo <= cut[:, None]
-        np.put_along_axis(below, picks, False, axis=1)  # scored already
+        below[owner.reshape(-1, k), picks] = False  # scored already
         # a sparse probe's rows under the cut by their sum bounds, gathered,
         # are bounded again strip by strip
         for j in np.flatnonzero(~dense):
             rows = np.flatnonzero(below[j])
             below[j, rows] = _distance_bounds(maps[j], gallery, rows)[0] <= cut[j]
-        others, rows = np.nonzero(below)
+        # (np.nonzero of the 2-D mask took ten times as long)
+        others, rows = np.divmod(np.flatnonzero(below), len(gallery))
         far = _distances_to_stack(wide, gallery.strips, rows, others)
         owner, rows, dists = (np.concatenate(pair) for pair in
                               ((owner, others), (picks.ravel(), rows), (near, far)))

@@ -1,10 +1,23 @@
 import builtins
 import errno
+import warnings
 
 import numpy as np
 import pytest
 
 from gaitrerank.feature_store import FeatureMap, FeatureSet
+
+# Hypothesis imports libcst, where installed, to suggest a patch for a
+# failing property; libcst's import warns (a DeprecationWarning from
+# mypy_extensions), which ``filterwarnings = ["error"]`` raises inside the
+# plugin, aborting the session. Imported once here with that warning
+# ignored, the module is cached when the plugin asks for it.
+try:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        import libcst  # noqa: F401
+except ImportError:
+    pass
 
 try:
     from hypothesis import settings
