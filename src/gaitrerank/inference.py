@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError, MissingIdError
+from .errors import DataError, MissingIdError, ShapeError
 from .feature_store import FeatureMap, FeatureSet
 from .ranking import RankedList, _check_k
 from .reranker import RerankerWeights, pair_distances
@@ -96,12 +96,22 @@ def rerank_all(
     k: int = DEFAULT_K,
 ) -> tuple[list[RankedList], list[float]]:
     """``rerank`` over aligned (probes, initial_lists) with either model.
-    Checks k once, before any probe. Returns the lists plus per-probe
+    Checks k, and the model's (s, d) against each probe's and a FeatureSet
+    gallery's, once, before any probe. Returns the lists plus per-probe
     wall-clock latency in milliseconds; an error gets the probe's id as
-    a note."""
+    a note: a gallery of another shape is named with the first probe."""
     _check_k(k)
     if len(probes) != len(initial_lists):
         raise DataError(f"{len(probes)} probes but {len(initial_lists)} initial lists")
+    want = (weights.config.s, weights.config.d)
+    shapes = [(probe, "probe", probe.strips.shape) for probe in probes]
+    if probes and isinstance(features, FeatureSet):
+        shapes.append((probes[0], "gallery", (features.s, features.d)))
+    for probe, what, got in shapes:
+        if got != want:
+            exc = ShapeError(f"{what} maps are {got}, the model declares {want}")
+            exc.add_note(f"probe {probe.sequence_id!r}")
+            raise exc
     lists, latencies = [], []
     for probe, initial in zip(probes, initial_lists):
         t0 = time.perf_counter()

@@ -270,10 +270,14 @@ def _attention_forward(
         q = ((maps if i == 0 else x).reshape(-1, d) @ m + c).reshape(-1, s, H, d)
         q = np.ascontiguousarray(q.transpose(0, 2, 1, 3))
         attn = (q[query_idx] if i == 0 else q) @ kv_t  # (N,H,s,s) scores
+        del q  # last read: freed before concat is allocated
         _softmax_rows(attn)
         concat = np.empty((N * s, H * d), dtype=maps.dtype)
         np.matmul(attn, kv, out=concat.reshape(N, s, H, d).transpose(0, 2, 1, 3))
-        out = x + (concat @ w_vo + b).reshape(N, s, d)
+        # x + (concat @ w_vo + b), summed in place in the product's buffer
+        out = (concat @ w_vo).reshape(N, s, d)
+        out += b
+        out += x
         if want_cache:
             caches.append((x, attn, concat, m, w_vo))
         x = out
@@ -294,6 +298,17 @@ def _attention_backward(
     Input-feature gradients are propagated through the residual chain
     between blocks but not returned: the upstream feature extractor is
     frozen.
+
+    Backward keeps each array only until its last read. It consumes
+    ``caches``: a block's tuple is taken off the list when its turn comes,
+    ``concat`` is released once d W_vo is read from it and ``attn`` after
+    the softmax backward, d (x m + c) is written into d ctx's buffer, and
+    d scores is released before the chain rule. So one (N*s, H*d) array
+    and one score array live at a time beside the caches of the blocks
+    still to come. With the loss side's arrays also released after their
+    last reads, a step's tracemalloc peak fell from 7.03 to 3.45 MB at the
+    acceptance harness, 44.5 to 21.4 MB at s=16, d=64 and 131.4 to 56.8 MB
+    at s=16, d=128, 8 heads, hidden 256 (README).
     """
     cfg = weights.config
     N, s, d = grad_out.shape
@@ -304,18 +319,21 @@ def _attention_backward(
     dx = grad_out
     for i in range(cfg.blocks - 1, -1, -1):
         blk = weights.block(i)
-        x, attn, concat, m, w_vo = blocks[i]
+        x, attn, concat, m, w_vo = blocks.pop()
         dproj = dx.reshape(N * s, d)
         db = ones @ dproj
         dw_vo = (concat.T @ dproj).reshape(H, d, d)
-        dctx = (dproj @ w_vo.T).reshape(N, s, H, d).transpose(0, 2, 1, 3)
+        del concat
+        # d ctx in its (N*s, H*d) row layout; d (x m + c) then overwrites it
+        dq = dproj @ w_vo.T
+        dq_heads = dq.reshape(N, s, H, d).transpose(0, 2, 1, 3)
         # d attn, turned in place into d scores (softmax backward)
-        dscores = dctx @ kv_t
+        dscores = dq_heads @ kv_t
         dscores -= _row_dot(dscores, attn)[..., None]
         dscores *= attn
-        # d (x m + c), written straight into its (N*s, H*d) row layout
-        dq = np.empty((N * s, H * d), dtype=grad_out.dtype)
-        np.matmul(dscores, kv, out=dq.reshape(N, s, H, d).transpose(0, 2, 1, 3))
+        del attn
+        np.matmul(dscores, kv, out=dq_heads)
+        del dscores
         # d M_h and d c_h, times the scale that M_h and c_h carry
         dm = scale * (x.reshape(N * s, d).T @ dq).reshape(d, H, d).transpose(1, 0, 2)
         dc = scale * (ones @ dq).reshape(H, d, 1)
@@ -392,6 +410,20 @@ def _classifier_forward(e: np.ndarray, weights: RerankerWeights):
     a = np.tanh(h)
     logits = a @ p["cls.w2"] + p["cls.b2"]
     return logits, (pooled, a)
+
+
+def _classifier_backward(dlogits: np.ndarray, cache, weights: RerankerWeights,
+                         grads: dict[str, np.ndarray]) -> np.ndarray:
+    # dlogits: (N, C) upstream; accumulates the head's gradients and
+    # returns the gradient wrt the pooled maps, (N, d)
+    pooled, a = cache
+    p = weights.params()
+    grads["cls.w2"] += a.T @ dlogits
+    grads["cls.b2"] += dlogits.sum(axis=0)
+    dh = (dlogits @ p["cls.w2"].T) * (1.0 - a * a)
+    grads["cls.w1"] += pooled.T @ dh
+    grads["cls.b1"] += dh.sum(axis=0)
+    return dh @ p["cls.w1"].T
 
 
 def _cross_entropy(logits: np.ndarray, labels: np.ndarray):
@@ -494,8 +526,8 @@ def _batch_forward(
     # losses in float64 so ranking distances keep their precision contract;
     # swapping a pair's sides only negates its diff, so each slot's
     # distance is that of its (probe, candidate) order
-    e64 = e.astype(np.float64)
-    dist, dist_cache = _pair_distances_and_cache(e64[:n], e64[n:])
+    e = e.astype(np.float64)
+    dist, dist_cache = _pair_distances_and_cache(e[:n], e[n:])
     d_pos, d_neg = dist[slot[:B]], dist[slot[B:]]
     ranking_total = ranking_loss(d_pos, d_neg, beta).sum()
 
@@ -505,7 +537,8 @@ def _batch_forward(
     map_labels = np.empty(U, dtype=batch.labels.dtype)
     map_labels[index] = batch.labels
     labels = map_labels[np.concatenate([lo, hi])]
-    logits, cls_cache = _classifier_forward(e64, weights)
+    logits, cls_cache = _classifier_forward(e, weights)
+    del e
     ce, probs = _cross_entropy(logits, labels)
     occ = np.tile(np.bincount(slot), 2)
     ce_mean = (occ @ ce) / (4 * B)
@@ -515,30 +548,29 @@ def _batch_forward(
         return loss, None
 
     # ---- backward -------------------------------------------------------
+    # each loss-side array is dropped after its last read, so the attention
+    # backward runs beside its own caches and the converted de alone
     grads = zero_gradients(cfg, dtype=dtype)
+
+    # classifier head: alpha times the weighted mean CE (exactly zero when alpha=0)
+    dlogits = probs
+    dlogits[np.arange(2 * n), labels] -= 1.0
+    dlogits *= (alpha / (4 * B)) * occ[:, None]
+    dpooled = _classifier_backward(dlogits, cls_cache, weights, grads)
+    del probs, dlogits, cls_cache
+
     x = d_neg - d_pos
     dldx = np.where(x >= 0, beta, 1.0) * (_stable_sigmoid(x) - 1.0)  # d loss / d (d_neg - d_pos)
-
     # one float per pair: the summed upstream gradient of its distance
     g_dist = np.bincount(slot, weights=np.concatenate([-dldx, dldx]))
     g_lo = _pair_distances_backward(g_dist, dist_cache)
+    del dist_cache
     de = np.concatenate([g_lo, -g_lo])
-
-    # classifier head: alpha times the weighted mean CE (exactly zero when alpha=0)
-    pooled, act = cls_cache
-    dlogits = probs.copy()
-    dlogits[np.arange(2 * n), labels] -= 1.0
-    dlogits *= (alpha / (4 * B)) * occ[:, None]
-    grads["cls.w2"] += act.T @ dlogits
-    grads["cls.b2"] += dlogits.sum(axis=0)
-    da = dlogits @ weights.params()["cls.w2"].T
-    dh = da * (1.0 - act * act)
-    grads["cls.w1"] += pooled.T @ dh
-    grads["cls.b1"] += dh.sum(axis=0)
-    dpooled = dh @ weights.params()["cls.w1"].T
+    del g_lo
     de += dpooled[:, None, :] / cfg.s
+    de = de.astype(dtype)
 
-    _attention_backward(de.astype(dtype), caches, weights, grads)
+    _attention_backward(de, caches, weights, grads)
     return loss, grads
 
 

@@ -287,6 +287,45 @@ def test_rerank_model_of_another_shape_exits_5_naming_the_first_probe(tmp_path, 
     assert not out.exists()
 
 
+def test_rerank_model_of_another_shape_has_one_message_for_both_models(tmp_path, capsys,
+                                                                      workdir):
+    feats, out = str(workdir / "feats.gfm"), tmp_path / "o.jsonl"
+    initial = workdir / "initial.jsonl"
+    first = read_ranked_lists(initial)[0].probe_id
+    for flag in ("--checkpoint", "--baseline-checkpoint"):
+        code, _, err = run(capsys, "rerank", flag, _model_file(tmp_path, flag, 3, 5),
+                           "--probes", feats, "--gallery", feats, "--initial", str(initial),
+                           "--out", str(out))
+        assert code == 5
+        assert json.loads(err) == {
+            "error": "shape",
+            "message": f"probe {first!r}: probe maps are (4, 6), the model declares (3, 5)",
+        }
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--checkpoint", "--baseline-checkpoint"])
+@pytest.mark.parametrize("model", ["probes", "gallery"])
+def test_rerank_probes_and_gallery_of_different_shapes_exit_5(tmp_path, capsys, workdir,
+                                                              flag, model):
+    feats, out = str(workdir / "feats.gfm"), tmp_path / "o.jsonl"
+    initial = workdir / "initial.jsonl"
+    first = read_ranked_lists(initial)[0].probe_id
+    gallery = tmp_path / "gallery.gfm"
+    assert main(["synth", "--ids", "12", "--per-id", "3", "--strips", "3",
+                 "--dim", "6", "--seed", "3", "--out", str(gallery)]) == 0
+    capsys.readouterr()
+    # the model matches one side; the other side is named
+    shape, other = ((4, 6), "gallery maps are (3, 6)") if model == "probes" else (
+        (3, 6), "probe maps are (4, 6)")
+    code, _, err = run(capsys, "rerank", flag, _model_file(tmp_path, flag, *shape),
+                       "--probes", feats, "--gallery", str(gallery), "--initial", str(initial),
+                       "--out", str(out))
+    assert code == 5
+    assert json.loads(err)["message"] == f"probe {first!r}: {other}, the model declares {shape}"
+    assert not out.exists()
+
+
 def test_diag_strips_with_and_without_checkpoint(tmp_path, capsys, workdir):
     feats = str(workdir / "feats.gfm")
     out = tmp_path / "cos.csv"

@@ -28,7 +28,7 @@ def columns(rl) -> tuple[list[str], bytes]:
     return rl.ids(), rl.dists.tobytes()
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=150, deadline=None)
 @given(
     n=st.integers(2, 40), s=st.integers(1, 4), d=st.integers(1, 5),
     distinct=st.integers(1, 40), exponent=st.sampled_from([-30, -12, 0, 9, 18]),
@@ -59,7 +59,7 @@ def test_rank_all_equals_the_sorted_reference_bitwise(n, s, d, distinct, exponen
                 (rl.ids()[:k], rl.dists[:k].tobytes()) for rl in full]
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
+@settings(max_examples=80, deadline=None)
 @given(
     identities=st.integers(2, 10), per_id=st.integers(1, 4), s=st.integers(1, 5),
     d=st.integers(1, 6), exponent=st.sampled_from([-30, -12, 0, 9, 18]),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -464,6 +465,57 @@ def test_a_triplet_repeated_b_times_counts_b_times(alpha):
     for name, g in grads.items():
         np.testing.assert_allclose(g, (B - 1) * rank_grads[name] + grads1[name],
                                    rtol=1e-10, atol=1e-13, err_msg=name)
+
+
+def _harness_batch(s, d, seed=0):
+    """32 x 4 triplets drawn from 40 identities x 6 float32 maps, the size
+    of the acceptance harness's batches."""
+    rng = np.random.default_rng(seed)
+    index = rng.integers(0, 240, size=(128, 3))
+    return IndexedBatch(rng.standard_normal((240, s, d)).astype(np.float32), index, index // 6)
+
+
+@pytest.mark.parametrize("s, d", [(8, 16), (16, 64)])
+def test_forward_backward_peak_fits_the_batch_arrays_it_needs(s, d):
+    cfg = RerankerConfig(s=s, d=d, num_classes=40, heads=4, hidden=64, mlp_hidden=64)
+    w = init_weights(cfg, seed=1)
+    batch = _harness_batch(s, d)
+    forward_backward(batch, w, alpha=0.01, beta=0.1)
+    tracemalloc.start()
+    try:
+        forward_backward(batch, w, alpha=0.01, beta=0.1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # N directions: each distinct pair of rows, attended both ways
+    p, pos, neg = batch.index.T
+    pairs = np.sort(np.stack([np.r_[p, p], np.r_[pos, neg]], axis=1), axis=1)
+    N, H = 2 * len(np.unique(pairs, axis=0)), cfg.heads
+    wide = N * s * H * d * 4  # one (N*s, H*d) array: concat, d ctx or d q
+    scores = N * H * s * s * 4  # attn or d scores
+    stack = N * s * d * 8  # one float64 (N, s, d) stack
+    # two wide arrays, one score array and five float64 stacks at once: a
+    # step that holds concat, d ctx and d q, or both score arrays, at once
+    # exceeds it
+    assert peak < 2 * wide + scores + 5 * stack, (peak, N)
+
+
+@pytest.mark.parametrize("blocks", [1, 2])
+def test_forward_backward_repeats_bitwise_and_returns_unshared_gradients(blocks):
+    cfg = RerankerConfig(s=8, d=16, num_classes=40, heads=4, hidden=64, blocks=blocks,
+                         mlp_hidden=64)
+    w = init_weights(cfg, seed=2)
+    batch = _harness_batch(8, 16, seed=3)
+    loss, grads = forward_backward(batch, w, alpha=0.01, beta=0.1)
+    again, grads_again = forward_backward(batch, w, alpha=0.01, beta=0.1)
+    assert np.float64(loss).tobytes() == np.float64(again).tobytes()
+    assert list(grads) == list(grads_again)
+    for name, g in grads.items():
+        assert g.tobytes() == grads_again[name].tobytes(), name
+    held = [batch.maps, batch.index, batch.labels, *w.params().values()]
+    arrays = list(grads.values())
+    for i, g in enumerate(arrays):
+        assert not any(np.shares_memory(g, other) for other in arrays[i + 1 :] + held)
 
 
 # ---------------------------------------------------------------------------
