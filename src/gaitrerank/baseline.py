@@ -64,10 +64,8 @@ def init_baseline(
 
 def _flatten_pairs(a: np.ndarray, b: np.ndarray, cfg: BaselineConfig) -> np.ndarray:
     # (B, s, d) x 2 -> (B, 2sd), candidate block after the probe block
-    if a.shape != b.shape or a.shape[1:] != (cfg.s, cfg.d):
-        raise ShapeError(
-            f"pair shapes {a.shape} / {b.shape} do not match config ({cfg.s}, {cfg.d})"
-        )
+    if len(a) != len(b):
+        raise ShapeError(f"{len(a)} probe maps against {len(b)} candidate maps")
     return np.concatenate([a, b], axis=1).reshape(a.shape[0], cfg.in_dim)
 
 
@@ -75,13 +73,11 @@ def baseline_scores(
     probe_map: np.ndarray, candidate_maps: np.ndarray, weights: BaselineWeights
 ) -> np.ndarray:
     """Logits for one probe against M candidates; (M,) float64."""
-    cfg = weights.config
-    cands = np.asarray(candidate_maps, dtype=weights.dtype)
-    if cands.ndim != 3:
-        raise ShapeError(f"candidate_maps must be (M, s, d), got {cands.shape}")
     probe = np.asarray(probe_map, dtype=weights.dtype)
-    tiled = np.broadcast_to(probe, cands.shape)
-    x = _flatten_pairs(tiled, cands, cfg)
+    cands = np.asarray(candidate_maps, dtype=weights.dtype)
+    weights.check_maps("probe", probe.shape)
+    weights.check_maps("candidate", cands.shape[1:])
+    x = _flatten_pairs(np.broadcast_to(probe, cands.shape), cands, weights.config)
     p = weights.params()
     h = np.tanh(x @ p["w1"] + p["b1"])
     return (h @ p["w2"] + p["b2"])[:, 0].astype(np.float64)
@@ -98,14 +94,15 @@ def bce_forward_backward(
 
     Stable form: max(z, 0) - y*z + log1p(exp(-|z|)).
     """
-    cfg = weights.config
     dtype = weights.dtype
     a = np.ascontiguousarray(a, dtype=dtype)
     b = np.ascontiguousarray(b, dtype=dtype)
+    weights.check_maps("probe", a.shape[1:])
+    weights.check_maps("candidate", b.shape[1:])
     y = np.asarray(labels, dtype=np.float64)
     if y.shape != (a.shape[0],):
         raise ShapeError(f"labels must be ({a.shape[0]},), got {y.shape}")
-    x = _flatten_pairs(a, b, cfg)
+    x = _flatten_pairs(a, b, weights.config)
     p = weights.params()
     h_pre = x @ p["w1"] + p["b1"]
     h = np.tanh(h_pre)

@@ -277,16 +277,11 @@ def _cmd_rerank(args) -> int:
     probes = load_feature_set(args.probes)
     gallery = load_feature_set(args.gallery)
     initial = read_ranked_lists(args.initial)
-    missing = [rl.probe_id for rl in initial if rl.probe_id not in probes.row_of]
-    if missing:
-        raise MissingIdError(f"no probe features for {missing[0]!r}")
-    ordered_probes = [probes.get(rl.probe_id) for rl in initial]
-
     if args.baseline_checkpoint:
         weights, _, _ = baseline.load_baseline(args.baseline_checkpoint)
     else:
         weights, _, _ = load_checkpoint(args.checkpoint)
-    lists, latencies = inference.rerank_all(ordered_probes, initial, gallery, weights, k=args.k)
+    lists, latencies = inference.rerank_all(probes, initial, gallery, weights, k=args.k)
     write_ranked_lists(lists, args.out, latencies_ms=latencies if args.timing else None)
     print(
         json.dumps(
@@ -315,6 +310,8 @@ def _cmd_eval(args) -> int:
     lists = read_ranked_lists(args.lists)
     identities = {seq: rec["identity"] for seq, rec in read_manifest(args.manifest).items()}
     ks = [int(x) for x in args.ks.split(",") if x]
+    if not ks:
+        raise ValueError(f"--ks must name at least one K, got {args.ks!r}")
     fprs = [float(x) for x in args.fpr.split(",") if x]
     report = metrics.evaluate_lists(
         lists,
@@ -342,8 +339,10 @@ def _cmd_diag_strips(args) -> int:
     parts = args.pair.split(",")
     if len(parts) != 2:
         raise ValueError(f"--pair must be two ids separated by a comma, got {args.pair!r}")
-    f_p = features.get(parts[0].strip()).strips
-    f_c = features.get(parts[1].strip()).strips
+    try:
+        f_p, f_c = (features.strips[features.row_of[sid.strip()]] for sid in parts)
+    except KeyError as exc:
+        raise MissingIdError(f"no features for sequence {exc.args[0]!r}") from exc
     if args.checkpoint:
         weights, _, _ = load_checkpoint(args.checkpoint)
         matrix = metrics.strip_cosine_matrix(*attended_pair(f_p, f_c, weights))

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError, MissingIdError, ShapeError
+from .errors import DataError, MissingIdError
 from .feature_store import FeatureMap, FeatureSet
 from .ranking import RankedList, _check_k
 from .reranker import RerankerWeights, pair_distances
@@ -38,11 +38,15 @@ def rerank(
     RerankerWeights, the negated pair score shifted to a minimum of 0 for
     BaselineWeights. ``features`` is a FeatureSet (rows gathered in one
     index) or a mapping of sequence id -> map. Items beyond k keep their
-    order and distances; the prefix keeps its id set."""
+    order and distances; the prefix keeps its id set. ``check_maps`` takes
+    the probe, then a FeatureSet gallery, before candidates are gathered."""
     _check_k(k)
     if probe.sequence_id != initial.probe_id:
         raise DataError(f"initial list is for probe {initial.probe_id!r}, "
                         f"got features for {probe.sequence_id!r}")
+    weights.check_maps("probe", probe.strips.shape)
+    if isinstance(features, FeatureSet):
+        weights.check_maps("gallery", (features.s, features.d))
     if not len(initial):
         raise DataError(f"probe {initial.probe_id!r}: empty initial list")
     kk = min(k, len(initial))
@@ -89,29 +93,28 @@ def splice_reordered(
 
 
 def rerank_all(
-    probes: Sequence[FeatureMap],
+    probes,
     initial_lists: Sequence[RankedList],
     features,
     weights,
     k: int = DEFAULT_K,
 ) -> tuple[list[RankedList], list[float]]:
-    """``rerank`` over aligned (probes, initial_lists) with either model.
-    Checks k, and the model's (s, d) against each probe's and a FeatureSet
-    gallery's, once, before any probe. Returns the lists plus per-probe
-    wall-clock latency in milliseconds; an error gets the probe's id as
-    a note: a gallery of another shape is named with the first probe."""
+    """``rerank`` of each initial list with either model. ``probes`` is a
+    FeatureSet, whose row for each list's probe id is that list's probe
+    (an absent id is a MissingIdError before any probe is scored), or a
+    sequence of FeatureMaps aligned with the lists. Checks k first.
+    Returns the lists plus per-probe wall-clock latency in milliseconds;
+    an error gets the probe's id as a note."""
     _check_k(k)
-    if len(probes) != len(initial_lists):
+    if isinstance(probes, FeatureSet):
+        try:
+            rows = [probes.row_of[rl.probe_id] for rl in initial_lists]
+        except KeyError as exc:
+            raise MissingIdError(f"no probe features for {exc.args[0]!r}") from exc
+        probes = [FeatureMap(probes.sequence_ids[r], probes.identity_ids[r], probes.strips[r])
+                  for r in rows]
+    elif len(probes) != len(initial_lists):
         raise DataError(f"{len(probes)} probes but {len(initial_lists)} initial lists")
-    want = (weights.config.s, weights.config.d)
-    shapes = [(probe, "probe", probe.strips.shape) for probe in probes]
-    if probes and isinstance(features, FeatureSet):
-        shapes.append((probes[0], "gallery", (features.s, features.d)))
-    for probe, what, got in shapes:
-        if got != want:
-            exc = ShapeError(f"{what} maps are {got}, the model declares {want}")
-            exc.add_note(f"probe {probe.sequence_id!r}")
-            raise exc
     lists, latencies = [], []
     for probe, initial in zip(probes, initial_lists):
         t0 = time.perf_counter()

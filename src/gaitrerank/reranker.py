@@ -91,6 +91,13 @@ class ParamStore:
     def copy(self):
         return type(self)(self.config, {k: v.copy() for k, v in self._params.items()})
 
+    def check_maps(self, what: str, shape: tuple[int, ...]) -> None:
+        """Both pair models' one shape rule, which each entry point checks
+        first: ``what``'s maps, each of ``shape``, are the config's (s, d)."""
+        want = (self.config.s, self.config.d)
+        if shape != want:
+            raise ShapeError(f"{what} maps are {shape}, the model declares {want}")
+
 
 class RerankerWeights(ParamStore):
     config: RerankerConfig
@@ -491,11 +498,8 @@ def _batch_forward(
     # gradients must match the parameters AdamW updates in place
     dtype = weights.dtype
     B = len(batch)
+    weights.check_maps("batch", batch.maps.shape[1:])
     maps, index = batch.unique_maps()
-    if maps.shape[1:] != (cfg.s, cfg.d):
-        raise ShapeError(
-            f"batch maps are {maps.shape[1:]}, config declares ({cfg.s}, {cfg.d})"
-        )
     if batch.labels.shape != (B, 3):
         raise ShapeError(f"labels must be (B, 3), got {batch.labels.shape}")
     if batch.labels.min() < 0 or batch.labels.max() >= cfg.num_classes:
@@ -604,13 +608,6 @@ def batch_loss(
 # ---------------------------------------------------------------------------
 
 
-def _check_map(m: np.ndarray, cfg: RerankerConfig, name: str) -> np.ndarray:
-    arr = np.asarray(m)
-    if arr.shape != (cfg.s, cfg.d):
-        raise ShapeError(f"{name} has shape {arr.shape}, config declares ({cfg.s}, {cfg.d})")
-    return arr
-
-
 def _attend(
     maps: np.ndarray,
     query_idx,
@@ -645,8 +642,9 @@ def attended_pair(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The conditioned maps ``(e_p, e_c)`` of a probe/candidate pair: both
     directions with one shared weight set."""
-    p = _check_map(f_p, weights.config, "f_p")
-    c = _check_map(f_c, weights.config, "f_c")
+    p, c = np.asarray(f_p), np.asarray(f_c)
+    weights.check_maps("probe", p.shape)
+    weights.check_maps("candidate", c.shape)
     e_p, e_c = _attend(np.stack([p, c]), [0, 1], [1, 0], weights, "attended_pair")
     return e_p, e_c
 
@@ -657,7 +655,7 @@ def rerank_distance(
     weights: RerankerWeights,
 ) -> float:
     """Strip distance between the conditioned representations."""
-    return float(pair_distances(f_p, _check_map(f_c, weights.config, "f_c")[None], weights)[0])
+    return float(pair_distances(f_p, np.asarray(f_c)[None], weights)[0])
 
 
 def pair_distances(
@@ -672,11 +670,9 @@ def pair_distances(
     values bitwise; otherwise the batched GEMMs may round differently at
     some shapes, so they agree with per-pair calls within float rounding.
     """
-    cfg = weights.config
-    cands = np.asarray(candidate_maps)
-    if cands.ndim != 3 or cands.shape[1:] != (cfg.s, cfg.d):
-        raise ShapeError(f"candidate_maps must be (M, {cfg.s}, {cfg.d}), got {cands.shape}")
-    probe = _check_map(probe_map, cfg, "probe_map")
+    probe, cands = np.asarray(probe_map), np.asarray(candidate_maps)
+    weights.check_maps("probe", probe.shape)
+    weights.check_maps("candidate", cands.shape[1:])
     m = cands.shape[0]
     # row 0 is the probe, rows 1..m the candidates: the probe is projected
     # once, not once per candidate

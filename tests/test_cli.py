@@ -355,6 +355,51 @@ def test_diag_strips_with_and_without_checkpoint(tmp_path, capsys, workdir):
     assert code == 8
 
 
+def test_diag_strips_names_the_missing_id(tmp_path, capsys, workdir):
+    code, stdout, err = run(capsys, "diag-strips", "--features", str(workdir / "feats.gfm"),
+                            "--pair", "ghost,id000-00", "--out", str(tmp_path / "cos.csv"))
+    assert code == 8 and stdout == ""
+    assert err == ('{"error": "missing-id", "message": "no features for sequence \'ghost\'"}\n')
+    assert not (tmp_path / "cos.csv").exists()
+
+
+@pytest.mark.parametrize("flag", ["--checkpoint", "--baseline-checkpoint"])
+def test_rerank_and_diag_strips_build_no_entries(tmp_path, capsys, workdir, monkeypatch, flag):
+    loaded = []
+
+    def keeping(path):
+        loaded.append(load_feature_set(path))
+        return loaded[-1]
+
+    monkeypatch.setattr(cli, "load_feature_set", keeping)
+    feats = str(workdir / "feats.gfm")
+    model = _model_file(tmp_path, flag, 4, 6)
+    assert run(capsys, "rerank", flag, model, "--probes", feats, "--gallery", feats,
+               "--initial", str(workdir / "initial.jsonl"), "--k", "3",
+               "--out", str(tmp_path / "o.jsonl"))[0] == 0
+    argv = ["--checkpoint", model] if flag == "--checkpoint" else []
+    assert run(capsys, "diag-strips", "--features", feats, *argv,
+               "--pair", "id000-00,id001-00", "--out", str(tmp_path / "cos.csv"))[0] == 0
+    assert len(loaded) == 3
+    assert all("entries" not in vars(fs) for fs in loaded)
+
+
+def test_rerank_refuses_k_below_1_before_a_missing_probe(tmp_path, capsys, workdir):
+    feats, out = str(workdir / "feats.gfm"), tmp_path / "o.jsonl"
+    rogue = tmp_path / "rogue.jsonl"
+    rogue.write_text('{"probe_id":"ghost-00","items":[["id000-00",0.5]]}\n')
+    argv = ["rerank", "--checkpoint", _model_file(tmp_path, "--checkpoint", 4, 6),
+            "--probes", feats, "--gallery", feats, "--initial", str(rogue), "--out", str(out)]
+    code, _, err = run(capsys, *argv, "--k", "0")
+    assert code == 9
+    assert json.loads(err) == {"error": "data", "message": "k must be >= 1, got 0"}
+    code, _, err = run(capsys, *argv)
+    assert code == 8
+    assert json.loads(err) == {"error": "missing-id",
+                               "message": "no probe features for 'ghost-00'"}
+    assert not out.exists()
+
+
 def test_version_names_formats(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -606,6 +651,18 @@ def test_non_finite_numeric_flag_exits_2(tmp_path, capsys, workdir, command, fla
     assert code == 2, err
     # one JSON line on stderr: no numpy warning ahead of it
     assert json.loads(err)["error"] == "invalid-value"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("ks", ["", ","])
+def test_eval_without_a_k_exits_2_naming_the_flag(tmp_path, capsys, workdir, ks):
+    out = tmp_path / "r.json"
+    code, _, err = run(capsys, "eval", "--lists", str(workdir / "initial.jsonl"),
+                       "--manifest", str(workdir / "feats.gfm.manifest.json"),
+                       "--ks", ks, "--out", str(out))
+    assert code == 2
+    assert json.loads(err) == {"error": "invalid-value",
+                               "message": f"--ks must name at least one K, got {ks!r}"}
     assert not out.exists()
 
 

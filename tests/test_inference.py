@@ -2,12 +2,27 @@ import numpy as np
 import pytest
 
 from gaitrerank import inference
-from gaitrerank.baseline import BaselineConfig, baseline_rerank, init_baseline
-from gaitrerank.errors import DataError, MissingIdError
+from gaitrerank.baseline import (
+    BaselineConfig,
+    baseline_rerank,
+    baseline_scores,
+    bce_forward_backward,
+    init_baseline,
+)
+from gaitrerank.errors import DataError, MissingIdError, ShapeError
 from gaitrerank.feature_store import FeatureMap, FeatureSet
 from gaitrerank.inference import rerank, rerank_all, splice_reordered
 from gaitrerank.ranking import RankedList, rank_all, rank_gallery
-from gaitrerank.reranker import RerankerConfig, init_weights, pair_distances
+from gaitrerank.reranker import (
+    RerankerConfig,
+    TripletBatch,
+    attended_pair,
+    batch_loss,
+    forward_backward,
+    init_weights,
+    pair_distances,
+    rerank_distance,
+)
 
 from conftest import make_maps
 
@@ -199,3 +214,97 @@ def test_rerank_all_reraises_the_original_exception_with_the_probe(setup):
         rerank_all([probe], lists, _FailingLookup(), weights)
     assert str(info.value).startswith("5: ")
     assert info.value.__notes__ == [f"probe {probe.sequence_id!r}"]
+
+
+@pytest.mark.parametrize("model", ["reranker", "baseline"])
+def test_rerank_all_takes_a_probe_set_and_builds_no_entries(model):
+    fs = FeatureSet.from_entries(make_maps(8, 3, 4, 6, seed=23))
+    if model == "reranker":
+        weights = init_weights(RerankerConfig(s=4, d=6, num_classes=8, heads=2, hidden=8,
+                                              mlp_hidden=8), seed=3)
+    else:
+        weights = init_baseline(BaselineConfig(s=4, d=6, hidden=8), seed=3)
+    # the lists in another order than the set's, one probe twice
+    lists = rank_all(fs, fs, k=None)
+    lists = lists[::-2] + lists[:1]
+    aligned = [FeatureMap(rl.probe_id, "", fs.strips[fs.row_of[rl.probe_id]]) for rl in lists]
+    from_set, _ = rerank_all(fs, lists, fs, weights, k=5)
+    from_maps, _ = rerank_all(aligned, lists, fs, weights, k=5)
+    assert from_set == from_maps
+    assert [rl.dists.tobytes() for rl in from_set] == [rl.dists.tobytes() for rl in from_maps]
+    assert "entries" not in vars(fs)
+
+    ghost = RankedList("ghost-00", ((fs.sequence_ids[0], 0.5),))
+    with pytest.raises(MissingIdError) as info:
+        rerank_all(fs, [lists[0], ghost], fs, weights)
+    assert str(info.value) == "no probe features for 'ghost-00'"
+    assert not getattr(info.value, "__notes__", None)
+    assert "entries" not in vars(fs)
+
+
+# ---------------------------------------------------------------------------
+# the one shape rule of both pair models
+# ---------------------------------------------------------------------------
+
+GOOD, BAD = (3, 5), (4, 6)
+
+
+def _initial(n):
+    return RankedList("p", tuple((f"c{i}", float(i)) for i in range(n)))
+
+
+def _gallery(cands, mapping):
+    ids = tuple(f"c{i}" for i in range(len(cands)))
+    return dict(zip(ids, cands)) if mapping else FeatureSet(cands, ids, ids)
+
+
+def _batch(fn):
+    return lambda w, probe, cands: fn(
+        TripletBatch(probe[None], cands[:1], cands[1:2], np.zeros((1, 3), dtype=int)), w, 0.01, 0.1)
+
+
+# entry point -> (its models, the name a wrong candidate side gets, call)
+ENTRY_POINTS = {
+    "rerank, mapping": (("reranker", "baseline"), "candidate", lambda w, probe, cands: rerank(
+        FeatureMap("p", "p", probe), _initial(len(cands)), _gallery(cands, True), w)),
+    "rerank, set": (("reranker", "baseline"), "gallery", lambda w, probe, cands: rerank(
+        FeatureMap("p", "p", probe), _initial(len(cands)), _gallery(cands, False), w)),
+    "rerank_all, maps": (("reranker", "baseline"), "candidate", lambda w, probe, cands: rerank_all(
+        [FeatureMap("p", "p", probe)], [_initial(len(cands))], _gallery(cands, True), w)),
+    "rerank_all, set": (("reranker", "baseline"), "gallery", lambda w, probe, cands: rerank_all(
+        FeatureSet(probe[None], ("p",), ("p",)), [_initial(len(cands))],
+        _gallery(cands, False), w)),
+    "pair_distances": (("reranker",), "candidate", lambda w, probe, cands: pair_distances(
+        probe, cands, w)),
+    "rerank_distance": (("reranker",), "candidate", lambda w, probe, cands: rerank_distance(
+        probe, cands[0], w)),
+    "attended_pair": (("reranker",), "candidate", lambda w, probe, cands: attended_pair(
+        probe, cands[0], w)),
+    "baseline_scores": (("baseline",), "candidate", lambda w, probe, cands: baseline_scores(
+        probe, cands, w)),
+    "bce_forward_backward": (("baseline",), "candidate", lambda w, probe, cands: (
+        bce_forward_backward(np.stack([probe] * len(cands)), cands, np.zeros(len(cands)), w))),
+    "batch_loss": (("reranker",), None, _batch(batch_loss)),
+    "forward_backward": (("reranker",), None, _batch(forward_backward)),
+}
+
+
+@pytest.mark.parametrize("entry, model, fault", [
+    (entry, model, fault) for entry, (models, other, _) in ENTRY_POINTS.items()
+    for model in models for fault in ("probe", "candidate")[: 2 if other else 1]])
+def test_every_entry_point_of_both_models_states_the_one_shape_rule(entry, model, fault):
+    """A model of (3, 5) given maps of (4, 6): the probe is named first (a
+    triplet batch, one array, as the batch), then a wrong candidate side."""
+    _, other, call = ENTRY_POINTS[entry]
+    if model == "reranker":
+        weights = init_weights(RerankerConfig(s=3, d=5, num_classes=2, heads=1, hidden=4,
+                                              mlp_hidden=4), seed=0)
+    else:
+        weights = init_baseline(BaselineConfig(s=3, d=5, hidden=4), seed=0)
+    rng = np.random.default_rng(7)
+    probe = rng.standard_normal(BAD if fault == "probe" else GOOD).astype(np.float32)
+    cands = rng.standard_normal((3, *BAD)).astype(np.float32)
+    what = {"probe": "probe" if other else "batch", "candidate": other}[fault]
+    with pytest.raises(ShapeError) as info:
+        call(weights, probe, cands)
+    assert str(info.value) == f"{what} maps are {BAD}, the model declares {GOOD}"
