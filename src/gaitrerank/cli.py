@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__, baseline, inference, metrics, synth, training
-from .errors import ArtifactError, MissingIdError
+from .errors import ArtifactError, DataError, MissingIdError
 from .feature_store import MAGIC, load_feature_set, read_manifest, save_feature_set
 from .ranking import _check_k, rank_all, read_ranked_lists, write_ranked_lists
 from .reranker import (
@@ -306,13 +306,21 @@ def _add_eval(sub) -> None:
     p.add_argument("--out", required=True)
 
 
+def _listed(flag: str, text: str, kind: type) -> list:
+    try:
+        return [kind(x) for x in text.split(",") if x]
+    except ValueError:
+        raise ValueError(f"{flag} must be a comma-separated list of {kind.__name__}s, got {text!r}") from None
+
+
 def _cmd_eval(args) -> int:
-    lists = read_ranked_lists(args.lists)
-    identities = {seq: rec["identity"] for seq, rec in read_manifest(args.manifest).items()}
-    ks = [int(x) for x in args.ks.split(",") if x]
+    ks, fprs = _listed("--ks", args.ks, int), _listed("--fpr", args.fpr, float)
     if not ks:
         raise ValueError(f"--ks must name at least one K, got {args.ks!r}")
-    fprs = [float(x) for x in args.fpr.split(",") if x]
+    if args.tpr_depth < 1:
+        raise DataError(f"--tpr-depth must be >= 1, got {args.tpr_depth}")
+    lists = read_ranked_lists(args.lists)
+    identities = {seq: rec["identity"] for seq, rec in read_manifest(args.manifest).items()}
     report = metrics.evaluate_lists(
         lists,
         identities,

@@ -40,9 +40,9 @@ SIGMA_ROWS = 1.0
 SIGMA_CENTER = 1.2
 COVARIATE_SCALE = 4.0
 
-# sequences drawn per call of generate's noise loop: the 10,000 x 16 x 64
-# set took 389-402 ms at 16 to 64 (136 KB of float64 draws at 16), 417 at
-# 8 and 421 at 256, whose 2 MB buffers leave L2 (median of 12, 2 vCPU)
+# sequences drawn, and pairs blended, per call of generate's loops: the
+# 10,000 x 16 x 64 set took 240-263 ms at 16 to 64 and 251-284 ms at 8 and
+# 256 (CPU time, medians of 12, two runs, 2 vCPU)
 CHUNK_SEQUENCES = 16
 
 
@@ -72,25 +72,9 @@ def generate(
         raise ValueError(f"noise must be finite and >= 0, got {noise}")
 
     rng = np.random.default_rng(seed)
-    # each identity's base map, blended toward its mean row, one small
-    # array per pair: one (identities, s, d) array, once freed, raises
-    # glibc's mmap threshold to its size, and perfbench rank's RSS then
-    # peaked 2.8 MB higher
-    blended = []
-    for first in range(0, identities, 2):
-        center = rng.normal(0.0, SIGMA_CENTER, size=d)
-        rows = rng.normal(0.0, SIGMA_ROWS, size=(s, d))
-        pair = np.empty((2, s, d))
-        np.add(center, rows, out=pair[0])
-        # the partner's rows rolled one strip down
-        np.add(center, rows[-1], out=pair[1, 0])
-        np.add(center, rows[:-1], out=pair[1, 1:])
-        mean_rows = pair.mean(axis=1, keepdims=True)
-        mean_rows *= hardness
-        pair *= 1.0 - hardness
-        pair += mean_rows
-        blended.extend(pair[: identities - first])
-
+    # every pair's base draws lead the stream: a second generator replays them
+    # as the loop below reaches them, so one block of blended pairs is held
+    bases = np.random.default_rng(seed)
     covariate = COVARIATE_SCALE * hardness * noise
     n = identities * per_identity
     strips = np.empty((n, s, d), dtype=np.float32)
@@ -98,6 +82,11 @@ def generate(
     # one draw per chunk of sequences fills the same stream
     draws = np.empty((min(n, CHUNK_SEQUENCES), d + s * d))
     work = np.empty((len(draws), s, d))
+    blended = np.empty((len(draws), 2, s, d))
+    pairs = (identities + 1) // 2
+    for first in range(0, pairs, len(draws)):
+        # skip the base draws: d + s*d float64 values a pair, not float32 ones
+        rng.standard_normal(out=draws[: min(len(draws), pairs - first)])
     # a noise too large for float32 leaves an Inf map: the set's own
     # per-map check below refuses it, so numpy's overflow warnings are muted
     with np.errstate(over="ignore", invalid="ignore"):
@@ -108,18 +97,36 @@ def generate(
             # each identity's rows in the chunk start from its blended base
             for i in range(start // per_identity, (stop - 1) // per_identity + 1):
                 lo, hi = max(i * per_identity, start), min((i + 1) * per_identity, stop)
-                maps[lo - start : hi - start] = blended[i]
+                if i % (2 * len(blended)) == 0 and lo == i * per_identity:
+                    _blend_pairs(bases, blended, hardness)
+                maps[lo - start : hi - start] = blended[i // 2 % len(blended), i % 2]
             maps += (covariate * z[:, :d])[:, None, :]
             values = z[:, d:].reshape(maps.shape)
             values *= noise
-            maps += values
-            strips[start:stop] = maps
+            np.add(maps, values, out=strips[start:stop])
     identity_ids = tuple(ident for i in range(identities) for ident in (f"id{i:03d}",) * per_identity)
     sequence_ids = tuple(f"{iid}-{t % per_identity:02d}" for t, iid in enumerate(identity_ids))
     try:
         return FeatureSet(strips, sequence_ids, identity_ids)
     except NonFiniteError as exc:
         raise ValueError(f"noise {noise} overflows float32: {exc}") from exc
+
+
+def _blend_pairs(rng: np.random.Generator, out: np.ndarray, hardness: float) -> None:
+    """Draw the next pairs' base maps into ``out`` (pairs, 2, s, d), blended."""
+    s, d = out.shape[2:]
+    raw = rng.standard_normal((len(out), d + s * d))  # per pair: d center, s*d row values
+    raw *= np.repeat([SIGMA_CENTER, SIGMA_ROWS], [d, s * d])
+    raw += 0.0  # as rng.normal(0.0, scale) computes it: a -0.0 draw gives 0.0
+    center, rows = raw[:, None, :d], raw[:, d:].reshape(len(out), s, d)
+    np.add(center, rows, out=out[:, 0])
+    # the partner's rows rolled one strip down
+    np.add(center, rows[:, -1:], out=out[:, 1, :1])
+    np.add(center, rows[:, :-1], out=out[:, 1, 1:])
+    mean_rows = out.mean(axis=2, keepdims=True)
+    mean_rows *= hardness
+    out *= 1.0 - hardness
+    out += mean_rows
 
 
 @dataclass(frozen=True)

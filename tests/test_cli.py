@@ -666,6 +666,21 @@ def test_eval_without_a_k_exits_2_naming_the_flag(tmp_path, capsys, workdir, ks)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value, code, message", [
+    ("--ks", "1,x", 2, "--ks must be a comma-separated list of ints, got '1,x'"),
+    ("--fpr", "x", 2, "--fpr must be a comma-separated list of floats, got 'x'"),
+    ("--tpr-depth", "0", 9, "--tpr-depth must be >= 1, got 0"),
+])
+def test_eval_names_the_flag_it_rejects(tmp_path, capsys, workdir, flag, value, code, message):
+    out = tmp_path / "r.json"
+    got, _, err = run(capsys, "eval", "--lists", str(workdir / "initial.jsonl"),
+                      "--manifest", str(workdir / "feats.gfm.manifest.json"),
+                      flag, value, "--out", str(out))
+    assert got == code
+    assert json.loads(err)["message"] == message
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("fpr", ["nan", "inf", "-0.5", "2"])
 def test_eval_fpr_target_outside_unit_interval_exits_9(tmp_path, capsys, workdir, fpr):
     out = tmp_path / "r.json"

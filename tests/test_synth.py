@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,19 @@ def test_generate_is_bitwise_the_per_sequence_loop(
     )
     assert fs.strips.tobytes() == strips.tobytes()
     assert (fs.sequence_ids, fs.identity_ids) == (sequence_ids, identity_ids)
+
+
+def test_generate_holds_its_output_and_one_block_of_bases():
+    generate(4, 2, 16, 16, 0.7, 0.3, seed=5)  # one-time costs out of the trace
+    tracemalloc.start()
+    try:
+        fs = generate(2000, 2, 16, 16, 0.7, 0.3, seed=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the 4.1 MB of strips, their ids and a few small buffers; the float64
+    # bases of every identity held at once would take 4.1 MB more
+    assert peak < fs.strips.nbytes + (1 << 20), peak
 
 
 def test_generate_is_bitwise_deterministic():
