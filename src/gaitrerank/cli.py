@@ -274,6 +274,7 @@ def _add_rerank(sub) -> None:
 
 
 def _cmd_rerank(args) -> int:
+    _check_k(args.k)
     probes = load_feature_set(args.probes)
     gallery = load_feature_set(args.gallery)
     initial = read_ranked_lists(args.initial)
@@ -317,6 +318,10 @@ def _cmd_eval(args) -> int:
     ks, fprs = _listed("--ks", args.ks, int), _listed("--fpr", args.fpr, float)
     if not ks:
         raise ValueError(f"--ks must name at least one K, got {args.ks!r}")
+    if any(k < 1 for k in ks):
+        raise DataError(f"--ks must list K values >= 1, got {args.ks!r}")
+    if not all(0.0 <= t <= 1.0 for t in fprs):
+        raise DataError(f"--fpr must list FPR targets in [0, 1], got {args.fpr!r}")
     if args.tpr_depth < 1:
         raise DataError(f"--tpr-depth must be >= 1, got {args.tpr_depth}")
     lists = read_ranked_lists(args.lists)

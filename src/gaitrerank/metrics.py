@@ -19,11 +19,14 @@ from .feature_store import _read_text, _write_atomic
 from .ranking import RankedList, _check_k
 
 
-def _identity_of(identities: Mapping[str, str], seq_id: str) -> str:
+def _matches(probe_id: str, ids: Sequence[str], identities: Mapping[str, str]) -> list[bool]:
+    """The one match rule: whether each candidate in ``ids`` shares the
+    probe's identity. An unlabelled probe or candidate is a MissingIdError."""
     try:
-        return identities[seq_id]
-    except KeyError:
-        raise MissingIdError(f"no identity label for sequence {seq_id!r}") from None
+        own = identities[probe_id]
+        return [identities[cid] == own for cid in ids]
+    except KeyError as exc:
+        raise MissingIdError(f"no identity label for sequence {exc.args[0]!r}") from None
 
 
 def rank_k_accuracy(
@@ -31,34 +34,24 @@ def rank_k_accuracy(
     identities: Mapping[str, str],
     ks: Sequence[int],
 ) -> dict[int, float]:
-    """Fraction of probes whose top-K contains a matching identity."""
+    """Fraction of probes whose top-K contains a matching identity; reads
+    the labels of each list's top max(K) only."""
     if not lists:
         raise DataError("no ranked lists")
     if any(k < 1 for k in ks):
         raise DataError(f"all K must be >= 1, got {list(ks)}")
-    hits = {k: 0 for k in ks}
-    for rl in lists:
-        probe_ident = _identity_of(identities, rl.probe_id)
-        match_pos = next((pos for pos, cid in enumerate(rl.ids(), start=1)
-                          if _identity_of(identities, cid) == probe_ident), None)
-        for k in ks:
-            if match_pos is not None and match_pos <= k:
-                hits[k] += 1
-    return {k: hits[k] / len(lists) for k in ks}
+    top = max(ks, default=0)
+    matched = [_matches(rl.probe_id, rl.ids(top), identities) for rl in lists]
+    firsts = [m.index(True) + 1 if True in m else top + 1 for m in matched]
+    return {k: sum(f <= k for f in firsts) / len(lists) for k in ks}
 
 
 def average_precision(rl: RankedList, identities: Mapping[str, str]) -> float | None:
     """AP over all positives in the list; None when the list has none."""
-    probe_ident = _identity_of(identities, rl.probe_id)
-    precisions = []
-    seen = 0
-    for pos, cid in enumerate(rl.ids(), start=1):
-        if _identity_of(identities, cid) == probe_ident:
-            seen += 1
-            precisions.append(seen / pos)
-    if not precisions:
+    pos = np.flatnonzero(_matches(rl.probe_id, rl.ids(), identities)) + 1
+    if not len(pos):
         return None
-    return float(np.mean(precisions))
+    return float(np.mean(np.arange(1, len(pos) + 1) / pos))
 
 
 def mean_average_precision(
@@ -89,9 +82,8 @@ def tpr_at_fpr(
         raise DataError(f"all FPR targets must lie in [0, 1], got {list(fprs)}")
     dists, labels = [], []
     for rl in lists:
-        probe_ident = _identity_of(identities, rl.probe_id)
         dists += rl.dists[:k].tolist()
-        labels += [_identity_of(identities, cid) == probe_ident for cid in rl.ids(k)]
+        labels += _matches(rl.probe_id, rl.ids(k), identities)
     pos = sum(labels)
     neg = len(labels) - pos
     if pos == 0 or neg == 0:

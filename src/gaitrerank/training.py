@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import DataError, FormatError, MissingIdError, NonFiniteError
 from .feature_store import FeatureSet, _read_text, _write_atomic
+from .metrics import _matches
 from .ranking import _json_values, rank_all
 from .ranking import rank_gallery  # noqa: F401 (not called here; perfbench wraps training.rank_gallery)
 from .reranker import (
@@ -185,10 +186,10 @@ def build_training_set(partition: FeatureSet, v: int = 30) -> TrainingSet:
     identity = partition.identity_map()
     entries = []
     for ranked in rank_all(partition, partition, k=min(v, len(partition) - 1)):
-        ids, own = ranked.ids(), identity[ranked.probe_id]
+        ids = ranked.ids()
         entries.append(TrainingEntry(probe_id=ranked.probe_id, candidate_ids=ids,
                                      distances=ranked.distances(),
-                                     positive=[identity[c] == own for c in ids]))
+                                     positive=_matches(ranked.probe_id, ids, identity)))
     return TrainingSet(entries=tuple(entries), v=v)
 
 

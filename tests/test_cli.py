@@ -666,15 +666,30 @@ def test_eval_without_a_k_exits_2_naming_the_flag(tmp_path, capsys, workdir, ks)
     assert not out.exists()
 
 
+def _readers_raise(monkeypatch):
+    """Every file reader the CLI calls raises, so a flag check must come first."""
+    def read(*args, **kwargs):
+        raise AssertionError("read a file before checking the flags")
+
+    for name in ("load_feature_set", "read_ranked_lists", "read_manifest", "load_checkpoint"):
+        monkeypatch.setattr(cli, name, read)
+    monkeypatch.setattr(cli.baseline, "load_baseline", read)
+
+
 @pytest.mark.parametrize("flag, value, code, message", [
     ("--ks", "1,x", 2, "--ks must be a comma-separated list of ints, got '1,x'"),
     ("--fpr", "x", 2, "--fpr must be a comma-separated list of floats, got 'x'"),
     ("--tpr-depth", "0", 9, "--tpr-depth must be >= 1, got 0"),
+    ("--ks", "0", 9, "--ks must list K values >= 1, got '0'"),
+    ("--ks", "1,0,5", 9, "--ks must list K values >= 1, got '1,0,5'"),
+    ("--fpr", "2", 9, "--fpr must list FPR targets in [0, 1], got '2'"),
+    ("--fpr", "0.5,nan", 9, "--fpr must list FPR targets in [0, 1], got '0.5,nan'"),
 ])
-def test_eval_names_the_flag_it_rejects(tmp_path, capsys, workdir, flag, value, code, message):
-    out = tmp_path / "r.json"
-    got, _, err = run(capsys, "eval", "--lists", str(workdir / "initial.jsonl"),
-                      "--manifest", str(workdir / "feats.gfm.manifest.json"),
+def test_eval_names_the_flag_it_rejects(tmp_path, capsys, monkeypatch, flag, value, code,
+                                        message):
+    _readers_raise(monkeypatch)
+    out, missing = tmp_path / "r.json", str(tmp_path / "missing")
+    got, _, err = run(capsys, "eval", "--lists", missing, "--manifest", missing,
                       flag, value, "--out", str(out))
     assert got == code
     assert json.loads(err)["message"] == message
@@ -704,16 +719,16 @@ def test_build_trainset_v_below_2_exits_2_and_writes_nothing(tmp_path, capsys, w
     assert not ts.exists() and not vs.exists()
 
 
+@pytest.mark.parametrize("command", ["rank", "rerank"])
 @pytest.mark.parametrize("k", ["0", "-2"])
-def test_rank_refuses_k_below_1_before_reading_either_file(tmp_path, capsys, workdir, monkeypatch, k):
-    def load_feature_set(*args, **kwargs):
-        raise AssertionError("read a feature set before checking k")
-
-    monkeypatch.setattr(cli, "load_feature_set", load_feature_set)
+def test_rank_refuses_k_below_1_before_reading_either_file(tmp_path, capsys, monkeypatch,
+                                                           command, k):
+    _readers_raise(monkeypatch)
     out = tmp_path / "ranked.jsonl"
-    feats = str(workdir / "feats.gfm")
-    code, _, err = run(capsys, "rank", "--probes", feats, "--gallery", feats, "--k", k,
-                       "--out", str(out))
+    missing = str(tmp_path / "missing")
+    argv = ["--checkpoint", missing, "--initial", missing] if command == "rerank" else []
+    code, _, err = run(capsys, command, *argv, "--probes", missing, "--gallery", missing,
+                       "--k", k, "--out", str(out))
     assert code == 9
     assert json.loads(err) == {"error": "data", "message": f"k must be >= 1, got {k}"}
     assert not out.exists()

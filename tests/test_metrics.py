@@ -49,6 +49,18 @@ def test_rank_k_accuracy_guards():
         rank_k_accuracy([rl("p0", ("zz", 0.1))], IDENTS, [1])
 
 
+def test_rank_k_accuracy_counts_a_repeated_k_once():
+    lists = [rl("p0", ("a1", 0.1)), rl("p1", ("a1", 0.1))]
+    assert rank_k_accuracy(lists, IDENTS, [1, 1, 2]) == {1: 0.5, 2: 0.5}
+
+
+def test_rank_k_accuracy_reads_labels_of_the_top_max_k_only():
+    lists = [rl("p1", ("a1", 0.1), ("zz", 0.2))]
+    assert rank_k_accuracy(lists, IDENTS, [1]) == {1: 0.0}
+    with pytest.raises(MissingIdError, match="'zz'"):
+        rank_k_accuracy(lists, IDENTS, [1, 2])
+
+
 def test_average_precision_hand_case():
     # positives at ranks 1 and 3: AP = (1/1 + 2/3) / 2
     lists = rl("p0", ("a1", 0.1), ("b1", 0.2), ("a2", 0.3), ("x1", 0.4))
