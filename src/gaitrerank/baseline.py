@@ -17,10 +17,10 @@ from typing import Iterator
 import numpy as np
 
 from . import training as tr
-from .errors import ShapeError
+from .errors import NonFiniteError, ShapeError
 from .feature_store import FeatureSet
 from .inference import rerank as baseline_rerank  # noqa: F401 (one re-rank path, both models)
-from .reranker import ParamStore, _glorot_params, _load_params, _save_params, _stable_sigmoid
+from .reranker import ParamStore, _load_params, _save_params, _stable_sigmoid
 
 BASELINE_MAGIC = b"CGBL"
 BASELINE_VERSION = 1
@@ -48,18 +48,18 @@ class BaselineConfig:
 class BaselineWeights(ParamStore):
     config: BaselineConfig
 
-
-def _param_shapes(cfg: BaselineConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
-    yield "w1", (cfg.in_dim, cfg.hidden)
-    yield "b1", (cfg.hidden,)
-    yield "w2", (cfg.hidden, 1)
-    yield "b2", (1,)
+    @staticmethod
+    def _param_shapes(cfg: BaselineConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
+        yield "w1", (cfg.in_dim, cfg.hidden)
+        yield "b1", (cfg.hidden,)
+        yield "w2", (cfg.hidden, 1)
+        yield "b2", (1,)
 
 
 def init_baseline(
     config: BaselineConfig, seed: int, dtype=np.float32
 ) -> BaselineWeights:
-    return BaselineWeights(config, _glorot_params(_param_shapes(config), seed, dtype))
+    return BaselineWeights.glorot(config, seed, dtype)
 
 
 def _flatten_pairs(a: np.ndarray, b: np.ndarray, cfg: BaselineConfig) -> np.ndarray:
@@ -72,15 +72,20 @@ def _flatten_pairs(a: np.ndarray, b: np.ndarray, cfg: BaselineConfig) -> np.ndar
 def baseline_scores(
     probe_map: np.ndarray, candidate_maps: np.ndarray, weights: BaselineWeights
 ) -> np.ndarray:
-    """Logits for one probe against M candidates; (M,) float64."""
+    """Logits for one probe against M candidates; (M,) float64. Non-finite
+    logits are an error."""
     probe = np.asarray(probe_map, dtype=weights.dtype)
     cands = np.asarray(candidate_maps, dtype=weights.dtype)
     weights.check_maps("probe", probe.shape)
     weights.check_maps("candidate", cands.shape[1:])
     x = _flatten_pairs(np.broadcast_to(probe, cands.shape), cands, weights.config)
     p = weights.params()
-    h = np.tanh(x @ p["w1"] + p["b1"])
-    return (h @ p["w2"] + p["b2"])[:, 0].astype(np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = np.tanh(x @ p["w1"] + p["b1"])
+        z = (h @ p["w2"] + p["b2"])[:, 0]
+    if not np.isfinite(z).all():
+        raise NonFiniteError("baseline_scores produced non-finite values")
+    return z.astype(np.float64)
 
 
 def bce_forward_backward(
@@ -176,7 +181,6 @@ def save_baseline(weights: BaselineWeights, path, metadata: dict | None = None) 
 
 
 def load_baseline(path) -> tuple[BaselineWeights, BaselineConfig, dict]:
-    cfg, params, meta = _load_params(
-        path, BASELINE_MAGIC, BASELINE_VERSION, _FIELDS, BaselineConfig, _param_shapes
+    return _load_params(
+        path, BASELINE_MAGIC, BASELINE_VERSION, _FIELDS, BaselineConfig, BaselineWeights
     )
-    return BaselineWeights(cfg, params), cfg, meta

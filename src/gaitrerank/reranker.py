@@ -17,9 +17,10 @@ order, so results are deterministic for a given platform and dtype.
 Parameters live in float32 for production use; float64 is used by the
 gradient-check tests.
 
-Parameters are read by canonical name through ``params()``. The names
-and their order (the checkpoint layout and the gradient dict's keys) are
-written once per model, in its ``_param_shapes``.
+A model's parameters are one flat array, read by canonical name through
+``params()``. The names and their order (the layout of the flat array
+and the checkpoint, and the gradient dict's keys) are written once per
+model, in its store class's ``_param_shapes``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -74,22 +75,49 @@ class RerankerConfig:
 
 @dataclass
 class ParamStore:
-    """A model's config and its parameter arrays keyed by canonical name,
-    in the order of the model's ``_param_shapes``."""
+    """A model's config and its parameters as one contiguous array,
+    ``flat``, holding every parameter in the order of the class's
+    ``_param_shapes(config)``; ``params()`` reads them by canonical name."""
 
     config: Any
-    _params: dict[str, np.ndarray]
+    flat: np.ndarray
+
+    def __post_init__(self) -> None:
+        self._views, offset = {}, 0
+        for name, shape in self._param_shapes(self.config):
+            self._views[name] = self.flat[offset : offset + math.prod(shape)].reshape(shape)
+            offset += math.prod(shape)
+
+    @classmethod
+    def glorot(cls, config, seed: int, dtype=np.float32):
+        """Glorot-uniform matrices drawn in canonical order from one seeded
+        generator; vectors zero."""
+        rng = np.random.default_rng(seed)
+        parts = []
+        for _, shape in cls._param_shapes(config):
+            limit = math.sqrt(6.0 / sum(shape))
+            parts.append(rng.uniform(-limit, limit, shape).ravel() if len(shape) == 2
+                         else np.zeros(shape))
+        return cls(config, np.concatenate(parts).astype(dtype))
 
     def params(self) -> dict[str, np.ndarray]:
-        """The stored dict itself, not a copy: AdamW updates its arrays in place."""
-        return self._params
+        """Views into ``flat`` by canonical name, built once: writing
+        through them writes the store."""
+        return self._views
 
     @property
     def dtype(self) -> np.dtype:
-        return next(iter(self._params.values())).dtype
+        return self.flat.dtype
 
     def copy(self):
-        return type(self)(self.config, {k: v.copy() for k, v in self._params.items()})
+        return type(self)(self.config, self.flat.copy())
+
+    def check_finite(self, where) -> None:
+        """A NaN or infinity is a NonFiniteError naming ``where`` and the
+        first parameter holding one."""
+        if not np.isfinite(self.flat).all():
+            name = next(n for n, a in self._views.items() if not np.isfinite(a).all())
+            raise NonFiniteError(f"{where}: NaN or Inf in parameter {name}")
 
     def check_maps(self, what: str, shape: tuple[int, ...]) -> None:
         """Both pair models' one shape rule, which each entry point checks
@@ -102,12 +130,28 @@ class ParamStore:
 class RerankerWeights(ParamStore):
     config: RerankerConfig
 
+    @staticmethod
+    def _param_shapes(config: RerankerConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
+        for i in range(config.blocks):
+            yield f"block{i}.w_q", (config.d, config.hidden)
+            yield f"block{i}.b_q", (config.hidden,)
+            yield f"block{i}.w_k", (config.d, config.hidden)
+            yield f"block{i}.b_k", (config.hidden,)
+            yield f"block{i}.w_v", (config.d, config.hidden)
+            yield f"block{i}.b_v", (config.hidden,)
+            yield f"block{i}.w_o", (config.hidden, config.d)
+            yield f"block{i}.b_o", (config.d,)
+        yield "cls.w1", (config.d, config.mlp_hidden)
+        yield "cls.b1", (config.mlp_hidden,)
+        yield "cls.w2", (config.mlp_hidden, config.num_classes)
+        yield "cls.b2", (config.num_classes,)
+
     def block(self, i: int) -> dict[str, np.ndarray]:
         """Attention block ``i``'s arrays keyed by short name (``w_q``, ...)."""
         prefix = f"block{i}."
         return {
             name[len(prefix) :]: arr
-            for name, arr in self._params.items()
+            for name, arr in self._views.items()
             if name.startswith(prefix)
         }
 
@@ -121,38 +165,6 @@ class RerankerWeights(ParamStore):
         return out
 
 
-def _param_shapes(config: RerankerConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
-    for i in range(config.blocks):
-        yield f"block{i}.w_q", (config.d, config.hidden)
-        yield f"block{i}.b_q", (config.hidden,)
-        yield f"block{i}.w_k", (config.d, config.hidden)
-        yield f"block{i}.b_k", (config.hidden,)
-        yield f"block{i}.w_v", (config.d, config.hidden)
-        yield f"block{i}.b_v", (config.hidden,)
-        yield f"block{i}.w_o", (config.hidden, config.d)
-        yield f"block{i}.b_o", (config.d,)
-    yield "cls.w1", (config.d, config.mlp_hidden)
-    yield "cls.b1", (config.mlp_hidden,)
-    yield "cls.w2", (config.mlp_hidden, config.num_classes)
-    yield "cls.b2", (config.num_classes,)
-
-
-def _glorot_params(
-    shapes: Iterable[tuple[str, tuple[int, ...]]], seed: int, dtype
-) -> dict[str, np.ndarray]:
-    # matrices drawn in canonical order from one seeded generator; vectors zero
-    rng = np.random.default_rng(seed)
-    params: dict[str, np.ndarray] = {}
-    for name, shape in shapes:
-        if len(shape) == 1:
-            params[name] = np.zeros(shape, dtype=dtype)
-        else:
-            fan_in, fan_out = shape
-            limit = float(np.sqrt(6.0 / (fan_in + fan_out)))
-            params[name] = rng.uniform(-limit, limit, size=shape).astype(dtype)
-    return params
-
-
 def init_weights(
     config: RerankerConfig, seed: int, dtype=np.float32
 ) -> RerankerWeights:
@@ -160,11 +172,7 @@ def init_weights(
 
     The same (config, seed) pair always produces bitwise-equal weights.
     """
-    return RerankerWeights(config, _glorot_params(_param_shapes(config), seed, dtype))
-
-
-def zero_gradients(config: RerankerConfig, dtype=np.float32) -> dict[str, np.ndarray]:
-    return {name: np.zeros(shape, dtype=dtype) for name, shape in _param_shapes(config)}
+    return RerankerWeights.glorot(config, seed, dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +562,7 @@ def _batch_forward(
     # ---- backward -------------------------------------------------------
     # each loss-side array is dropped after its last read, so the attention
     # backward runs beside its own caches and the converted de alone
-    grads = zero_gradients(cfg, dtype=dtype)
+    grads = RerankerWeights(cfg, np.zeros_like(weights.flat)).params()
 
     # classifier head: alpha times the weighted mean CE (exactly zero when alpha=0)
     dlogits = probs
@@ -707,29 +715,30 @@ def _save_params(
     path, magic: bytes, version: int, fields: tuple[str, ...], weights, metadata
 ) -> None:
     """Write a parameter file: the header with the config's ``fields``,
-    then every array of ``weights.params()`` in canonical order; plus the
-    JSON metadata sidecar."""
+    then ``weights.flat``; plus the JSON metadata sidecar. A NaN or
+    infinity is refused before anything is written."""
     dtype = weights.dtype
     code = dtype.itemsize
     if code not in _DTYPE_CODES:
         raise FormatError(f"unsupported parameter dtype {dtype}")
+    weights.check_finite(path)
     values = (getattr(weights.config, name) for name in fields)
     with _write_atomic(path, "wb") as fh:
         fh.write(_param_header(len(fields)).pack(magic, version, code, *values))
-        for arr in weights.params().values():
-            fh.write(np.ascontiguousarray(arr, dtype=_DTYPE_CODES[code]))
+        fh.write(np.ascontiguousarray(weights.flat, dtype=_DTYPE_CODES[code]))
     with _write_atomic(_meta_path(path), "w") as fh:
         fh.write(json.dumps(metadata or {}, indent=2, sort_keys=True) + "\n")
 
 
 def _load_params(
-    path, magic: bytes, version: int, fields: tuple[str, ...], config_type, shapes
+    path, magic: bytes, version: int, fields: tuple[str, ...], config_type, store_type
 ):
     """Read a file written by ``_save_params``.
 
     ``config_type(**header_fields)`` builds the config (a ValueError there
-    is a FormatError) and ``shapes(config)`` yields the parameter names and
-    shapes in canonical order. Returns (config, params, meta).
+    is a FormatError) and ``store_type._param_shapes(config)`` yields the
+    parameter names and shapes in canonical order. A NaN or infinity is a
+    NonFiniteError. Returns (weights, config, meta).
     """
     p = Path(path)
     blob = _read_bytes(p)
@@ -749,18 +758,16 @@ def _load_params(
         raise FormatError(f"{p}: invalid stored config ({exc})") from exc
 
     dt = _DTYPE_CODES[code]
-    offset = header.size
-    params: dict[str, np.ndarray] = {}
+    end = header.size
     # drawn one at a time: a huge header stops at the first shape past the end
-    for name, shape in shapes(cfg):
-        n = math.prod(shape)
-        nbytes = n * dt.itemsize
-        if offset + nbytes > len(blob):
+    for name, shape in store_type._param_shapes(cfg):
+        end += math.prod(shape) * dt.itemsize
+        if end > len(blob):
             raise FormatError(f"{p}: truncated at parameter {name}")
-        params[name] = np.frombuffer(blob, dtype=dt, count=n, offset=offset).reshape(shape).copy()
-        offset += nbytes
-    if offset != len(blob):
-        raise FormatError(f"{p}: {len(blob) - offset} trailing bytes")
+    if end != len(blob):
+        raise FormatError(f"{p}: {len(blob) - end} trailing bytes")
+    weights = store_type(cfg, np.frombuffer(blob, dtype=dt, offset=header.size).copy())
+    weights.check_finite(p)
 
     meta = {}
     mp = _meta_path(p)
@@ -771,7 +778,7 @@ def _load_params(
             raise FormatError(f"{mp}: invalid JSON ({exc})") from exc
         if not isinstance(meta, dict):
             raise FormatError(f"{mp}: metadata must be a JSON object")
-    return cfg, params, meta
+    return weights, cfg, meta
 
 
 def save_checkpoint(
@@ -784,7 +791,6 @@ def save_checkpoint(
 
 
 def load_checkpoint(path) -> tuple[RerankerWeights, RerankerConfig, dict]:
-    cfg, params, meta = _load_params(
-        path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, _CKPT_FIELDS, RerankerConfig, _param_shapes
+    return _load_params(
+        path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, _CKPT_FIELDS, RerankerConfig, RerankerWeights
     )
-    return RerankerWeights(cfg, params), cfg, meta

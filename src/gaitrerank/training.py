@@ -33,8 +33,8 @@ from .ranking import _json_values, rank_all
 from .ranking import rank_gallery  # noqa: F401 (not called here; perfbench wraps training.rank_gallery)
 from .reranker import (
     IndexedBatch,
+    ParamStore,
     RerankerConfig,
-    RerankerWeights,
     batch_loss,
     forward_backward,
     init_weights,
@@ -279,45 +279,46 @@ def make_batch(
 
 @dataclass
 class AdamWState:
+    """The step count and both moments, flat in the weights' layout."""
+
     step: int
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
 
 
-def init_adamw(weights: RerankerWeights) -> AdamWState:
-    return AdamWState(
-        step=0,
-        m={k: np.zeros_like(p) for k, p in weights.params().items()},
-        v={k: np.zeros_like(p) for k, p in weights.params().items()},
-    )
+def init_adamw(weights: ParamStore) -> AdamWState:
+    return AdamWState(step=0, m=np.zeros_like(weights.flat), v=np.zeros_like(weights.flat))
 
 
 def adamw_step(
-    weights: RerankerWeights,
+    weights: ParamStore,
     grads: Mapping[str, np.ndarray],
     state: AdamWState,
     cfg: TrainConfig,
 ) -> None:
-    """In-place decoupled-decay AdamW update with bias correction.
+    """In-place decoupled-decay AdamW update with bias correction, on
+    ``weights.flat`` at once: the gradients are gathered in canonical order.
 
     Decay is applied to every parameter before the moment update, so with
     zero gradients each weight is scaled by exactly (1 - lr * wd).
     """
+    params = weights.params()
+    for name, w in params.items():
+        if grads[name].shape != w.shape:
+            raise ValueError(
+                f"gradient shape {grads[name].shape} != parameter shape {w.shape} for {name}")
+    g = np.concatenate([grads[name].reshape(-1) for name in params])
     state.step += 1
     t = state.step
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
-    for name, w in weights.params().items():
-        g = grads[name]
-        if g.shape != w.shape:
-            raise ValueError(f"gradient shape {g.shape} != parameter shape {w.shape} for {name}")
-        w *= 1.0 - cfg.lr * cfg.weight_decay
-        m, v = state.m[name], state.v[name]
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * (g * g)
-        w -= cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+    w, m, v = weights.flat, state.m, state.v
+    w *= 1.0 - cfg.lr * cfg.weight_decay
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * (g * g)
+    w -= cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +519,7 @@ def _train_loop(
             if not math.isfinite(loss):
                 raise loss_error(it, "training", batch)
             adamw_step(weights, grads, state, cfg)
-            if not all(np.isfinite(w).all() for w in weights.params().values()):
+            if not np.isfinite(weights.flat).all():
                 if not all(np.isfinite(g).all() for g in grads.values()):
                     raise NonFiniteError(f"non-finite gradients at iteration {it}")
                 raise NonFiniteError(f"non-finite weights: an AdamW step overflowed them "

@@ -13,7 +13,7 @@ from gaitrerank.baseline import (
     save_baseline,
     train_baseline,
 )
-from gaitrerank.errors import DataError, FormatError, ShapeError
+from gaitrerank.errors import DataError, FormatError, NonFiniteError, ShapeError
 from gaitrerank.feature_store import FeatureSet
 from gaitrerank.ranking import rank_gallery
 from gaitrerank.training import TrainConfig, build_training_set, split_train_val
@@ -58,6 +58,18 @@ def test_score_is_asymmetric_in_argument_order():
     a = rng.standard_normal((2, 3))
     b = rng.standard_normal((2, 3))
     assert baseline_scores(a, b[None], w)[0] != baseline_scores(b, a[None], w)[0]
+
+
+def test_scores_that_overflow_are_a_non_finite_error():
+    # tanh(1) > 0 in every hidden unit, so each logit sums to +inf in float32
+    w = init_baseline(BaselineConfig(s=2, d=3, hidden=8), seed=0)
+    p = w.params()
+    p["w1"][...] = 0
+    p["b1"][...] = 1
+    p["w2"][...] = 3e38
+    f = make_maps(2, 2, 2, 3, seed=1)
+    with pytest.raises(NonFiniteError, match="^baseline_scores produced non-finite values$"):
+        baseline_scores(f[0].strips, np.stack([e.strips for e in f[1:]]), w)
 
 
 def test_bce_at_zero_weights_is_ln2():

@@ -8,6 +8,8 @@ canonical order. Loading it must give exactly those arrays, and saving
 the loaded weights must give exactly those bytes.
 """
 
+import json
+import re
 import struct
 from dataclasses import dataclass
 from typing import Callable
@@ -17,7 +19,8 @@ import pytest
 
 from gaitrerank.baseline import load_baseline, save_baseline
 from gaitrerank import feature_store
-from gaitrerank.errors import FormatError
+from gaitrerank.cli import main
+from gaitrerank.errors import FormatError, NonFiniteError
 from gaitrerank.reranker import load_checkpoint, save_checkpoint
 
 from conftest import DiskFullAfter
@@ -171,3 +174,70 @@ def test_interrupted_save_leaves_the_previous_file_or_none(
         doubled, _, _ = fmt.load(path)
         for name, arr in weights.params().items():
             assert doubled.params()[name].tobytes() == arr.tobytes()
+
+
+NON_FINITE = pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf],
+                                     ids=["nan", "+inf", "-inf"])
+
+
+def with_non_finite(fmt: Format, value: float) -> tuple[dict[str, np.ndarray], str]:
+    """Finite arrays with ``value`` in the second and next-to-last
+    parameters, and the name of the first of them."""
+    arrays = expected_arrays(fmt, np.float32)
+    names = list(arrays)
+    arrays[names[1]].reshape(-1)[-1] = value
+    arrays[names[-2]].reshape(-1)[0] = value
+    return arrays, names[1]
+
+
+@FORMATS
+@NON_FINITE
+def test_non_finite_parameters_are_refused_on_load(tmp_path, fmt, value):
+    arrays, first = with_non_finite(fmt, value)
+    path = tmp_path / "params.bin"
+    path.write_bytes(pack(fmt, arrays, 4))
+    with pytest.raises(NonFiniteError, match=re.escape(f"{path}: NaN or Inf in parameter {first}")):
+        fmt.load(path)
+
+
+@FORMATS
+@NON_FINITE
+@pytest.mark.parametrize("previous", [True, False], ids=["over-previous", "fresh"])
+def test_non_finite_parameters_are_refused_on_save_leaving_the_previous_file(
+    tmp_path, fmt, value, previous
+):
+    source = tmp_path / "source.bin"
+    source.write_bytes(pack(fmt, expected_arrays(fmt, np.float32), 4))
+    weights, _, _ = fmt.load(source)
+    source.unlink()
+    path = tmp_path / "params.bin"
+    if previous:
+        fmt.save(weights, path, metadata={"run": 1})
+    before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+
+    arrays, first = with_non_finite(fmt, value)
+    for name, arr in weights.params().items():
+        arr[...] = arrays[name]
+    with pytest.raises(NonFiniteError, match=re.escape(f"{path}: NaN or Inf in parameter {first}")):
+        fmt.save(weights, path, metadata={"run": 2})
+    assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
+
+
+@FORMATS
+def test_rerank_with_a_non_finite_model_file_exits_7_and_writes_nothing(tmp_path, capsys, fmt):
+    feats, initial, out = tmp_path / "f.gfm", tmp_path / "initial.jsonl", tmp_path / "out.jsonl"
+    assert main(["synth", "--ids", "4", "--per-id", "2", "--strips", "2", "--dim", "3",
+                 "--seed", "1", "--out", str(feats)]) == 0
+    assert main(["rank", "--probes", str(feats), "--gallery", str(feats),
+                 "--out", str(initial)]) == 0
+    capsys.readouterr()
+    model = tmp_path / "model.bin"
+    model.write_bytes(pack(fmt, with_non_finite(fmt, np.nan)[0], 4))
+    flag = "--checkpoint" if fmt is CGRK else "--baseline-checkpoint"
+    code = main(["rerank", flag, str(model), "--probes", str(feats), "--gallery", str(feats),
+                 "--initial", str(initial), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 7 and captured.out == ""
+    report = json.loads(captured.err)
+    assert report["error"] == "non-finite" and report["message"].startswith(f"{model}: ")
+    assert not out.exists()

@@ -304,6 +304,31 @@ def test_rerank_model_of_another_shape_has_one_message_for_both_models(tmp_path,
         assert not out.exists()
 
 
+def test_rerank_baseline_whose_scores_overflow_exits_7_naming_the_first_probe(tmp_path, capsys,
+                                                                               workdir):
+    feats, out = str(workdir / "feats.gfm"), tmp_path / "o.jsonl"
+    initial = workdir / "initial.jsonl"
+    first = read_ranked_lists(initial)[0].probe_id
+    # a finite model whose logits sum past float32's range: +inf for every pair
+    w = init_baseline(BaselineConfig(s=4, d=6, hidden=8), seed=0)
+    p = w.params()
+    p["w1"][...] = 0
+    p["b1"][...] = 1
+    p["w2"][...] = 3e38
+    ckpt = tmp_path / "big.cgbl"
+    save_baseline(w, ckpt)
+    code, stdout, err = run(capsys, "rerank", "--baseline-checkpoint", str(ckpt),
+                            "--probes", feats, "--gallery", feats, "--initial", str(initial),
+                            "--out", str(out))
+    assert code == 7 and stdout == ""
+    assert err.count("\n") == 1
+    assert json.loads(err) == {
+        "error": "non-finite",
+        "message": f"probe {first!r}: baseline_scores produced non-finite values",
+    }
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", ["--checkpoint", "--baseline-checkpoint"])
 @pytest.mark.parametrize("model", ["probes", "gallery"])
 def test_rerank_probes_and_gallery_of_different_shapes_exit_5(tmp_path, capsys, workdir,
