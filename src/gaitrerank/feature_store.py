@@ -203,16 +203,13 @@ class FeatureSet:
         return sorted(set(self.identity_ids))
 
     @cached_property
-    def rank_of(self) -> dict[str, int]:
-        """Each sequence id's position in Python's str order, the order
-        rankings tie-break in (numpy "U" arrays drop trailing NULs)."""
-        return {sid: i for i, sid in enumerate(sorted(self.sequence_ids))}
-
-    @cached_property
     def id_rank(self) -> np.ndarray:
-        """``rank_of`` of every entry: the ranking tie-break key and the
-        self-exclusion key."""
-        return np.array([self.rank_of[sid] for sid in self.sequence_ids], dtype=np.intp)
+        """Each entry's position in Python's str order of the sequence ids,
+        the order rankings tie-break in (numpy "U" arrays drop trailing
+        NULs)."""
+        ranks = np.empty(len(self), dtype=np.intp)
+        ranks[sorted(range(len(self)), key=self.sequence_ids.__getitem__)] = np.arange(len(self))
+        return ranks
 
     @cached_property
     def bound_table(self) -> np.ndarray:

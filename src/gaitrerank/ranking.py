@@ -6,8 +6,10 @@ a probe set's ``strips`` or a sequence of maps stacked once. Distances
 are exact float64, over fixed blocks of gallery rows in one summation
 order, so rankings are bit-for-bit reproducible whatever the block size.
 ``rank_all`` without a k converts each block once and scores all of its
-probes against it. Candidates are ordered by (distance, sequence_id) in
-numpy sorts on the id keys the set caches (``FeatureSet.id_rank``).
+probes against it; a gallery ranked against itself scores each pair
+once and mirrors it, bit-identical. Candidates are ordered by
+(distance, sequence_id) in numpy sorts on the id keys the set caches
+(``FeatureSet.id_rank``).
 
 A top-k call (``1 <= k <`` eligible rows) bounds every row's distance
 from below and scores exactly only the rows that can reach the k-th, in
@@ -167,30 +169,48 @@ def _distances_to_stack(
     # per value). Every pair is reduced exactly as the whole stack would
     # be (float64 difference, square, sum over d, sqrt, mean over s),
     # whatever the block size or the other pairs.
+    #
+    # The stack as its own probes gives its (n, n) distances with each
+    # pair scored once: fl(a - b) = -fl(b - a), so d(a, b) and d(b, a)
+    # are the same float64 value. Row i is scored against the rows from
+    # i on, each block converted into one float64 copy of the stack that
+    # serves as the probes, and once a block is done its rows' entries
+    # before the diagonal are copied from their columns.
     n, s, d = stack.shape
-    probes = probes.reshape(-1, s, d)
+    mirror = probes is stack
     m = n if rows is None else len(rows)
     step = _block_rows(s, d, 16 if rows is None else 12)
+    blocks = np.empty((n if mirror else min(m, step), s, d),
+                      dtype=np.float64 if rows is None else np.float32)
+    probes = blocks if mirror else probes.reshape(-1, s, d)
     out = np.empty((len(probes), n) if rows is None else m)
-    blocks = np.empty((min(m, step), s, d), dtype=np.float64 if rows is None else np.float32)
-    work = np.empty(blocks.shape)
+    work = np.empty((min(m, step), s, d))
     for start in range(0, m, step):
         stop = min(start + step, m)
-        block, diff = blocks[: stop - start], work[: stop - start]
-        if rows is None:
+        block = blocks[start:stop] if mirror else blocks[: stop - start]
+        if mirror:
             np.copyto(block, stack[start:stop])
-            passes = zip(probes, out[:, start:stop])
+            passes = ((probes[i], block[max(i - start, 0):], out[i, max(i, start) : stop])
+                      for i in range(stop))
+        elif rows is None:
+            np.copyto(block, stack[start:stop])
+            passes = ((probe, block, dest) for probe, dest in zip(probes, out[:, start:stop]))
         else:
             # mode="clip" (the indices are in range) keeps take from buffering
             np.take(stack, rows[start:stop], axis=0, out=block, mode="clip")
-            np.take(probes, owner[start:stop], axis=0, out=diff, mode="clip")
-            passes = [(diff, out[start:stop])]
-        for probe, dest in passes:
-            np.subtract(block, probe, out=diff)
+            gathered = work[: stop - start]
+            np.take(probes, owner[start:stop], axis=0, out=gathered, mode="clip")
+            passes = [(gathered, block, out[start:stop])]
+        for probe, against, dest in passes:
+            diff = work[: len(against)]
+            np.subtract(against, probe, out=diff)
             diff *= diff
             # the mean over s as ndarray.mean takes it (a sum, then one
             # division), without its Python-level call overhead
             np.divide(np.sqrt(diff.sum(axis=2)).sum(axis=1), s, out=dest)
+        if mirror:
+            for i in range(start, stop):
+                out[i, :i] = out[:i, i]
     return out
 
 
@@ -426,7 +446,9 @@ def _rank(strips: np.ndarray, ids: Sequence[str], own: np.ndarray, gallery: Feat
     bounded = eligible > (len(gallery) if k is None else k)
     exact, bounded = np.flatnonzero(~bounded), np.flatnonzero(bounded)
     if len(exact):
-        wide = strips[exact].astype(np.float64)
+        # the gallery ranked against itself scores each pair once
+        itself = strips is gallery.strips and len(exact) == len(ids)
+        wide = strips if itself else strips[exact].astype(np.float64)
         dists = _drop_own(_distances_to_stack(wide, gallery.strips), own[exact])
         by_id = np.argsort(gallery.id_rank)  # the rows in tie-break order
         for first in range(0, len(exact), GROUP_PROBES):

@@ -629,15 +629,16 @@ def _attend(
     Computes in the wider of the input and parameter dtypes, so the
     residual path never rounds its input: with zeroed projections the
     output is bitwise the queries. Non-finite output is an error that
-    names ``caller``.
+    names ``caller``; an overflow on the way there warns of nothing.
     """
     dtype = np.result_type(maps.dtype, weights.dtype)
-    out, _ = _attention_forward(
-        np.ascontiguousarray(maps, dtype=dtype),
-        np.asarray(query_idx, dtype=np.intp),
-        np.asarray(partner_idx, dtype=np.intp),
-        weights,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        out, _ = _attention_forward(
+            np.ascontiguousarray(maps, dtype=dtype),
+            np.asarray(query_idx, dtype=np.intp),
+            np.asarray(partner_idx, dtype=np.intp),
+            weights,
+        )
     if not np.isfinite(out).all():
         raise NonFiniteError(f"{caller} produced non-finite values")
     return out

@@ -147,8 +147,7 @@ class TrainConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
-        if self.v < 2:
-            raise ValueError(f"v must be >= 2, got {self.v}")
+        _check_v(self.v)
         for name in ("batch_probes", "triplets_per_probe", "t_val", "val_triplets"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")

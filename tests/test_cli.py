@@ -304,6 +304,31 @@ def test_rerank_model_of_another_shape_has_one_message_for_both_models(tmp_path,
         assert not out.exists()
 
 
+def test_rerank_whose_projections_overflow_exits_7_with_no_warning_first(tmp_path, capsys,
+                                                                        workdir):
+    feats, out = str(workdir / "feats.gfm"), tmp_path / "o.jsonl"
+    initial = workdir / "initial.jsonl"
+    first = read_ranked_lists(initial)[0].probe_id
+    # a finite float32 model whose four projections overflow float32; the
+    # test suite raises any numpy RuntimeWarning, so this also checks that
+    # none is printed before the error
+    w = init_weights(RerankerConfig(s=4, d=6, num_classes=3, heads=2, hidden=8, mlp_hidden=8),
+                     seed=0)
+    for name in ("w_q", "w_k", "w_v", "w_o"):
+        w.block(0)[name][...] = 3e30
+    ckpt = tmp_path / "big.cgrk"
+    save_checkpoint(w, ckpt)
+    code, stdout, err = run(capsys, "rerank", "--checkpoint", str(ckpt), "--probes", feats,
+                            "--gallery", feats, "--initial", str(initial), "--out", str(out))
+    assert code == 7 and stdout == ""
+    assert err.count("\n") == 1
+    assert json.loads(err) == {
+        "error": "non-finite",
+        "message": f"probe {first!r}: pair_distances produced non-finite values",
+    }
+    assert not out.exists()
+
+
 def test_rerank_baseline_whose_scores_overflow_exits_7_naming_the_first_probe(tmp_path, capsys,
                                                                                workdir):
     feats, out = str(workdir / "feats.gfm"), tmp_path / "o.jsonl"

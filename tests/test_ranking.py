@@ -190,6 +190,9 @@ def test_rank_matches_original_formula_bit_for_bit(monkeypatch, n, s, d, levels,
         want = [oracle_rank(p, gallery, k) for p in probes]
         assert [rank_gallery(p, gallery, k) for p in probes] == want
         assert rank_all(probes, gallery, k) == want
+    # the gallery against itself, each pair scored once and mirrored
+    for k in (None, n - 1):
+        assert rank_all(gallery, gallery, k) == [oracle_rank(e, gallery, k) for e in gallery.entries]
 
 
 def _bitwise(rl: RankedList) -> tuple:
@@ -519,6 +522,44 @@ def test_pair_pass_equals_the_full_pass_bitwise_in_any_order(monkeypatch):
     assert pairs.tobytes() == full[owner, rows].tobytes()
 
 
+def test_self_ranking_allocates_nothing_the_size_of_its_distances_but_them(monkeypatch):
+    # many rows of few values each: the (n, n) float64 distances dwarf the
+    # stack, so one n x n temporary, even of bools, or one block's worth
+    # of triangle indices would break the bound; 64-row blocks put most
+    # pairs off the diagonal blocks
+    n, s, d = 1500, 1, 2
+    monkeypatch.setattr(ranking, "BLOCK_BYTES", 16 * s * d * 64)
+    stack = np.random.default_rng(9).standard_normal((n, s, d)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        mirrored = ranking._distances_to_stack(stack, stack)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the output, the float64 copy of the stack, one block and slack
+    assert peak < 8 * n * n + 8 * n * s * d + ranking.BLOCK_BYTES + (64 << 10), peak
+    full = ranking._distances_to_stack(stack.astype(np.float64), stack)
+    assert mirrored.tobytes() == full.tobytes()
+
+
+def test_leave_one_out_ranking_takes_the_mirrored_pass(monkeypatch, small_set):
+    seen = []
+    exact = ranking._distances_to_stack
+
+    def recording(probes, stack, rows=None, owner=None):
+        seen.append(probes is stack)
+        return exact(probes, stack, rows, owner)
+
+    monkeypatch.setattr(ranking, "_distances_to_stack", recording)
+    n = len(small_set)
+    for k in (None, n - 1):
+        rank_all(small_set, small_set, k)
+    # other probes, and a top-k list short of the whole gallery, do not
+    rank_all(list(small_set), small_set)
+    rank_all(small_set, small_set, n - 2)
+    assert seen[:3] == [True, True, False] and not any(seen[3:])
+
+
 def test_rank_all_checks_k_once_before_any_probe():
     gallery = _gallery(np.ones((3, 2, 2)))
     wide = FeatureMap("wide", "w", np.ones((2, 3)))
@@ -549,7 +590,6 @@ def test_top_k_call_allocates_nothing_the_size_of_the_strip_norms():
 
 def test_strips_are_read_only_float32_and_id_keys_cached(small_set):
     assert small_set.id_rank is small_set.id_rank
-    assert small_set.rank_of is small_set.rank_of
     stack = small_set.strips
     assert stack.dtype == np.float32 and not stack.flags.writeable
     assert small_set.sequence_ids == tuple(small_set.ids())

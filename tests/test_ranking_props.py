@@ -1,7 +1,7 @@
-"""Property tests of stage one: ``rank_all``, full and top-k, against a
-per-probe reference that sorts ``strip_distance`` values in Python, and
-the top-k cascade's lists, gathered and streamed, against their full
-lists' prefixes."""
+"""Property tests of stage one: ``rank_all``, full and top-k, of outside
+probes and of the gallery against itself, against a per-probe reference
+that sorts ``strip_distance`` values in Python, and the top-k cascade's
+lists, gathered and streamed, against their full lists' prefixes."""
 
 import math
 from unittest import mock
@@ -30,12 +30,14 @@ def columns(rl) -> tuple[list[str], bytes]:
 
 @settings(max_examples=150, deadline=None)
 @given(
-    n=st.integers(2, 40), s=st.integers(1, 4), d=st.integers(1, 5),
-    distinct=st.integers(1, 40), exponent=st.sampled_from([-30, -12, 0, 9, 18]),
-    quantised=st.booleans(), group=st.sampled_from([1, 3, 16]), seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 40), s=st.sampled_from([1, 2, 3, 4, 9, 12]),
+    d=st.sampled_from([1, 2, 3, 5, 9, 17]), distinct=st.integers(1, 40),
+    exponent=st.sampled_from([-30, -12, 0, 9, 18]), quantised=st.booleans(),
+    group=st.sampled_from([1, 3, 16]), block_rows=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
 )
 def test_rank_all_equals_the_sorted_reference_bitwise(n, s, d, distinct, exponent, quantised,
-                                                      group, seed):
+                                                      group, block_rows, seed):
     rng = np.random.default_rng(seed)
     maps = rng.standard_normal((min(distinct, n), s, d))
     if quantised:
@@ -57,6 +59,13 @@ def test_rank_all_equals_the_sorted_reference_bitwise(n, s, d, distinct, exponen
             # each top-k list is its full list's prefix, bitwise
             assert [columns(rl) for rl in top] == [
                 (rl.ids()[:k], rl.dists[:k].tobytes()) for rl in full]
+        # the gallery against itself scores each pair once and mirrors it,
+        # in one block and across the edges of blocks of 1-3 rows
+        want = [reference(e, gallery) for e in gallery.entries]
+        for block_bytes in (ranking.BLOCK_BYTES, block_rows * 16 * s * d):
+            with mock.patch.object(ranking, "BLOCK_BYTES", block_bytes):
+                for k in (None, n - 1):
+                    assert [columns(rl) for rl in rank_all(gallery, gallery, k=k)] == want
 
 
 @settings(max_examples=80, deadline=None)

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gaitrerank.errors import FormatError, ShapeError
+from gaitrerank.errors import FormatError, NonFiniteError, ShapeError
 from gaitrerank.ranking import strip_mean_distance
 from gaitrerank.reranker import (
     IndexedBatch,
@@ -566,3 +566,16 @@ def test_checkpoint_missing_metadata_is_empty(tmp_path):
     (tmp_path / "model.cgrk.meta.json").unlink()
     _, _, meta = load_checkpoint(path)
     assert meta == {}
+
+
+def test_projections_past_float32_raise_only_the_non_finite_error():
+    # finite float32 weights whose products overflow: the test suite
+    # raises numpy's RuntimeWarnings, so an overflow or invalid warning
+    # would surface here in place of the error
+    cfg = RerankerConfig(s=4, d=6, num_classes=3, heads=2, hidden=8, mlp_hidden=8)
+    w = init_weights(cfg, seed=0)
+    for name in ("w_q", "w_k", "w_v", "w_o"):
+        w.block(0)[name][...] = 3e30
+    maps = np.random.default_rng(4).standard_normal((3, cfg.s, cfg.d)).astype(np.float32)
+    with pytest.raises(NonFiniteError, match="^pair_distances produced non-finite values$"):
+        pair_distances(maps[0], maps[1:], w)

@@ -317,8 +317,10 @@ def test_train_config_validation():
         TrainConfig(beta=1.5)
     with pytest.raises(ValueError):
         TrainConfig(alpha=-0.1)
-    with pytest.raises(ValueError):
-        TrainConfig(v=1)
+    # v follows the training set's rule: an integer proper, at least 2
+    for v in (1, 2.5, "30", True):
+        with pytest.raises(ValueError, match="^v must be an integer >= 2, got "):
+            TrainConfig(v=v)
 
 
 # ---------------------------------------------------------------------------
