@@ -20,7 +20,8 @@ from . import training as tr
 from .errors import NonFiniteError, ShapeError
 from .feature_store import FeatureSet
 from .inference import rerank as baseline_rerank  # noqa: F401 (one re-rank path, both models)
-from .reranker import ParamStore, _load_params, _save_params, _stable_sigmoid
+from .reranker import (ParamStore, _load_params, _mlp_backward, _mlp_forward, _save_params,
+                       _stable_sigmoid)
 
 BASELINE_MAGIC = b"CGBL"
 BASELINE_VERSION = 1
@@ -79,10 +80,8 @@ def baseline_scores(
     weights.check_maps("probe", probe.shape)
     weights.check_maps("candidate", cands.shape[1:])
     x = _flatten_pairs(np.broadcast_to(probe, cands.shape), cands, weights.config)
-    p = weights.params()
     with np.errstate(over="ignore", invalid="ignore"):
-        h = np.tanh(x @ p["w1"] + p["b1"])
-        z = (h @ p["w2"] + p["b2"])[:, 0]
+        z = _mlp_forward(x, weights.params())[0][:, 0]
     if not np.isfinite(z).all():
         raise NonFiniteError("baseline_scores produced non-finite values")
     return z.astype(np.float64)
@@ -108,23 +107,13 @@ def bce_forward_backward(
     if y.shape != (a.shape[0],):
         raise ShapeError(f"labels must be ({a.shape[0]},), got {y.shape}")
     x = _flatten_pairs(a, b, weights.config)
-    p = weights.params()
-    h_pre = x @ p["w1"] + p["b1"]
-    h = np.tanh(h_pre)
-    z = (h @ p["w2"] + p["b2"])[:, 0].astype(np.float64)
+    out, h = _mlp_forward(x, weights.params())
+    z = out[:, 0].astype(np.float64)
     loss = float(np.mean(np.maximum(z, 0.0) - y * z + np.log1p(np.exp(-np.abs(z)))))
     if not want_grads:
         return loss, None
     dz = ((_stable_sigmoid(z) - y) / len(y)).astype(dtype)
-    grads = {
-        "w2": h.T @ dz[:, None],
-        "b2": np.array([dz.sum()], dtype=dtype),
-    }
-    dh = dz[:, None] @ p["w2"].T
-    dpre = dh * (1.0 - h * h)
-    grads["w1"] = x.T @ dpre
-    grads["b1"] = dpre.sum(axis=0)
-    return loss, grads
+    return loss, _mlp_backward(dz[:, None], x, h, weights.params())[0]
 
 
 # ---------------------------------------------------------------------------

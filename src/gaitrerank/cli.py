@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import __version__, baseline, inference, metrics, synth, training
 from .errors import ArtifactError, DataError, MissingIdError
-from .feature_store import MAGIC, load_feature_set, read_manifest, save_feature_set
+from .feature_store import MAGIC, PARTITIONS, load_feature_set, read_manifest, save_feature_set
 from .ranking import _check_k, rank_all, read_ranked_lists, write_ranked_lists
 from .reranker import (
     CHECKPOINT_MAGIC,
@@ -53,6 +54,8 @@ def _add_synth(sub) -> None:
 
 
 def _cmd_synth(args) -> int:
+    if args.partition not in PARTITIONS:
+        raise ValueError(f"--partition must be one of {PARTITIONS}, got {args.partition!r}")
     features = synth.generate(
         identities=args.ids,
         per_identity=args.per_id,
@@ -89,10 +92,21 @@ def _add_rank(sub) -> None:
     p.add_argument("--out", required=True)
 
 
-def _cmd_rank(args) -> int:
+def _load_probes_and_gallery(args):
+    """Check --k, then load --probes and --gallery. A gallery naming the
+    probes' own file is the probe set itself, so leave-one-out full lists
+    take ``rank_all``'s mirrored pass."""
     _check_k(args.k)
     probes = load_feature_set(args.probes)
-    gallery = load_feature_set(args.gallery)
+    try:
+        same = os.path.samefile(args.probes, args.gallery)
+    except OSError:  # a missing gallery is reported by its own load
+        same = False
+    return probes, probes if same else load_feature_set(args.gallery)
+
+
+def _cmd_rank(args) -> int:
+    probes, gallery = _load_probes_and_gallery(args)
     lists = rank_all(probes, gallery, k=args.k)
     write_ranked_lists(lists, args.out)
     print(json.dumps({"probes": len(lists), "out": str(args.out)}, sort_keys=True))
@@ -274,9 +288,7 @@ def _add_rerank(sub) -> None:
 
 
 def _cmd_rerank(args) -> int:
-    _check_k(args.k)
-    probes = load_feature_set(args.probes)
-    gallery = load_feature_set(args.gallery)
+    probes, gallery = _load_probes_and_gallery(args)
     initial = read_ranked_lists(args.initial)
     if args.baseline_checkpoint:
         weights, _, _ = baseline.load_baseline(args.baseline_checkpoint)

@@ -417,28 +417,20 @@ def ranking_loss(d_pos, d_neg, beta: float = 0.1):
     return float(out) if out.ndim == 0 else out
 
 
-def _classifier_forward(e: np.ndarray, weights: RerankerWeights):
-    # e: (N, s, d) -> logits (N, C)
-    p = weights.params()
-    pooled = e.mean(axis=1)
-    h = pooled @ p["cls.w1"] + p["cls.b1"]
-    a = np.tanh(h)
-    logits = a @ p["cls.w2"] + p["cls.b2"]
-    return logits, (pooled, a)
+def _mlp_forward(x: np.ndarray, p: dict[str, np.ndarray], prefix: str = ""):
+    # the two-layer tanh head both pair models share, (N, in) -> (N, out),
+    # with its activations h for the backward
+    h = np.tanh(x @ p[prefix + "w1"] + p[prefix + "b1"])
+    return h @ p[prefix + "w2"] + p[prefix + "b2"], h
 
 
-def _classifier_backward(dlogits: np.ndarray, cache, weights: RerankerWeights,
-                         grads: dict[str, np.ndarray]) -> np.ndarray:
-    # dlogits: (N, C) upstream; accumulates the head's gradients and
-    # returns the gradient wrt the pooled maps, (N, d)
-    pooled, a = cache
-    p = weights.params()
-    grads["cls.w2"] += a.T @ dlogits
-    grads["cls.b2"] += dlogits.sum(axis=0)
-    dh = (dlogits @ p["cls.w2"].T) * (1.0 - a * a)
-    grads["cls.w1"] += pooled.T @ dh
-    grads["cls.b1"] += dh.sum(axis=0)
-    return dh @ p["cls.w1"].T
+def _mlp_backward(dout: np.ndarray, x: np.ndarray, h: np.ndarray,
+                  p: dict[str, np.ndarray], prefix: str = ""):
+    # dout: (N, out) upstream; returns the head's gradients as new arrays
+    # keyed w1, b1, w2, b2, and the gradient wrt x @ w1 + b1, (N, hidden)
+    dpre = (dout @ p[prefix + "w2"].T) * (1.0 - h * h)
+    grads = {"w1": x.T @ dpre, "b1": dpre.sum(axis=0), "w2": h.T @ dout, "b2": dout.sum(axis=0)}
+    return grads, dpre
 
 
 def _cross_entropy(logits: np.ndarray, labels: np.ndarray):
@@ -549,8 +541,9 @@ def _batch_forward(
     map_labels = np.empty(U, dtype=batch.labels.dtype)
     map_labels[index] = batch.labels
     labels = map_labels[np.concatenate([lo, hi])]
-    logits, cls_cache = _classifier_forward(e, weights)
+    pooled = e.mean(axis=1)
     del e
+    logits, h = _mlp_forward(pooled, weights.params(), "cls.")
     ce, probs = _cross_entropy(logits, labels)
     occ = np.tile(np.bincount(slot), 2)
     ce_mean = (occ @ ce) / (4 * B)
@@ -568,8 +561,11 @@ def _batch_forward(
     dlogits = probs
     dlogits[np.arange(2 * n), labels] -= 1.0
     dlogits *= (alpha / (4 * B)) * occ[:, None]
-    dpooled = _classifier_backward(dlogits, cls_cache, weights, grads)
-    del probs, dlogits, cls_cache
+    head, dpre = _mlp_backward(dlogits, pooled, h, weights.params(), "cls.")
+    del probs, dlogits, pooled, h
+    for name, g in head.items():
+        grads["cls." + name] += g
+    dpooled = dpre @ weights.params()["cls.w1"].T
 
     x = d_neg - d_pos
     dldx = np.where(x >= 0, beta, 1.0) * (_stable_sigmoid(x) - 1.0)  # d loss / d (d_neg - d_pos)

@@ -76,6 +76,52 @@ def test_rank_missing_input_exits_3(capsys, tmp_path):
     assert json.loads(err)["error"] == "missing-file"
 
 
+def test_synth_refuses_an_unknown_partition_before_generating(capsys, tmp_path):
+    out = tmp_path / "x.gfm"
+    code, stdout, err = run(capsys, "synth", "--ids", "2", "--per-id", "2",
+                            "--partition", "bogus", "--out", str(out))
+    assert code == 2 and stdout == ""
+    assert json.loads(err) == {
+        "error": "invalid-value",
+        "message": "--partition must be one of ('train', 'val', 'gallery', 'probe'), "
+                   "got 'bogus'",
+    }
+    assert not out.exists()
+
+
+def test_rank_loads_a_file_named_by_both_flags_once(tmp_path, capsys, workdir, monkeypatch):
+    loaded = []
+
+    def counting(path):
+        loaded.append(path)
+        return load_feature_set(path)
+
+    monkeypatch.setattr(cli, "load_feature_set", counting)
+    feats = workdir / "feats.gfm"
+    copy = tmp_path / "copy.gfm"
+    copy.write_bytes(feats.read_bytes())
+    manifest_path(copy).write_bytes(manifest_path(feats).read_bytes())
+    once, twice = tmp_path / "once.jsonl", tmp_path / "twice.jsonl"
+    assert run(capsys, "rank", "--probes", str(feats), "--gallery", str(feats),
+               "--out", str(once))[0] == 0
+    assert loaded == [str(feats)]
+    assert run(capsys, "rank", "--probes", str(feats), "--gallery", str(copy),
+               "--out", str(twice))[0] == 0
+    assert loaded == [str(feats), str(feats), str(copy)]
+    assert once.read_bytes() == twice.read_bytes()
+
+
+@pytest.mark.parametrize("missing", ["probes", "gallery"])
+def test_rank_names_a_missing_probes_or_gallery_file(tmp_path, capsys, workdir, missing):
+    feats, ghost = str(workdir / "feats.gfm"), str(tmp_path / "ghost.gfm")
+    probes, gallery = (ghost, feats) if missing == "probes" else (feats, ghost)
+    code, _, err = run(capsys, "rank", "--probes", probes, "--gallery", gallery,
+                       "--out", str(tmp_path / "o.jsonl"))
+    assert code == 3
+    assert json.loads(err) == {"error": "missing-file", "message": ghost}
+    assert not (tmp_path / "o.jsonl").exists()
+
+
 def test_rank_output_is_sorted_and_complete(workdir):
     lists = read_ranked_lists(workdir / "initial.jsonl")
     assert len(lists) == 36
@@ -430,7 +476,7 @@ def test_rerank_and_diag_strips_build_no_entries(tmp_path, capsys, workdir, monk
     argv = ["--checkpoint", model] if flag == "--checkpoint" else []
     assert run(capsys, "diag-strips", "--features", feats, *argv,
                "--pair", "id000-00,id001-00", "--out", str(tmp_path / "cos.csv"))[0] == 0
-    assert len(loaded) == 3
+    assert len(loaded) == 2
     assert all("entries" not in vars(fs) for fs in loaded)
 
 

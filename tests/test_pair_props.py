@@ -1,6 +1,7 @@
-"""Property tests of the re-ranker's pair API: ``pair_distances`` against
-per-pair ``rerank_distance`` calls across shapes and dtypes, and the one
-shape rule (``ParamStore.check_maps``) for any wrongly shaped input."""
+"""Property tests of the pair models: ``pair_distances`` against per-pair
+``rerank_distance`` calls across shapes and dtypes, the one shape rule
+(``ParamStore.check_maps``) for any wrongly shaped input, and the
+baseline's BCE gradients against central differences."""
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
+from gaitrerank.baseline import BaselineConfig, bce_forward_backward, init_baseline
 from gaitrerank.errors import ShapeError
 from gaitrerank.reranker import (
     RerankerConfig,
@@ -73,3 +75,29 @@ def test_any_wrong_shape_gets_the_one_wording(s, d, probe_shape, cand_shape, m):
     with pytest.raises(ShapeError) as info:
         rerank_distance(probe, np.ones(cand_shape), w)
     assert str(info.value) == message
+
+
+@settings(max_examples=40, deadline=None)
+@given(s=st.integers(1, 4), d=st.integers(1, 4), hidden=st.integers(1, 8),
+       labels=st.lists(st.sampled_from([0.0, 1.0]), min_size=1, max_size=6),
+       seed=st.integers(0, 2**32 - 1))
+def test_bce_gradients_match_central_differences_across_shapes(s, d, hidden, labels, seed):
+    # gate 1's rule: h = 1e-5, relative error <= 1e-4 with a 1e-4 floor
+    w = init_baseline(BaselineConfig(s=s, d=d, hidden=hidden), seed=seed % 1000,
+                      dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    a, b = rng.standard_normal((2, len(labels), s, d))
+    y = np.array(labels)
+    _, grads = bce_forward_backward(a, b, y, w)
+    h = 1e-5
+    for name, grad in grads.items():
+        flat = w.params()[name].reshape(-1)
+        for idx in range(flat.size):
+            old = flat[idx]
+            flat[idx] = old + h
+            up, _ = bce_forward_backward(a, b, y, w, want_grads=False)
+            flat[idx] = old - h
+            down, _ = bce_forward_backward(a, b, y, w, want_grads=False)
+            flat[idx] = old
+            fd, an = (up - down) / (2 * h), grad.reshape(-1)[idx]
+            assert abs(an - fd) / max(abs(an), abs(fd), 1e-4) <= 1e-4, (name, idx)
