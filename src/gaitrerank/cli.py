@@ -17,8 +17,9 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__, baseline, inference, metrics, synth, training
-from .errors import ArtifactError, DataError, MissingIdError
-from .feature_store import MAGIC, PARTITIONS, load_feature_set, read_manifest, save_feature_set
+from .errors import ArtifactError, DataError
+from .feature_store import (MAGIC, PARTITIONS, _lookup, load_feature_set, read_manifest,
+                            save_feature_set)
 from .ranking import _check_k, rank_all, read_ranked_lists, write_ranked_lists
 from .reranker import (
     CHECKPOINT_MAGIC,
@@ -364,10 +365,8 @@ def _cmd_diag_strips(args) -> int:
     parts = args.pair.split(",")
     if len(parts) != 2:
         raise ValueError(f"--pair must be two ids separated by a comma, got {args.pair!r}")
-    try:
-        f_p, f_c = (features.strips[features.row_of[sid.strip()]] for sid in parts)
-    except KeyError as exc:
-        raise MissingIdError(f"no features for sequence {exc.args[0]!r}") from exc
+    rows = _lookup(features.row_of, [sid.strip() for sid in parts], "features for sequence")
+    f_p, f_c = (features.strips[r] for r in rows)
     if args.checkpoint:
         weights, _, _ = load_checkpoint(args.checkpoint)
         matrix = metrics.strip_cosine_matrix(*attended_pair(f_p, f_c, weights))

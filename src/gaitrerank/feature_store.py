@@ -28,6 +28,7 @@ import numpy as np
 from .errors import (
     DuplicateIdError,
     FormatError,
+    MissingIdError,
     NonFiniteError,
     ShapeError,
 )
@@ -227,6 +228,15 @@ class FeatureSet:
         from .ranking import _sum_table
 
         return _sum_table(self.strips)
+
+
+def _lookup(mapping, keys, what: str) -> list:
+    """The one lookup rule: ``[mapping[k] for k in keys]``, where the first
+    absent key is a MissingIdError ``no <what> '<key>'``."""
+    try:
+        return [mapping[k] for k in keys]
+    except KeyError as exc:
+        raise MissingIdError(f"no {what} {exc.args[0]!r}") from None
 
 
 def manifest_path(path) -> Path:

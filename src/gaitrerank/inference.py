@@ -18,8 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError, MissingIdError
-from .feature_store import FeatureMap, FeatureSet
+from .errors import DataError
+from .feature_store import FeatureMap, FeatureSet, _lookup
 from .ranking import RankedList, _check_k
 from .reranker import RerankerWeights, pair_distances
 
@@ -51,14 +51,14 @@ def rerank(
         raise DataError(f"probe {initial.probe_id!r}: empty initial list")
     kk = min(k, len(initial))
     ids = initial.ids(kk)
-    try:
-        if isinstance(features, FeatureSet):
-            row = features.row_of
-            cand = features.strips[[row[cid] for cid in ids]]
-        else:
-            cand = np.stack([np.asarray(features[cid], dtype=np.float32) for cid in ids])
-    except KeyError as exc:
-        raise MissingIdError(f"no features for candidate {exc.args[0]!r}") from exc
+    if isinstance(features, FeatureSet):
+        cand = features.strips[_lookup(features.row_of, ids, "features for candidate")]
+    else:
+        maps = [np.asarray(m, dtype=np.float32)
+                for m in _lookup(features, ids, "features for candidate")]
+        for m in maps:
+            weights.check_maps("candidate", m.shape)
+        cand = np.stack(maps)
     if isinstance(weights, RerankerWeights):
         values = pair_distances(probe.strips, cand, weights)
     else:
@@ -107,10 +107,7 @@ def rerank_all(
     an error gets the probe's id as a note."""
     _check_k(k)
     if isinstance(probes, FeatureSet):
-        try:
-            rows = [probes.row_of[rl.probe_id] for rl in initial_lists]
-        except KeyError as exc:
-            raise MissingIdError(f"no probe features for {exc.args[0]!r}") from exc
+        rows = _lookup(probes.row_of, [rl.probe_id for rl in initial_lists], "probe features for")
         probes = [FeatureMap(probes.sequence_ids[r], probes.identity_ids[r], probes.strips[r])
                   for r in rows]
     elif len(probes) != len(initial_lists):

@@ -26,8 +26,8 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DataError, FormatError, MissingIdError, NonFiniteError
-from .feature_store import FeatureSet, _read_text, _write_atomic
+from .errors import DataError, FormatError, NonFiniteError
+from .feature_store import FeatureSet, _lookup, _read_text, _write_atomic
 from .metrics import _matches
 from .ranking import _json_values, rank_all
 from .ranking import rank_gallery  # noqa: F401 (not called here; perfbench wraps training.rank_gallery)
@@ -262,13 +262,10 @@ def make_batch(
     """Each triplet's rows in ``features.strips``, (B, 3), and its (B, 3)
     labels; the batch indexes the set's array rather than copying maps."""
     ids = [i for t in triplets for i in (t.probe_id, t.pos_id, t.neg_id)]
-    row = features.row_of
-    try:
-        index = np.array([row[i] for i in ids], dtype=np.intp).reshape(-1, 3)
-        lab = np.array([labels[i] for i in ids], dtype=np.int64).reshape(-1, 3)
-    except KeyError as exc:
-        raise MissingIdError(f"no features for sequence {exc.args[0]!r}") from exc
-    return IndexedBatch(maps=features.strips, index=index, labels=lab)
+    rows = _lookup(features.row_of, ids, "features for sequence")
+    lab = _lookup(labels, ids, "class label for sequence")
+    return IndexedBatch(maps=features.strips, index=np.array(rows, dtype=np.intp).reshape(-1, 3),
+                        labels=np.array(lab, dtype=np.int64).reshape(-1, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -353,20 +350,15 @@ def _fixed_val_batch(
     eligible = val_ts.eligible_entries()
     if not eligible:
         raise DataError("validation set has no entry with both a positive and a negative")
-    triplets = []
+    ids = []
     for _ in range(cfg.val_triplets):
         entry = eligible[int(rng.integers(len(eligible)))]
         pos, neg = entry.positives, entry.negatives
-        triplets.append(
-            Triplet(
-                probe_id=entry.probe_id,
-                pos_id=pos[int(rng.integers(len(pos)))],
-                neg_id=neg[int(rng.integers(len(neg)))],
-            )
-        )
+        ids += entry.probe_id, pos[int(rng.integers(len(pos)))], neg[int(rng.integers(len(neg)))]
+    rows = np.array(_lookup(features.row_of, ids, "features for sequence"), dtype=np.intp)
+    index = rows.reshape(-1, 3)
     # labels are unused for the ranking-only validation loss
-    zeros = {tid: 0 for t in triplets for tid in (t.probe_id, t.pos_id, t.neg_id)}
-    return make_batch(triplets, features, zeros)
+    return IndexedBatch(features.strips, index, np.zeros(index.shape, dtype=np.int64))
 
 
 def train(
@@ -384,15 +376,11 @@ def train(
     of the train-side entries; validation triplets feed only the ranking
     loss, so unseen validation identities are fine.
     """
-    identity = features.identity_map()
-
-    train_seq_ids = referenced_sequences(train_ts)
-    missing = sorted(i for i in train_seq_ids if i not in identity)
-    if missing:
-        raise MissingIdError(f"no features for sequence {missing[0]!r}")
-    train_identities = sorted({identity[i] for i in train_seq_ids})
+    train_seq_ids = sorted(referenced_sequences(train_ts))
+    seq_identities = _lookup(features.identity_map(), train_seq_ids, "features for sequence")
+    train_identities = sorted(set(seq_identities))
     label_by_identity = {ident: i for i, ident in enumerate(train_identities)}
-    labels = {i: label_by_identity[identity[i]] for i in train_seq_ids}
+    labels = {i: label_by_identity[ident] for i, ident in zip(train_seq_ids, seq_identities)}
 
     if model.num_classes < len(train_identities):
         raise ValueError(

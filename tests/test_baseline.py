@@ -13,10 +13,11 @@ from gaitrerank.baseline import (
     save_baseline,
     train_baseline,
 )
-from gaitrerank.errors import DataError, FormatError, NonFiniteError, ShapeError
+from gaitrerank.errors import DataError, FormatError, MissingIdError, NonFiniteError, ShapeError
 from gaitrerank.feature_store import FeatureSet
 from gaitrerank.ranking import rank_gallery
-from gaitrerank.training import TrainConfig, build_training_set, split_train_val
+from gaitrerank.training import (TrainConfig, build_training_set, referenced_sequences,
+                                 split_train_val)
 
 from conftest import make_maps
 
@@ -216,3 +217,20 @@ def test_train_baseline_runs_and_is_deterministic(gallery):
     evaluated = [r.iteration for r in a.history if r.val_loss is not None]
     assert evaluated == [0, 10, 20]
     assert a.best_val_loss == min(r.val_loss for r in a.history if r.val_loss is not None)
+
+
+def test_train_baseline_checks_its_training_ids_before_iteration_0():
+    fs = FeatureSet.from_entries(make_maps(12, 3, 3, 4, seed=44))
+    tr_fs, va_fs = split_train_val(fs, val_fraction=0.2)
+    train_ts = build_training_set(tr_fs, v=8)
+    val_ts = build_training_set(va_fs, v=8)
+    ids = sorted(referenced_sequences(train_ts))
+    drop = {ids[-1], ids[3]}
+    fs_missing = FeatureSet.from_entries(e for e in fs.entries if e.sequence_id not in drop)
+    cfg = TrainConfig(iterations=20, t_val=10, val_triplets=16, batch_probes=4,
+                      triplets_per_probe=2, seed=5)
+    calls = []
+    with pytest.raises(MissingIdError) as info:
+        train_baseline(train_ts, val_ts, fs_missing, cfg, hidden=16, progress=calls.append)
+    assert str(info.value) == f"no features for sequence {ids[3]!r}"
+    assert calls == []

@@ -308,3 +308,29 @@ def test_every_entry_point_of_both_models_states_the_one_shape_rule(entry, model
     with pytest.raises(ShapeError) as info:
         call(weights, probe, cands)
     assert str(info.value) == f"{what} maps are {BAD}, the model declares {GOOD}"
+
+
+@pytest.mark.parametrize("model", ["reranker", "baseline"])
+def test_a_mapping_gallery_states_the_shape_rule_for_one_odd_candidate(model):
+    if model == "reranker":
+        weights = init_weights(RerankerConfig(s=3, d=5, num_classes=2, heads=1, hidden=4,
+                                              mlp_hidden=4), seed=0)
+    else:
+        weights = init_baseline(BaselineConfig(s=3, d=5, hidden=4), seed=0)
+    rng = np.random.default_rng(7)
+    probe = rng.standard_normal(GOOD).astype(np.float32)
+    cands = [rng.standard_normal(shape).astype(np.float32) for shape in (GOOD, BAD, GOOD)]
+    with pytest.raises(ShapeError) as info:
+        rerank(FeatureMap("p", "p", probe), _initial(3), _gallery(cands, True), weights)
+    assert str(info.value) == f"candidate maps are {BAD}, the model declares {GOOD}"
+
+
+@pytest.mark.parametrize("mapping", [False, True])
+def test_rerank_names_an_absent_candidate(setup, mapping):
+    fs, weights = setup
+    probe = fs.entries[0]
+    gallery = {e.sequence_id: e.strips for e in fs.entries} if mapping else fs
+    initial = RankedList(probe.sequence_id, ((fs.sequence_ids[1], 0.1), ("x", 0.2)))
+    with pytest.raises(MissingIdError) as info:
+        rerank(probe, initial, gallery, weights)
+    assert str(info.value) == "no features for candidate 'x'"

@@ -227,6 +227,14 @@ def test_make_batch_shapes_and_missing_id():
     assert batch.labels.tolist() == [[0, 1, 0], [1, 0, 0]]
     with pytest.raises(MissingIdError):
         make_batch([Triplet("a", "b", "zzz")], features, labels)
+    # the first absent id in triplet order, not in sorted order
+    with pytest.raises(MissingIdError) as info:
+        make_batch([Triplet("a", "zz", "b"), Triplet("aa", "b", "c")], features, labels)
+    assert str(info.value) == "no features for sequence 'zz'"
+    # every id has features; one has no class label
+    with pytest.raises(MissingIdError) as info:
+        make_batch(trips, features, {"a": 0, "b": 1})
+    assert str(info.value) == "no class label for sequence 'c'"
 
 
 # ---------------------------------------------------------------------------
@@ -395,8 +403,10 @@ def test_train_validates_missing_features_and_class_budget(tiny_pipeline):
     fs_small = FeatureSet.from_entries(fs.entries[:3])
     cfg = TrainConfig(iterations=1, t_val=1)
     model = RerankerConfig(s=3, d=4, num_classes=2, heads=2, hidden=8, mlp_hidden=8)
-    with pytest.raises(MissingIdError):
+    with pytest.raises(MissingIdError) as info:
         train(train_ts, val_ts, fs_small, cfg, model=model)
+    first = min(referenced_sequences(train_ts) - set(fs_small.sequence_ids))
+    assert str(info.value) == f"no features for sequence {first!r}"
     with pytest.raises(ValueError):
         train(train_ts, val_ts, fs, cfg, model=model)
 
