@@ -18,8 +18,8 @@ import numpy as np
 
 from . import __version__, baseline, inference, metrics, synth, training
 from .errors import ArtifactError, DataError
-from .feature_store import (MAGIC, PARTITIONS, _lookup, load_feature_set, read_manifest,
-                            save_feature_set)
+from .feature_store import (MAGIC, PARTITIONS, _lookup, _open_input, load_feature_set,
+                            read_manifest, save_feature_set)
 from .ranking import _check_k, rank_all, read_ranked_lists, write_ranked_lists
 from .reranker import (
     CHECKPOINT_MAGIC,
@@ -273,30 +273,23 @@ def _cmd_train_baseline(args) -> int:
 
 def _add_rerank(sub) -> None:
     p = sub.add_parser("rerank", help="re-order each probe's top-K")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--checkpoint")
-    group.add_argument("--baseline-checkpoint")
+    p.add_argument("--checkpoint", required=True, help="a CGRK re-ranker or a CGBL baseline")
     p.add_argument("--probes", required=True)
     p.add_argument("--gallery", required=True)
     p.add_argument("--initial", required=True)
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--out", required=True)
-    p.add_argument(
-        "--timing",
-        action="store_true",
-        help="add per-probe latency_ms to the output (not byte-reproducible)",
-    )
 
 
 def _cmd_rerank(args) -> int:
     probes, gallery = _load_probes_and_gallery(args)
     initial = read_ranked_lists(args.initial)
-    if args.baseline_checkpoint:
-        weights, _, _ = baseline.load_baseline(args.baseline_checkpoint)
-    else:
-        weights, _, _ = load_checkpoint(args.checkpoint)
+    # the magic names the model; the re-ranker's loader reports any other
+    with _open_input(args.checkpoint) as fh:
+        is_baseline = fh.read(len(baseline.BASELINE_MAGIC)) == baseline.BASELINE_MAGIC
+    weights, _, _ = (baseline.load_baseline if is_baseline else load_checkpoint)(args.checkpoint)
     lists, latencies = inference.rerank_all(probes, initial, gallery, weights, k=args.k)
-    write_ranked_lists(lists, args.out, latencies_ms=latencies if args.timing else None)
+    write_ranked_lists(lists, args.out)
     print(
         json.dumps(
             {

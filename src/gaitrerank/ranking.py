@@ -538,23 +538,18 @@ def rank_all(probes, gallery: FeatureSet, k: int | None = None) -> list[RankedLi
 _escape = json.encoder.encode_basestring_ascii
 
 
-def write_ranked_lists(
-    lists: Iterable[RankedList],
-    path,
-    latencies_ms: Sequence[float] | None = None,
-) -> None:
-    """One JSON record per probe, written as it is formatted; optional
-    per-probe latency field. Each line holds the bytes of ``json.dumps(record,
-    separators=(",", ":"), allow_nan=False)``: ids escaped as json escapes
-    them, distances as ``repr`` of a float. A NaN or infinite value, which
+def write_ranked_lists(lists: Iterable[RankedList], path) -> None:
+    """One JSON record per probe, written as it is formatted. Each line
+    holds the bytes of ``json.dumps(record, separators=(",", ":"),
+    allow_nan=False)``: ids escaped as json escapes them, distances as
+    ``repr`` of a float. A NaN or infinite distance, which
     ``read_ranked_lists`` would reject, is a NonFiniteError naming the
     probe, and leaves the previous file or none. Stage one's lists share
     their gallery's id tuple, which is escaped once per call."""
     escaped: dict = {}  # id() of a shared id tuple -> (the tuple, kept alive; its ids escaped)
     with _write_atomic(path, "w") as fh:
-        for i, rl in enumerate(lists):
-            latency = [] if latencies_ms is None else [latencies_ms[i]]
-            if not (np.isfinite(rl.dists).all() and np.isfinite(latency).all()):
+        for rl in lists:
+            if not np.isfinite(rl.dists).all():
                 raise NonFiniteError(f"probe {rl.probe_id!r}: NaN or Inf in its ranked list")
             if rl._rows is not None and id(rl._ids) not in escaped:
                 escaped[id(rl._ids)] = rl._ids, list(map(_escape, rl._ids))
@@ -562,8 +557,7 @@ def write_ranked_lists(
                    else map(escaped[id(rl._ids)][1].__getitem__, rl._rows.tolist()))
             pairs = zip(ids, rl.dists.tolist())
             items = ",".join([f"[{cid},{d!r}]" for cid, d in pairs])
-            tail = "".join(f',"latency_ms":{json.dumps(x)}' for x in latency)
-            fh.write(f'{{"probe_id":{_escape(rl.probe_id)},"items":[{items}]{tail}}}\n')
+            fh.write(f'{{"probe_id":{_escape(rl.probe_id)},"items":[{items}]}}\n')
 
 
 # the parsed JSON types a record field of each kind accepts: nothing is

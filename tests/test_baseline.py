@@ -162,6 +162,20 @@ def test_baseline_rerank_orders_by_descending_score(gallery):
     assert d == sorted(d)
 
 
+def test_baseline_rerank_of_a_list_within_k_shifts_its_distances_to_start_at_0(gallery):
+    w = init_baseline(BaselineConfig(s=4, d=6, hidden=8), seed=5)
+    probe = gallery.entries[0]
+    initial = rank_gallery(probe, gallery, k=6)
+    out = baseline_rerank(probe, initial, gallery, w, k=10)
+    # the order changed and no tail rescales the prefix, so its distances
+    # are the negated scores shifted to a minimum of 0
+    assert out.ids() != initial.ids()
+    values = -baseline_scores(probe.strips, np.stack([gallery.get(c).strips
+                                                      for c in initial.ids()]), w)
+    assert out.distances() == sorted((values - values.min()).tolist())
+    assert out.distances()[0] == 0.0
+
+
 def test_baseline_rerank_guards(gallery):
     cfg = BaselineConfig(s=4, d=6, hidden=8)
     w = init_baseline(cfg, seed=5)

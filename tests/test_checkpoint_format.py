@@ -233,8 +233,7 @@ def test_rerank_with_a_non_finite_model_file_exits_7_and_writes_nothing(tmp_path
     capsys.readouterr()
     model = tmp_path / "model.bin"
     model.write_bytes(pack(fmt, with_non_finite(fmt, np.nan)[0], 4))
-    flag = "--checkpoint" if fmt is CGRK else "--baseline-checkpoint"
-    code = main(["rerank", flag, str(model), "--probes", str(feats), "--gallery", str(feats),
+    code = main(["rerank", "--checkpoint", str(model), "--probes", str(feats), "--gallery", str(feats),
                  "--initial", str(initial), "--out", str(out)])
     captured = capsys.readouterr()
     assert code == 7 and captured.out == ""

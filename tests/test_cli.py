@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from gaitrerank import cli, training
-from gaitrerank.baseline import BaselineConfig, init_baseline, save_baseline
+from gaitrerank.baseline import BaselineConfig, init_baseline, load_baseline, save_baseline
 from gaitrerank.cli import main
 from gaitrerank.feature_store import load_feature_set, manifest_path
 from gaitrerank.metrics import read_report, strip_cosine_matrix, write_cosine_csv
-from gaitrerank.ranking import read_ranked_lists
+from gaitrerank.inference import rerank_all
+from gaitrerank.ranking import read_ranked_lists, write_ranked_lists
 from gaitrerank.reranker import (
     RerankerConfig,
     attended_pair,
@@ -216,7 +217,7 @@ def test_train_baseline_pipeline(tmp_path, capsys, workdir):
                      "--val-triplets", "8", "--out-checkpoint", ckpt, "--quiet")
     assert code == 0
     out = str(tmp_path / "reranked.jsonl")
-    code, _, _ = run(capsys, "rerank", "--baseline-checkpoint", ckpt,
+    code, _, _ = run(capsys, "rerank", "--checkpoint", ckpt,
                      "--probes", feats, "--gallery", feats,
                      "--initial", initial, "--k", "5", "--out", out)
     assert code == 0
@@ -237,25 +238,60 @@ def test_train_sequence_missing_from_features_exits_8(tmp_path, capsys, workdir,
     assert rec == {"error": "missing-id", "message": "no features for sequence 'ghost-00'"}
 
 
-def test_rerank_timing_flag_gates_latency_field(tmp_path, capsys, workdir):
-    feats = str(workdir / "feats.gfm")
-    initial = str(workdir / "initial.jsonl")
-    cfg = RerankerConfig(s=4, d=6, num_classes=9, heads=2, hidden=8, mlp_hidden=8)
-    ckpt = tmp_path / "w.cgrk"
-    save_checkpoint(init_weights(cfg, seed=0), ckpt)
+@pytest.mark.parametrize("model", ["cgrk", "cgbl"])
+def test_rerank_takes_the_model_its_checkpoint_names_and_writes_the_same_bytes_every_run(
+        tmp_path, capsys, workdir, model):
+    feats, initial = str(workdir / "feats.gfm"), workdir / "initial.jsonl"
+    ckpt = _model_file(tmp_path, model, 4, 6)
+    weights, _, _ = (load_checkpoint if model == "cgrk" else load_baseline)(ckpt)
+    fs = load_feature_set(feats)
+    want = tmp_path / "want.jsonl"
+    write_ranked_lists(rerank_all(fs, read_ranked_lists(initial), fs, weights, k=5)[0], want)
+    assert want.read_bytes() != initial.read_bytes()  # the model re-orders some prefix
+    for out in (tmp_path / "a.jsonl", tmp_path / "b.jsonl"):
+        code, stdout, _ = run(capsys, "rerank", "--checkpoint", ckpt, "--probes", feats,
+                              "--gallery", feats, "--initial", str(initial), "--k", "5",
+                              "--out", str(out))
+        assert code == 0
+        assert sorted(json.loads(stdout)) == ["mean_latency_ms", "out", "probes"]
+        assert out.read_bytes() == want.read_bytes()
 
-    quiet_out = tmp_path / "a.jsonl"
-    timed_out = tmp_path / "b.jsonl"
-    assert run(capsys, "rerank", "--checkpoint", str(ckpt), "--probes", feats,
-               "--gallery", feats, "--initial", initial,
-               "--out", str(quiet_out))[0] == 0
-    assert run(capsys, "rerank", "--checkpoint", str(ckpt), "--probes", feats,
-               "--gallery", feats, "--initial", initial,
-               "--out", str(timed_out), "--timing")[0] == 0
-    assert "latency_ms" not in quiet_out.read_text()
-    assert all(
-        "latency_ms" in line for line in timed_out.read_text().strip().splitlines()
-    )
+
+@pytest.mark.parametrize("flag", [["--timing"], ["--baseline-checkpoint", "m.cgbl"]])
+def test_rerank_has_no_mode_flags(tmp_path, capsys, workdir, flag):
+    feats, out = str(workdir / "feats.gfm"), tmp_path / "o.jsonl"
+    with pytest.raises(SystemExit) as exc:
+        main(["rerank", "--checkpoint", _model_file(tmp_path, "cgrk", 4, 6), "--probes", feats,
+              "--gallery", feats, "--initial", str(workdir / "initial.jsonl"),
+              "--out", str(out), *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("blob, message", [
+    (None, ""),
+    (b"", ": truncated checkpoint header"),
+    (b"CG", ": truncated checkpoint header"),
+    (b"CGRK" + bytes(6), ": truncated checkpoint header"),
+    (b"CGBL" + bytes(6), ": truncated checkpoint header"),
+    (b"XXXX" + bytes(40), ": bad magic b'XXXX'"),
+], ids=["missing", "empty", "short", "cut-cgrk", "cut-cgbl", "magic"])
+def test_rerank_reports_a_bad_checkpoint_after_its_other_inputs(tmp_path, capsys, workdir,
+                                                                 blob, message):
+    feats, out, ckpt = str(workdir / "feats.gfm"), tmp_path / "o.jsonl", tmp_path / "m.bin"
+    if blob is not None:
+        ckpt.write_bytes(blob)
+    argv = ["rerank", "--checkpoint", str(ckpt), "--probes", feats, "--gallery", feats,
+            "--out", str(out), "--initial"]
+    code, _, err = run(capsys, *argv, str(workdir / "initial.jsonl"))
+    assert code == (3 if blob is None else 4)
+    assert json.loads(err) == {"error": "missing-file" if blob is None else "format",
+                               "message": f"{ckpt}{message}"}
+    # a missing initial list is reported before the checkpoint is read
+    ghost = str(tmp_path / "ghost.jsonl")
+    assert json.loads(run(capsys, *argv, ghost)[2]) == {"error": "missing-file", "message": ghost}
+    assert not out.exists()
 
 
 def test_rerank_missing_probe_exits_8(tmp_path, capsys, workdir):
@@ -278,7 +314,7 @@ def test_rerank_baseline_missing_candidate_names_probe(tmp_path, capsys, workdir
     save_baseline(init_baseline(BaselineConfig(s=4, d=6, hidden=8), seed=0), ckpt)
     rogue = tmp_path / "rogue.jsonl"
     rogue.write_text('{"probe_id":"id000-00","items":[["ghost-00",0.5]]}\n')
-    code, _, err = run(capsys, "rerank", "--baseline-checkpoint", str(ckpt),
+    code, _, err = run(capsys, "rerank", "--checkpoint", str(ckpt),
                        "--probes", feats, "--gallery", feats,
                        "--initial", str(rogue), "--out", str(tmp_path / "o.jsonl"))
     assert code == 8
@@ -287,9 +323,10 @@ def test_rerank_baseline_missing_candidate_names_probe(tmp_path, capsys, workdir
     assert "id000-00" in rec["message"] and "ghost-00" in rec["message"]
 
 
-def _model_file(tmp_path, flag, s, d):
-    """A model for ``rerank``'s ``flag`` at strip shape (s, d)."""
-    if flag == "--checkpoint":
+def _model_file(tmp_path, model, s, d):
+    """A ``model`` ("cgrk": the re-ranker, "cgbl": the baseline) at strip
+    shape (s, d)."""
+    if model == "cgrk":
         path = tmp_path / "w.cgrk"
         cfg = RerankerConfig(s=s, d=d, num_classes=9, heads=2, hidden=8, mlp_hidden=8)
         save_checkpoint(init_weights(cfg, seed=0), path)
@@ -299,16 +336,16 @@ def _model_file(tmp_path, flag, s, d):
     return str(path)
 
 
-@pytest.mark.parametrize("flag", ["--checkpoint", "--baseline-checkpoint"])
+@pytest.mark.parametrize("model", ["cgrk", "cgbl"])
 @pytest.mark.parametrize("lists", ["empty", "full"])
 @pytest.mark.parametrize("k", ["0", "-3"])
-def test_rerank_refuses_k_below_1_before_any_probe(tmp_path, capsys, workdir, flag, lists, k):
+def test_rerank_refuses_k_below_1_before_any_probe(tmp_path, capsys, workdir, model, lists, k):
     feats, out = str(workdir / "feats.gfm"), tmp_path / "o.jsonl"
     initial = workdir / "initial.jsonl"
     if lists == "empty":
         initial = tmp_path / "empty.jsonl"
         initial.write_text("")
-    code, _, err = run(capsys, "rerank", flag, _model_file(tmp_path, flag, 4, 6),
+    code, _, err = run(capsys, "rerank", "--checkpoint", _model_file(tmp_path, model, 4, 6),
                        "--probes", feats, "--gallery", feats, "--initial", str(initial),
                        "--k", k, "--out", str(out))
     assert code == 9
@@ -316,13 +353,13 @@ def test_rerank_refuses_k_below_1_before_any_probe(tmp_path, capsys, workdir, fl
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag", ["--checkpoint", "--baseline-checkpoint"])
+@pytest.mark.parametrize("model", ["cgrk", "cgbl"])
 def test_rerank_model_of_another_shape_exits_5_naming_the_first_probe(tmp_path, capsys, workdir,
-                                                                      flag):
+                                                                      model):
     feats, out = str(workdir / "feats.gfm"), tmp_path / "o.jsonl"
     initial = workdir / "initial.jsonl"
     first = read_ranked_lists(initial)[0].probe_id
-    code, stdout, err = run(capsys, "rerank", flag, _model_file(tmp_path, flag, 3, 5),
+    code, stdout, err = run(capsys, "rerank", "--checkpoint", _model_file(tmp_path, model, 3, 5),
                             "--probes", feats, "--gallery", feats, "--initial", str(initial),
                             "--out", str(out))
     assert code == 5 and stdout == ""
@@ -338,8 +375,8 @@ def test_rerank_model_of_another_shape_has_one_message_for_both_models(tmp_path,
     feats, out = str(workdir / "feats.gfm"), tmp_path / "o.jsonl"
     initial = workdir / "initial.jsonl"
     first = read_ranked_lists(initial)[0].probe_id
-    for flag in ("--checkpoint", "--baseline-checkpoint"):
-        code, _, err = run(capsys, "rerank", flag, _model_file(tmp_path, flag, 3, 5),
+    for model in ("cgrk", "cgbl"):
+        code, _, err = run(capsys, "rerank", "--checkpoint", _model_file(tmp_path, model, 3, 5),
                            "--probes", feats, "--gallery", feats, "--initial", str(initial),
                            "--out", str(out))
         assert code == 5
@@ -388,7 +425,7 @@ def test_rerank_baseline_whose_scores_overflow_exits_7_naming_the_first_probe(tm
     p["w2"][...] = 3e38
     ckpt = tmp_path / "big.cgbl"
     save_baseline(w, ckpt)
-    code, stdout, err = run(capsys, "rerank", "--baseline-checkpoint", str(ckpt),
+    code, stdout, err = run(capsys, "rerank", "--checkpoint", str(ckpt),
                             "--probes", feats, "--gallery", feats, "--initial", str(initial),
                             "--out", str(out))
     assert code == 7 and stdout == ""
@@ -400,10 +437,10 @@ def test_rerank_baseline_whose_scores_overflow_exits_7_naming_the_first_probe(tm
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag", ["--checkpoint", "--baseline-checkpoint"])
-@pytest.mark.parametrize("model", ["probes", "gallery"])
+@pytest.mark.parametrize("model", ["cgrk", "cgbl"])
+@pytest.mark.parametrize("side", ["probes", "gallery"])
 def test_rerank_probes_and_gallery_of_different_shapes_exit_5(tmp_path, capsys, workdir,
-                                                              flag, model):
+                                                              model, side):
     feats, out = str(workdir / "feats.gfm"), tmp_path / "o.jsonl"
     initial = workdir / "initial.jsonl"
     first = read_ranked_lists(initial)[0].probe_id
@@ -412,9 +449,9 @@ def test_rerank_probes_and_gallery_of_different_shapes_exit_5(tmp_path, capsys, 
                  "--dim", "6", "--seed", "3", "--out", str(gallery)]) == 0
     capsys.readouterr()
     # the model matches one side; the other side is named
-    shape, other = ((4, 6), "gallery maps are (3, 6)") if model == "probes" else (
+    shape, other = ((4, 6), "gallery maps are (3, 6)") if side == "probes" else (
         (3, 6), "probe maps are (4, 6)")
-    code, _, err = run(capsys, "rerank", flag, _model_file(tmp_path, flag, *shape),
+    code, _, err = run(capsys, "rerank", "--checkpoint", _model_file(tmp_path, model, *shape),
                        "--probes", feats, "--gallery", str(gallery), "--initial", str(initial),
                        "--out", str(out))
     assert code == 5
@@ -459,8 +496,8 @@ def test_diag_strips_names_the_missing_id(tmp_path, capsys, workdir):
     assert not (tmp_path / "cos.csv").exists()
 
 
-@pytest.mark.parametrize("flag", ["--checkpoint", "--baseline-checkpoint"])
-def test_rerank_and_diag_strips_build_no_entries(tmp_path, capsys, workdir, monkeypatch, flag):
+@pytest.mark.parametrize("model", ["cgrk", "cgbl"])
+def test_rerank_and_diag_strips_build_no_entries(tmp_path, capsys, workdir, monkeypatch, model):
     loaded = []
 
     def keeping(path):
@@ -469,11 +506,11 @@ def test_rerank_and_diag_strips_build_no_entries(tmp_path, capsys, workdir, monk
 
     monkeypatch.setattr(cli, "load_feature_set", keeping)
     feats = str(workdir / "feats.gfm")
-    model = _model_file(tmp_path, flag, 4, 6)
-    assert run(capsys, "rerank", flag, model, "--probes", feats, "--gallery", feats,
+    ckpt = _model_file(tmp_path, model, 4, 6)
+    assert run(capsys, "rerank", "--checkpoint", ckpt, "--probes", feats, "--gallery", feats,
                "--initial", str(workdir / "initial.jsonl"), "--k", "3",
                "--out", str(tmp_path / "o.jsonl"))[0] == 0
-    argv = ["--checkpoint", model] if flag == "--checkpoint" else []
+    argv = ["--checkpoint", ckpt] if model == "cgrk" else []
     assert run(capsys, "diag-strips", "--features", feats, *argv,
                "--pair", "id000-00,id001-00", "--out", str(tmp_path / "cos.csv"))[0] == 0
     assert len(loaded) == 2

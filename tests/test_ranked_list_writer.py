@@ -29,33 +29,19 @@ LISTS = st.lists(
 )
 
 
-def json_dumps_lines(lists, latencies_ms) -> bytes:
+def json_dumps_record(rl) -> bytes:
     """The writer's former body: one ``json.dumps`` per record."""
-    out = []
-    for i, rl in enumerate(lists):
-        rec: dict = {"probe_id": rl.probe_id, "items": [[cid, d] for cid, d in rl.items]}
-        if latencies_ms is not None:
-            rec["latency_ms"] = latencies_ms[i]
-        out.append(json.dumps(rec, separators=(",", ":"), allow_nan=False) + "\n")
-    return "".join(out).encode("utf-8")
+    rec = {"probe_id": rl.probe_id, "items": [[cid, d] for cid, d in rl.items]}
+    return (json.dumps(rec, separators=(",", ":"), allow_nan=False) + "\n").encode("utf-8")
 
 
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(lists=LISTS, latencies=st.lists(NUMBERS, min_size=4, max_size=4),
-       timed=st.booleans())
-def test_writer_bytes_equal_json_dumps(tmp_path, lists, latencies, timed):
-    latencies_ms = latencies[: len(lists)] if timed else None
+@given(lists=LISTS)
+def test_writer_bytes_equal_json_dumps(tmp_path, lists):
     path = tmp_path / "lists.jsonl"
-    write_ranked_lists(lists, path, latencies_ms=latencies_ms)
-    assert path.read_bytes() == json_dumps_lines(lists, latencies_ms)
-
-
-def json_dumps_record(rl, latency=None) -> bytes:
-    rec: dict = {"probe_id": rl.probe_id, "items": [[cid, d] for cid, d in rl.items]}
-    if latency is not None:
-        rec["latency_ms"] = latency
-    return (json.dumps(rec, separators=(",", ":"), allow_nan=False) + "\n").encode("utf-8")
+    write_ranked_lists(lists, path)
+    assert path.read_bytes() == b"".join(map(json_dumps_record, lists))
 
 
 ODD_IDS = ['q"uote', "back\\slash", "tab\tnl\n", "nul\x00", "\x1f\x7f", "é", "日本", "\U0001f600"]
@@ -72,14 +58,9 @@ def test_stage_one_and_hand_built_lists_write_json_dumps_bytes(tmp_path):
         RankedList("é\"\\", [(ODD_IDS[0], 0.0), (ODD_IDS[1], 5e-324), ("big", 1e308)]),
         RankedList("integral", [("a", 1.0), ("b", 2.0), ("c", 1e16), ("d", 123456789.0)]),
     ]
-    latencies = [0.125 * i for i in range(len(lists))]
     path = tmp_path / "lists.jsonl"
-    for timed in (None, latencies):
-        write_ranked_lists(lists, path, latencies_ms=timed)
-        want = [json_dumps_record(rl, None if timed is None else timed[i])
-                for i, rl in enumerate(lists)]
-        assert path.read_bytes() == b"".join(want)
-    assert b'"latency_ms":0.125}' in path.read_bytes()
+    write_ranked_lists(lists, path)
+    assert path.read_bytes() == b"".join(map(json_dumps_record, lists))
 
 
 def test_an_int_distance_is_written_as_a_float(tmp_path):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import gaitrerank.training as training
-from gaitrerank import ranking, synth
+from gaitrerank import baseline, ranking, synth
 from gaitrerank.errors import DataError, MissingIdError, NonFiniteError
 from gaitrerank.feature_store import FeatureMap, FeatureSet
 from gaitrerank.reranker import RerankerConfig, batch_loss, init_weights
@@ -68,6 +68,14 @@ def test_split_train_val_partitions_identities():
         assert part_rows == sorted(part_rows)
         assert part.strips.tobytes() == fs.strips[part_rows].tobytes()
         assert part.identity_ids == tuple(fs.identity_ids[r] for r in part_rows)
+
+
+def test_split_train_val_holds_out_the_ceil_of_its_fraction():
+    # 0.2 of 12 identities is 2.4: the last 3 are held out
+    fs = FeatureSet.from_entries(make_maps(12, 2, 2, 2, seed=1))
+    tr, va = split_train_val(fs, val_fraction=0.2)
+    assert va.identities() == ["id009", "id010", "id011"]
+    assert len(tr.identities()) == 9
 
 
 def test_split_train_val_requires_enough_identities():
@@ -360,12 +368,37 @@ def test_train_snapshot_is_validation_argmin(tiny_pipeline):
     )
     # returned weights really are the snapshot: re-scoring them on the same
     # fixed validation batch reproduces best_val_loss
-    ss = np.random.SeedSequence(cfg.seed)
-    val_seed = int(ss.spawn(3)[2].generate_state(1)[0])
-    val_batch = training._fixed_val_batch(
-        val_ts, cfg, fs, np.random.default_rng(val_seed)
-    )
+    val_batch = _val_batch(val_ts, cfg, fs)
     assert batch_loss(val_batch, res.weights, alpha=0.0, beta=cfg.beta) == res.best_val_loss
+
+
+def _val_batch(val_ts, cfg, fs):
+    """The fixed validation batch the training loop draws for ``cfg.seed``."""
+    val_seed = int(np.random.SeedSequence(cfg.seed).spawn(3)[2].generate_state(1)[0])
+    return training._fixed_val_batch(val_ts, cfg, fs, np.random.default_rng(val_seed))
+
+
+@pytest.mark.parametrize("model", ["reranker", "baseline"])
+@pytest.mark.parametrize("lr, seed, initial", [(1e-2, 3, False), (1e-1, 1, True)],
+                         ids=["mid-run", "initial"])
+def test_train_returns_a_snapshot_taken_before_its_last_evaluation(tiny_pipeline, model, lr,
+                                                                   seed, initial):
+    fs, train_ts, val_ts = tiny_pipeline
+    # for both models the validation loss bottoms out mid-run (iteration 15
+    # of 30) at lr 1e-2 and seed 3, and at the initial weights at lr 1e-1
+    # and seed 1, so the last weights are not the snapshot
+    cfg = TrainConfig(lr=lr, iterations=30, t_val=5, val_triplets=16,
+                      batch_probes=4, triplets_per_probe=2, seed=seed)
+    if model == "reranker":
+        res = train(train_ts, val_ts, fs, cfg, model=RerankerConfig(
+            s=3, d=4, num_classes=16, heads=2, hidden=8, mlp_hidden=8))
+        val_loss = batch_loss(_val_batch(val_ts, cfg, fs), res.weights, alpha=0.0, beta=cfg.beta)
+    else:
+        res = baseline.train_baseline(train_ts, val_ts, fs, cfg, hidden=8)
+        val_loss = baseline._pair_bce(_val_batch(val_ts, cfg, fs), res.weights,
+                                      want_grads=False)[0]
+    assert (res.best_iteration == 0) if initial else (0 < res.best_iteration < cfg.iterations)
+    assert val_loss == res.best_val_loss
 
 
 def test_train_is_deterministic(tiny_pipeline):
