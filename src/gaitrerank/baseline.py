@@ -18,7 +18,7 @@ import numpy as np
 
 from . import training as tr
 from .errors import NonFiniteError, ShapeError
-from .feature_store import FeatureSet, _lookup
+from .feature_store import FeatureSet
 from .inference import rerank as baseline_rerank  # noqa: F401 (one re-rank path, both models)
 from .reranker import (ParamStore, _load_params, _mlp_backward, _mlp_forward, _save_params,
                        _stable_sigmoid)
@@ -145,16 +145,16 @@ def train_baseline(
 ) -> tr.TrainResult:
     """Same sampling, optimizer and argmin stopping rule as the main
     trainer, with mean pair BCE as both the training and validation loss.
-    As in ``training.train``, an absent training id fails before iteration 0."""
+    As in ``training.train``, an absent training id, or a set with no
+    eligible entry, fails before iteration 0."""
     config = BaselineConfig(s=features.s, d=features.d, hidden=hidden)
-    _lookup(features.row_of, sorted(tr.referenced_sequences(train_ts)), "features for sequence")
     return tr._train_loop(
         train_ts,
         val_ts,
         features,
         cfg,
         # class labels go unused: the BCE targets come from the triplet roles
-        labels=dict.fromkeys(features.sequence_ids, 0),
+        labels=None,
         init=lambda seed: init_baseline(config, seed=seed),
         step=_pair_bce,
         val_loss=lambda batch, w: _pair_bce(batch, w, want_grads=False)[0],

@@ -124,6 +124,8 @@ def _add_build_trainset(sub) -> None:
 
 
 def _cmd_build_trainset(args) -> int:
+    if not 0.0 < args.val_split < 1.0:
+        raise ValueError(f"--val-split must be in (0, 1), got {args.val_split}")
     features = load_feature_set(args.features)
     train_fs, val_fs = training.split_train_val(features, val_fraction=args.val_split)
     train_ts = training.build_training_set(train_fs, v=args.v)

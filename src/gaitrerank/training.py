@@ -78,12 +78,11 @@ class TrainingEntry:
         if len(self.distances) != n or len(self.positive) != n:
             raise ValueError("candidate_ids, distances and positive must align")
 
-    # cached: the sampler reads them for every drawn probe
-    @cached_property
+    @property
     def positives(self) -> tuple[str, ...]:
         return tuple(c for c, p in zip(self.candidate_ids, self.positive) if p)
 
-    @cached_property
+    @property
     def negatives(self) -> tuple[str, ...]:
         return tuple(c for c, p in zip(self.candidate_ids, self.positive) if not p)
 
@@ -109,21 +108,25 @@ class TrainingSet:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def __iter__(self):
-        return iter(self.entries)
-
     def eligible_entries(self) -> tuple[TrainingEntry, ...]:
-        return self._eligible
-
-    @cached_property
-    def _eligible(self) -> tuple[TrainingEntry, ...]:
         return tuple(e for e in self.entries if e.eligible)
 
     @cached_property
-    def _eligible_counts(self) -> np.ndarray:
-        # (eligible, 2): each eligible entry's positive and negative counts
-        counts = [(len(e.positives), len(e.negatives)) for e in self._eligible]
-        return np.array(counts, dtype=np.int64).reshape(-1, 2)
+    def _row_index(self) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The set's row index, ``(ids, probes, counts, starts,
+        candidates)``: its sorted referenced ids, and per eligible entry its
+        probe's position in ``ids``, its (positive, negative) counts and
+        where those positives and negatives start in ``candidates``, the
+        positions of every eligible entry's positives, then its negatives."""
+        ids = sorted(referenced_sequences(self))
+        at = {sid: i for i, sid in enumerate(ids)}
+        eligible = self.eligible_entries()
+        counts = np.array([(len(e.positives), len(e.negatives)) for e in eligible],
+                          dtype=np.int64).reshape(-1, 2)
+        probes = np.array([at[e.probe_id] for e in eligible], dtype=np.intp)
+        candidates = np.array([at[c] for e in eligible for c in e.positives + e.negatives],
+                              dtype=np.intp)
+        return ids, probes, counts, np.cumsum(counts).reshape(-1, 2) - counts, candidates
 
 
 @dataclass(frozen=True)
@@ -218,8 +221,16 @@ def read_training_set(path) -> TrainingSet:
                     positive=_json_values(rec["positive"], bool),
                 )
             )
-            if not all(map(math.isfinite, entries[-1].distances)):
-                raise NonFiniteError(f"{path}: NaN or Inf distance for probe {rec['probe_id']!r}")
+            e = entries[-1]
+            if not all(map(math.isfinite, e.distances)):
+                raise NonFiniteError(f"{path}: NaN or Inf distance for probe {e.probe_id!r}")
+            # records build_training_set never writes, refused as read_ranked_lists does
+            if e.probe_id in e.candidate_ids:
+                raise FormatError(f"{path}: probe {e.probe_id!r} is among its own candidates")
+            if len(set(e.candidate_ids)) < len(e.candidate_ids):
+                raise FormatError(f"{path}: duplicate candidate id for probe {e.probe_id!r}")
+            if any(a > b for a, b in zip(e.distances, e.distances[1:])):
+                raise FormatError(f"{path}: distances are not ascending for probe {e.probe_id!r}")
         return TrainingSet(entries=tuple(entries), v=v)
     except (KeyError, OverflowError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: invalid training-set record ({exc})") from exc
@@ -232,26 +243,34 @@ def referenced_sequences(ts: TrainingSet) -> set[str]:
     }
 
 
-def sample_triplets(
-    ts: TrainingSet, cfg: TrainConfig, rng: np.random.Generator
-) -> list[Triplet]:
-    """Draw batch_probes eligible probes (without replacement when enough
-    exist) and triplets_per_probe (positive, negative) pairs per probe."""
-    eligible = ts.eligible_entries()
-    if not eligible:
-        raise DataError("training set has no entry with both a positive and a negative")
-    replace = len(eligible) < cfg.batch_probes
-    probe_idx = rng.choice(len(eligible), size=cfg.batch_probes, replace=replace)
-    rows = np.repeat(probe_idx, cfg.triplets_per_probe)
+def _eligible_index(ts: TrainingSet, what: str) -> tuple:
+    """``ts._row_index``; a set with no eligible entry is a DataError."""
+    if not len(ts._row_index[1]):
+        raise DataError(f"{what} set has no entry with both a positive and a negative")
+    return ts._row_index
+
+
+def _draw(index: tuple, cfg: TrainConfig, rng: np.random.Generator) -> np.ndarray:
+    """One batch from an eligible set's row index: its (probe, positive,
+    negative) positions in the index's ids, (B, 3). batch_probes eligible
+    probes (without replacement when enough exist), triplets_per_probe
+    pairs per probe."""
+    _, probes, counts, starts, candidates = index
+    replace = len(probes) < cfg.batch_probes
+    drawn = np.repeat(rng.choice(len(probes), size=cfg.batch_probes, replace=replace),
+                      cfg.triplets_per_probe)
     # one positive then one negative index per triplet, in one call: each
     # element of an array bound draws from the generator exactly as a
     # scalar rng.integers(bound) call would, so the draws are those of a
     # per-triplet loop
-    picks = rng.integers(ts._eligible_counts[rows]).tolist()
-    return [
-        Triplet(probe_id=e.probe_id, pos_id=e.positives[p], neg_id=e.negatives[n])
-        for e, (p, n) in zip(map(eligible.__getitem__, rows.tolist()), picks)
-    ]
+    picks = candidates[starts[drawn] + rng.integers(counts[drawn])]
+    return np.column_stack([probes[drawn], picks])
+
+
+def sample_triplets(ts: TrainingSet, cfg: TrainConfig, rng: np.random.Generator) -> list[Triplet]:
+    """The ids of the batch the training loop draws with ``rng``."""
+    index = _eligible_index(ts, "training")
+    return [Triplet(*map(index[0].__getitem__, t)) for t in _draw(index, cfg, rng).tolist()]
 
 
 def make_batch(
@@ -341,21 +360,20 @@ class TrainResult:
     history: list[LogRow] = field(default_factory=list)
 
 
-def _fixed_val_batch(
-    val_ts: TrainingSet,
-    cfg: TrainConfig,
-    features: FeatureSet,
-    rng: np.random.Generator,
-) -> IndexedBatch:
-    eligible = val_ts.eligible_entries()
-    if not eligible:
-        raise DataError("validation set has no entry with both a positive and a negative")
-    ids = []
+def _fixed_val_batch(val_ts: TrainingSet, cfg: TrainConfig, features: FeatureSet,
+                     rng: np.random.Generator) -> IndexedBatch:
+    """``cfg.val_triplets`` triplets drawn one at a time (probe, positive,
+    negative) from the set's row index; the first drawn id without
+    features is the MissingIdError."""
+    ids, *index = _eligible_index(val_ts, "validation")
+    probes, counts, starts, candidates = (a.tolist() for a in index)
+    drawn = []
     for _ in range(cfg.val_triplets):
-        entry = eligible[int(rng.integers(len(eligible)))]
-        pos, neg = entry.positives, entry.negatives
-        ids += entry.probe_id, pos[int(rng.integers(len(pos)))], neg[int(rng.integers(len(neg)))]
-    rows = np.array(_lookup(features.row_of, ids, "features for sequence"), dtype=np.intp)
+        e = rng.integers(len(probes))
+        # the probe, then a draw among its positives and one among its negatives
+        drawn += ids[probes[e]], *(ids[candidates[first + rng.integers(n)]]
+                                   for first, n in zip(starts[e], counts[e]))
+    rows = np.array(_lookup(features.row_of, drawn, "features for sequence"), dtype=np.intp)
     index = rows.reshape(-1, 3)
     # labels are unused for the ranking-only validation loss
     return IndexedBatch(features.strips, index, np.zeros(index.shape, dtype=np.int64))
@@ -376,11 +394,11 @@ def train(
     of the train-side entries; validation triplets feed only the ranking
     loss, so unseen validation identities are fine.
     """
-    train_seq_ids = sorted(referenced_sequences(train_ts))
-    seq_identities = _lookup(features.identity_map(), train_seq_ids, "features for sequence")
+    seq_identities = _lookup(features.identity_map(), train_ts._row_index[0],
+                             "features for sequence")
     train_identities = sorted(set(seq_identities))
     label_by_identity = {ident: i for i, ident in enumerate(train_identities)}
-    labels = {i: label_by_identity[ident] for i, ident in zip(train_seq_ids, seq_identities)}
+    labels = np.array([label_by_identity[i] for i in seq_identities], dtype=np.int64)
 
     if model.num_classes < len(train_identities):
         raise ValueError(
@@ -437,7 +455,7 @@ def _train_loop(
     val_ts: TrainingSet,
     features: FeatureSet,
     cfg: TrainConfig,
-    labels: Mapping[str, int],
+    labels: np.ndarray | None,
     init: Callable,
     step: Callable,
     val_loss: Callable,
@@ -446,11 +464,17 @@ def _train_loop(
     """The loop both models train with: seeded triplet batches, AdamW, and
     the argmin snapshot over validation evaluations every ``t_val``.
 
+    ``labels`` holds the class label of each of the training set's sorted
+    referenced ids (None: all 0, for a loss that reads none).
     ``init(seed)`` returns the starting weights, ``step(batch, weights)``
     the training loss and gradients, and ``val_loss(batch, weights)`` the
-    loss of the fixed validation batch.
+    loss of the fixed validation batch. The training ids are looked up once,
+    in sorted order, and each batch indexes their rows.
     """
     _retain_freed_memory()
+    index = _eligible_index(train_ts, "training")
+    rows = np.array(_lookup(features.row_of, index[0], "features for sequence"), dtype=np.intp)
+    labels = np.zeros(len(rows), dtype=np.int64) if labels is None else labels
     ss = np.random.SeedSequence(cfg.seed)
     init_seed, batch_seed, val_seed = (int(s.generate_state(1)[0]) for s in ss.spawn(3))
     weights = init(init_seed)
@@ -500,8 +524,8 @@ def _train_loop(
         best_iteration = 0
 
         for it in range(1, cfg.iterations + 1):
-            triplets = sample_triplets(train_ts, cfg, batch_rng)
-            batch = make_batch(triplets, features, labels)
+            drawn = _draw(index, cfg, batch_rng)
+            batch = IndexedBatch(features.strips, rows[drawn], labels[drawn])
             loss, grads = step(batch, weights)
             if not math.isfinite(loss):
                 raise loss_error(it, "training", batch)

@@ -585,11 +585,18 @@ def _first_record(**fields):
         # a non-finite distance exits 7, as in a ranked list
         ("trainset", _first_record(distances=lambda d: [float("nan"), *d[1:]]), 7),
         ("trainset", _first_record(distances=lambda d: [*d[:-1], float("inf")]), 7),
+        # records build-trainset never writes and read_ranked_lists refuses
+        ("trainset", lambda recs: [recs[0], {**recs[1], "candidates": [
+            recs[1]["probe_id"], *recs[1]["candidates"][1:]]}, *recs[2:]], 4),
+        ("trainset", _first_record(candidates=lambda c: [c[0], c[0], *c[2:]],
+                                   positive=lambda p: [True, False, *p[2:]]), 4),
+        ("trainset", _first_record(distances=lambda d: d[::-1]), 4),
     ],
     ids=["manifest-array", "record-string", "partition-list",
          "header-array", "candidates-number", "positive-number",
          "positive-strings", "distances-strings", "distance-bool", "candidate-number",
-         "probe-number", "distance-nan", "distance-inf"],
+         "probe-number", "distance-nan", "distance-inf", "probe-among-candidates",
+         "candidate-twice", "distances-descending"],
 )
 def test_malformed_manifest_or_trainset_exits_4(tmp_path, capsys, workdir, target, edit, code):
     feats = tmp_path / "feats.gfm"
@@ -864,6 +871,46 @@ def test_rank_refuses_k_below_1_before_reading_either_file(tmp_path, capsys, mon
                        "--k", k, "--out", str(out))
     assert code == 9
     assert json.loads(err) == {"error": "data", "message": f"k must be >= 1, got {k}"}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value, shown", [("0", "0.0"), ("1", "1.0"), ("1.5", "1.5"),
+                                          ("-0.1", "-0.1"), ("nan", "nan")])
+def test_build_trainset_refuses_val_split_outside_0_1_before_reading(tmp_path, capsys,
+                                                                     monkeypatch, value, shown):
+    _readers_raise(monkeypatch)
+    ts, vs = tmp_path / "train.jsonl", tmp_path / "val.jsonl"
+    code, _, err = run(capsys, "build-trainset", "--features", str(tmp_path / "missing"),
+                       "--v", "5", "--val-split", value, "--out-train", str(ts),
+                       "--out-val", str(vs))
+    assert code == 2
+    assert json.loads(err) == {"error": "invalid-value",
+                               "message": f"--val-split must be in (0, 1), got {shown}"}
+    assert not ts.exists() and not vs.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "train-baseline"])
+@pytest.mark.parametrize("which", ["training", "validation"])
+def test_a_set_with_no_eligible_entry_exits_9_before_iteration_0(tmp_path, capsys, workdir,
+                                                                 command, which):
+    ts, vs = tmp_path / "train.jsonl", tmp_path / "val.jsonl"
+    assert main(["build-trainset", "--features", str(workdir / "feats.gfm"), "--v", "5",
+                 "--val-split", "0.25", "--out-train", str(ts), "--out-val", str(vs)]) == 0
+    capsys.readouterr()
+    # every candidate flagged negative: no entry can make a triplet
+    target = ts if which == "training" else vs
+    head, *recs = [json.loads(line) for line in target.read_text().splitlines()]
+    target.write_text("".join(json.dumps(r) + "\n" for r in [head, *(
+        {**r, "positive": [False] * len(r["positive"])} for r in recs)]))
+    out = tmp_path / "model.bin"
+    code, stdout, err = run(capsys, command, "--trainset", str(ts), "--valset", str(vs),
+                            "--features", str(workdir / "feats.gfm"), "--hidden", "8",
+                            "--iters", "3", "--tval", "1", "--out-checkpoint", str(out))
+    assert code == 9 and stdout == ""
+    assert "iter 0" not in err
+    assert json.loads(err) == {
+        "error": "data",
+        "message": f"{which} set has no entry with both a positive and a negative"}
     assert not out.exists()
 
 

@@ -81,6 +81,9 @@ def test_mutated_training_set_loads_valid_or_raises(tmp_path, valid_files, edits
         assert all(type(d) is float and math.isfinite(d) for d in e.distances)
         assert all(type(p) is bool for p in e.positive)
         assert len(e.candidate_ids) == len(e.distances) == len(e.positive)
+        assert len(set(e.candidate_ids)) == len(e.candidate_ids)
+        assert e.probe_id not in e.candidate_ids
+        assert list(e.distances) == sorted(e.distances)
 
 
 @FUZZ

@@ -444,6 +444,33 @@ def test_train_validates_missing_features_and_class_budget(tiny_pipeline):
         train(train_ts, val_ts, fs, cfg, model=model)
 
 
+@pytest.mark.parametrize("iterations", [0, 3])
+@pytest.mark.parametrize("which", ["training", "validation"])
+@pytest.mark.parametrize("model", ["reranker", "baseline"])
+def test_a_set_with_no_eligible_entry_fails_before_iteration_0(tiny_pipeline, model, which,
+                                                               iterations):
+    fs, train_ts, val_ts = tiny_pipeline
+    # every candidate a negative: no entry can make a triplet
+    ts = train_ts if which == "training" else val_ts
+    empty = TrainingSet(tuple(entry(e.probe_id, e.candidate_ids, e.distances,
+                                    [False] * len(e.positive)) for e in ts.entries), v=ts.v)
+    sets = (empty, val_ts) if which == "training" else (train_ts, empty)
+
+    def progress(row):
+        raise AssertionError(f"progress called at iteration {row.iteration}")
+
+    cfg = TrainConfig(iterations=iterations, t_val=1, val_triplets=4, batch_probes=2,
+                      triplets_per_probe=1)
+    with pytest.raises(DataError, match=f"^{which} set has no entry with both a positive "
+                                        f"and a negative$"):
+        if model == "reranker":
+            train(*sets, fs, cfg, model=RerankerConfig(s=3, d=4, num_classes=16, heads=2,
+                                                       hidden=8, mlp_hidden=8),
+                  progress=progress)
+        else:
+            baseline.train_baseline(*sets, fs, cfg, hidden=8, progress=progress)
+
+
 def test_training_does_not_mutate_input_features(tiny_pipeline):
     fs, train_ts, val_ts = tiny_pipeline
     before = [e.strips.copy() for e in fs.entries]
