@@ -18,7 +18,7 @@ import os
 import stat
 import struct
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import IO, BinaryIO, Iterator
@@ -89,10 +89,11 @@ class FeatureSet:
 
     ``strips`` is the read-only float32 ``(n, s, d)`` array of all maps in
     entry order, ``sequence_ids`` and ``identity_ids`` the ids in that
-    order. The rest (the FeatureMap views in ``entries``, the id -> row
-    index, the ranking keys, and ``bound_table`` and ``sum_table``, the
-    gallery side of stage one's top-k bounds) is derived on first use and
-    cached: every layer reads ``strips`` itself instead of copying it.
+    order, kept as tuples, and ``row_of`` the sequence_id -> row index,
+    built once by the validation pass. The rest (the FeatureMap views in
+    ``entries``, the ranking keys, and ``bound_table`` and ``sum_table``,
+    the gallery side of stage one's top-k bounds) is derived on first use
+    and cached: every layer reads ``strips`` itself instead of copying it.
     Each table is built in one pass over ``strips`` on the first top-k
     call that reads it, never at load.
 
@@ -107,14 +108,17 @@ class FeatureSet:
     sequence_ids: tuple[str, ...]
     identity_ids: tuple[str, ...]
     partition: str = "train"
+    row_of: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        # tuples, so that a caller's list changed later leaves the set as built
+        sids, iids = tuple(self.sequence_ids), tuple(self.identity_ids)
         # a read-only view, so the caller's own array stays writeable
         strips = np.ascontiguousarray(self.strips, dtype=np.float32).view()
-        if strips.ndim != 3 or not len(strips) == len(self.sequence_ids) == len(self.identity_ids):
+        if strips.ndim != 3 or not len(strips) == len(sids) == len(iids):
             raise ShapeError(
-                f"strips of shape {strips.shape} for {len(self.sequence_ids)} sequence "
-                f"and {len(self.identity_ids)} identity ids; need (n, s, d) and n of each"
+                f"strips of shape {strips.shape} for {len(sids)} sequence "
+                f"and {len(iids)} identity ids; need (n, s, d) and n of each"
             )
         if strips.shape[1] < 1 or strips.shape[2] < 1:
             raise ShapeError(f"a set requires s >= 1 and d >= 1, got shape {strips.shape}")
@@ -127,18 +131,18 @@ class FeatureSet:
             if not finite.all():
                 first_bad = start + int(np.argmin(finite))
                 break
-        first_dup, seen = n, set()
-        for i, sid in enumerate(self.sequence_ids):
-            if sid in seen:
-                first_dup = i
-                break
-            seen.add(sid)
+        # each id's first row; only if an id repeats, its first repeat is
+        # the first row that is not its id's first
+        row_of = dict(zip(reversed(sids), range(n - 1, -1, -1)))
+        first_dup = n if len(row_of) == n else next(i for i, sid in enumerate(sids) if row_of[sid] != i)
         if first_dup < n and first_dup <= first_bad:
-            raise DuplicateIdError(f"duplicate sequence_id {self.sequence_ids[first_dup]!r}")
+            raise DuplicateIdError(f"duplicate sequence_id {sids[first_dup]!r}")
         if first_bad < n:
-            raise NonFiniteError(f"NaN or Inf in entry {first_bad} ({self.sequence_ids[first_bad]!r})")
+            raise NonFiniteError(f"NaN or Inf in entry {first_bad} ({sids[first_bad]!r})")
         strips.flags.writeable = False
-        object.__setattr__(self, "strips", strips)
+        for name, value in zip(("strips", "sequence_ids", "identity_ids", "row_of"),
+                               (strips, sids, iids, row_of)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_entries(
@@ -181,19 +185,8 @@ class FeatureSet:
     def __len__(self) -> int:
         return len(self.sequence_ids)
 
-    def __iter__(self) -> Iterator[FeatureMap]:
-        return iter(self.entries)
-
     def ids(self) -> list[str]:
         return list(self.sequence_ids)
-
-    @cached_property
-    def row_of(self) -> dict[str, int]:
-        """sequence_id -> row of ``strips``."""
-        return {sid: row for row, sid in enumerate(self.sequence_ids)}
-
-    def get(self, sequence_id: str) -> FeatureMap:
-        return self.entries[self.row_of[sequence_id]]
 
     def identity_map(self) -> dict[str, str]:
         """sequence_id -> identity_id for every entry."""
@@ -425,6 +418,6 @@ def load_feature_set(path) -> FeatureSet:
                 f"({manifest[sid]['identity']!r} vs {iid!r})"
             )
     try:
-        return FeatureSet(strips, tuple(sids), tuple(iids), partition)
+        return FeatureSet(strips, sids, iids, partition)
     except (DuplicateIdError, NonFiniteError) as exc:
         raise type(exc)(f"{p}: {exc}") from None

@@ -175,7 +175,7 @@ def split_train_val(
     val_ids = set(identities[len(identities) - n_val :])
     held = np.array([iid in val_ids for iid in features.identity_ids])
     ids = np.array([features.sequence_ids, features.identity_ids], dtype=object)
-    return tuple(FeatureSet(features.strips[rows], *map(tuple, ids[:, rows]), partition)
+    return tuple(FeatureSet(features.strips[rows], *ids[:, rows], partition)
                  for rows, partition in ((~held, "train"), (held, "val")))
 
 

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -216,3 +217,55 @@ def test_every_committed_record_holds_what_ab_writes(path):
         for side in ("base", "change"):
             operations = result["operations"][side]
             assert 0 <= operations["failed"] <= operations["attempted"], (workload, side)
+
+
+def test_paired_summary_of_fixed_rounds(ab):
+    # base-first rounds read 1.0 and change-first rounds 1.1, on base
+    # times that vary from round to round
+    base = [2.0, 4.0, 2.5, 5.0, 3.0, 6.0, 2.0, 4.0]
+    change = [b * (1.0 if i % 2 == 0 else 1.1) for i, b in enumerate(base)]
+    out = ab.paired_summary(base, change)
+    assert out["rounds"] == 8 and out["base_s"] == base and out["change_s"] == change
+    assert out["base_first_median"] == 1.0
+    assert out["change_first_median"] == pytest.approx(1.1)
+    assert out["median_ratio"] == pytest.approx(1.05)
+    low, high = out["interval_95"]
+    assert 1.0 <= low <= out["median_ratio"] <= high <= 1.1 + 1e-12
+    # the resamples are drawn with a fixed seed
+    assert ab.paired_summary(base, change) == out
+
+
+def test_paired_interval_of_a_constant_ratio_is_that_ratio(ab):
+    out = ab.paired_summary([1.0] * 6, [1.03] * 6)
+    assert out["median_ratio"] == out["base_first_median"] == out["change_first_median"] == 1.03
+    assert out["interval_95"] == [1.03, 1.03]
+
+
+def test_paired_interval_excludes_1_when_every_round_reads_slower(ab):
+    ratios = [1.02, 1.04, 1.03, 1.025, 1.035, 1.03, 1.02, 1.04, 1.03, 1.03]
+    out = ab.paired_summary([1.0] * len(ratios), ratios)
+    assert out["median_ratio"] == 1.03 and out["interval_95"][0] > 1.0
+
+
+def test_paired_copies_are_distinct_module_objects(ab):
+    import gaitrerank
+
+    names = ("ab_test_base", "ab_test_change")
+    try:
+        base, change = (ab.load_copy(ROOT / "src", name) for name in names)
+        assert base is not change and gaitrerank not in (base, change)
+        assert base.training.__name__ == "ab_test_base.training"
+        assert base.training is not change.training
+        assert base.feature_store.FeatureSet is not change.feature_store.FeatureSet
+        assert base.training.FeatureSet is base.feature_store.FeatureSet
+    finally:
+        for module in [m for m in sys.modules if m.split(".")[0] in names]:
+            del sys.modules[module]
+
+
+def test_paired_run_records_every_round_of_both_sides(ab):
+    out = ab.paired({"base": ROOT, "change": ROOT}, "tiny")
+    fixture, rounds, steps = ab.PAIRED["tiny"]
+    assert (out["fixture"], out["rounds"], out["steps"]) == (fixture, rounds, steps)
+    assert len(out["base_s"]) == len(out["change_s"]) == rounds
+    assert not any(m.startswith("ab_") for m in sys.modules)

@@ -152,7 +152,7 @@ def test_baseline_rerank_orders_by_descending_score(gallery):
     initial = rank_gallery(probe, gallery, k=None)
     k = 6
     out = baseline_rerank(probe, initial, gallery, w, k=k)
-    cand = np.stack([gallery.get(cid).strips for cid in initial.ids()[:k]])
+    cand = np.stack([gallery.entries[gallery.row_of[cid]].strips for cid in initial.ids()[:k]])
     scores = baseline_scores(probe.strips, cand, w)
     want = [cid for _, cid in sorted(zip(-scores, initial.ids()[:k]))]
     assert out.ids()[:k] == want
@@ -170,7 +170,7 @@ def test_baseline_rerank_of_a_list_within_k_shifts_its_distances_to_start_at_0(g
     # the order changed and no tail rescales the prefix, so its distances
     # are the negated scores shifted to a minimum of 0
     assert out.ids() != initial.ids()
-    values = -baseline_scores(probe.strips, np.stack([gallery.get(c).strips
+    values = -baseline_scores(probe.strips, np.stack([gallery.entries[gallery.row_of[c]].strips
                                                       for c in initial.ids()]), w)
     assert out.distances() == sorted((values - values.min()).tolist())
     assert out.distances()[0] == 0.0

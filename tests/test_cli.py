@@ -478,7 +478,7 @@ def test_diag_strips_with_and_without_checkpoint(tmp_path, capsys, workdir):
     assert code == 0
     assert out.read_text() != raw
     fs = load_feature_set(feats)
-    f_p, f_c = fs.get("id000-00").strips, fs.get("id001-00").strips
+    f_p, f_c = fs.entries[fs.row_of["id000-00"]].strips, fs.entries[fs.row_of["id001-00"]].strips
     want = tmp_path / "want.csv"
     write_cosine_csv(strip_cosine_matrix(*attended_pair(f_p, f_c, w)), want)
     assert out.read_bytes() == want.read_bytes()

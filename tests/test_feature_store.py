@@ -2,6 +2,7 @@ import json
 import os
 import struct
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from gaitrerank.feature_store import (
     manifest_path,
     save_feature_set,
 )
-from gaitrerank.ranking import rank_gallery
+from gaitrerank.ranking import rank_all, rank_gallery
 from gaitrerank.synth import generate
 from gaitrerank.training import Triplet, make_batch
 
@@ -236,9 +237,9 @@ def test_from_entries_empty_requires_dims():
 def test_accessors(small_set):
     assert small_set.identities() == [f"id{i:03d}" for i in range(6)]
     assert small_set.identity_map()["id002-01"] == "id002"
-    assert small_set.get("id003-00").sequence_id == "id003-00"
+    assert small_set.entries[small_set.row_of["id003-00"]].sequence_id == "id003-00"
     with pytest.raises(KeyError):
-        small_set.get("missing")
+        small_set.row_of["missing"]
     stack = small_set.strips
     assert stack.shape == (18, 4, 6)
     assert stack.dtype == np.float32
@@ -273,15 +274,29 @@ def test_entries_are_views_into_one_read_only_array(tmp_path, small_set):
     _assert_entries_view_the_array(generate(3, 2, 4, 5, hardness=0.5, noise=0.2, seed=0))
 
 
-def test_get_and_make_batch_resolve_ids_through_the_index():
+def test_row_of_and_make_batch_resolve_ids_through_the_index():
     strips = np.arange(3 * 2 * 2, dtype=np.float32).reshape(3, 2, 2)
     fs = FeatureSet(strips, ("c", "b", "a"), ("x", "y", "x"))
     assert fs.row_of == {"c": 0, "b": 1, "a": 2}
-    assert fs.get("a") is fs.entries[2]
-    assert fs.get("b").strips.tobytes() == strips[1].tobytes()
+    assert fs.entries[fs.row_of["b"]].strips.tobytes() == strips[1].tobytes()
     batch = make_batch([Triplet("a", "b", "c")], fs, {"a": 0, "b": 1, "c": 0})
     assert batch.maps is fs.strips
     assert batch.index.tolist() == [[2, 1, 0]]
+
+
+def test_a_set_keeps_its_ids_when_the_callers_lists_change():
+    strips = np.arange(3 * 2 * 2, dtype=np.float32).reshape(3, 2, 2)
+    sids, iids = ["c", "b", "a"], ["x", "y", "x"]
+    fs = FeatureSet(strips, sids, iids)
+    sids.append("d")
+    iids[0] = "z"
+    assert len(fs) == 3
+    assert (fs.sequence_ids, fs.identity_ids) == (("c", "b", "a"), ("x", "y", "x"))
+    assert fs.row_of == {"c": 0, "b": 1, "a": 2}
+    assert [rl.probe_id for rl in rank_all(fs, fs)] == ["c", "b", "a"]
+    # a replaced set builds its own index
+    val = replace(fs, partition="val")
+    assert val.row_of == fs.row_of and val.row_of is not fs.row_of
 
 
 def test_rank_gallery_allocates_no_copy_of_the_gallery():

@@ -117,7 +117,7 @@ def test_rerank_orders_prefix_by_attended_distance(setup):
     initial = rank_gallery(probe, fs, k=None)
     k = 6
     out = rerank(probe, initial, fs, weights, k=k)
-    cand = np.stack([fs.get(cid).strips for cid in initial.ids()[:k]])
+    cand = np.stack([fs.entries[fs.row_of[cid]].strips for cid in initial.ids()[:k]])
     dists = pair_distances(probe.strips, cand, weights)
     want = [cid for _, cid in sorted(zip(dists, initial.ids()[:k]))]
     assert out.ids()[:k] == want

@@ -555,7 +555,7 @@ def test_leave_one_out_ranking_takes_the_mirrored_pass(monkeypatch, small_set):
     for k in (None, n - 1):
         rank_all(small_set, small_set, k)
     # other probes, and a top-k list short of the whole gallery, do not
-    rank_all(list(small_set), small_set)
+    rank_all(small_set.entries, small_set)
     rank_all(small_set, small_set, n - 2)
     assert seen[:3] == [True, True, False] and not any(seen[3:])
 
@@ -665,10 +665,10 @@ def test_ranked_lists_bad_record(tmp_path):
 def test_rank_and_rerank_outputs_roundtrip(tmp_path, small_set):
     initial = rank_all(small_set, small_set)
     cfg = RerankerConfig(s=4, d=6, num_classes=6, heads=2, hidden=8, mlp_hidden=8)
-    reranked, _ = rerank_all(list(small_set), initial, small_set, init_weights(cfg, seed=4), k=8)
+    reranked, _ = rerank_all(small_set.entries, initial, small_set, init_weights(cfg, seed=4), k=8)
     weights = init_baseline(BaselineConfig(s=4, d=6, hidden=8), seed=4)
     baselined = [
-        baseline_rerank(p, rl, small_set, weights, k=8) for p, rl in zip(small_set, initial)
+        baseline_rerank(p, rl, small_set, weights, k=8) for p, rl in zip(small_set.entries, initial)
     ]
     assert reranked != initial and baselined != initial
     for lists in (initial, rank_all(small_set, small_set, k=5), reranked, baselined):

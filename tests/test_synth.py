@@ -126,12 +126,12 @@ def test_clean_configuration_is_exactly_separable():
 
 def test_pair_partner_is_rolled_copy_in_clean_config():
     fs = generate(4, 2, 5, 6, 0.0, 0.0, seed=7)
-    a = fs.get("id000-00").strips
-    b = fs.get("id001-00").strips
+    a = fs.entries[fs.row_of["id000-00"]].strips
+    b = fs.entries[fs.row_of["id001-00"]].strips
     assert b.tobytes() == np.roll(a, 1, axis=0).tobytes()
     assert b.tobytes() != a.tobytes()
     # different pairs share nothing
-    c = fs.get("id002-00").strips
+    c = fs.entries[fs.row_of["id002-00"]].strips
     assert not np.allclose(np.roll(a, 1, axis=0), c)
 
 
@@ -139,8 +139,8 @@ def test_hardness_blend_preserves_mean_row_in_clean_config():
     base = generate(4, 2, 5, 6, 0.0, 0.0, seed=11)
     hard = generate(4, 2, 5, 6, 0.8, 0.0, seed=11)
     for sid in base.ids():
-        m0 = base.get(sid).strips.astype(np.float64)
-        m8 = hard.get(sid).strips.astype(np.float64)
+        m0 = base.entries[base.row_of[sid]].strips.astype(np.float64)
+        m8 = hard.entries[hard.row_of[sid]].strips.astype(np.float64)
         np.testing.assert_allclose(m8.mean(axis=0), m0.mean(axis=0), atol=1e-5)
         np.testing.assert_allclose(m8, 0.2 * m0 + 0.8 * m0.mean(axis=0), atol=1e-5)
 

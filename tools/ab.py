@@ -2,6 +2,8 @@
 
     python3 tools/ab.py BASE CHANGE --topic NAME [--workloads rank,train]
         [--pairs 10] [--size {full,tiny}] [--out FILE]
+    python3 tools/ab.py --paired BASE CHANGE --topic NAME [--size {full,tiny}]
+        [--out FILE]
 
 Each revision is checked out with ``git worktree`` into a temporary
 directory and removed when the runs end, so the checkout this script runs
@@ -22,12 +24,24 @@ bound verdict (see ``summarize``). Every printed metric
 side's median and quartiles too. It also holds one traced run per side
 and workload (seed 1) and, at ``--size full``, the wall time and the ten
 slowest test phases of one Tier-1 test run per side.
+
+``--paired`` runs no perfbench: it imports both revisions' ``src/`` into
+this one process, each under its own package name, and times the
+training loop's iteration (``_draw``, ``IndexedBatch``,
+``forward_backward``, ``adamw_step``) on the acceptance fixture with the
+harness model, in alternating rounds of steps (see ``PAIRED``). The
+record's ``paired`` key holds the median ratio change / base of the
+rounds' times, each order's median and a 95% bootstrap interval (see
+``paired_summary``). Both sides share the process's global state (the
+allocator's settings, BLAS threads, warning filters), so a change to it
+cannot be measured this way.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
+import importlib.util
 import io
 import json
 import os
@@ -40,10 +54,26 @@ import time
 import tokenize
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("base", "change")
 # the benchmark must be the same code on both sides
 BENCHMARK_FILES = ("perfbench", "BENCHMARK.json")
+
+# the paired run's (fixture, rounds, steps a round): at "full" the
+# acceptance fixture (tests/test_acceptance.py), about a minute of rounds
+# on 2 vCPU; "tiny" checks the mechanics
+PAIRED = {
+    "full": (dict(identities=40, per_identity=6, s=8, d=16, hardness=0.7, noise=0.3, seed=1),
+             200, 20),
+    "tiny": (dict(identities=20, per_identity=3, s=4, d=6, hardness=0.7, noise=0.3, seed=1),
+             10, 2),
+}
+# the acceptance harness's model and optimizer
+HARNESS_MODEL = dict(heads=4, hidden=64, blocks=1, mlp_hidden=64)
+HARNESS_TRAIN = dict(lr=3e-4, seed=0)
+BOOTSTRAP = 2000
 
 
 def _quartiles(values: list[float]) -> dict:
@@ -129,6 +159,90 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
     return out
 
 
+def paired_summary(base: list[float], change: list[float]) -> dict:
+    """The change's paired ratio over rounds that time both sides, the base
+    first in even rounds: the median of change / base over all rounds and
+    over each order's rounds, and a 95% interval of that median from
+    BOOTSTRAP resamples of the rounds, drawn with a fixed seed."""
+    ratio = np.asarray(change, dtype=np.float64) / np.asarray(base, dtype=np.float64)
+    resampled = ratio[np.random.default_rng(0).integers(len(ratio), size=(BOOTSTRAP, len(ratio)))]
+    low, high = np.percentile(np.median(resampled, axis=1), [2.5, 97.5])
+    return {
+        "rounds": len(ratio),
+        "median_ratio": float(np.median(ratio)),
+        "base_first_median": float(np.median(ratio[0::2])),
+        "change_first_median": float(np.median(ratio[1::2])),
+        "interval_95": [float(low), float(high)],
+        "base_s": list(base),
+        "change_s": list(change),
+    }
+
+
+def load_copy(src: Path, name: str):
+    """The ``gaitrerank`` package under ``src``, imported with all its
+    modules as package ``name``, apart from any other copy."""
+    spec = importlib.util.spec_from_file_location(
+        name, src / "gaitrerank" / "__init__.py",
+        submodule_search_locations=[str(src / "gaitrerank")])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return package
+
+
+def _training_step(pkg, fixture: dict):
+    """One training iteration of package copy ``pkg``, as its training loop
+    runs it on the fixture's train split: draw a batch, index its rows,
+    forward and backward, one AdamW step."""
+    training, reranker = pkg.training, pkg.reranker
+    fs = pkg.synth.generate(**fixture)
+    cfg = training.TrainConfig(**HARNESS_TRAIN)
+    index = training._eligible_index(
+        training.build_training_set(training.split_train_val(fs)[0], v=cfg.v), "training")
+    identity = fs.identity_map()
+    identities = [identity[sid] for sid in index[0]]
+    label = {ident: i for i, ident in enumerate(sorted(set(identities)))}
+    rows = np.array([fs.row_of[sid] for sid in index[0]], dtype=np.intp)
+    labels = np.array([label[ident] for ident in identities], dtype=np.int64)
+    model = reranker.RerankerConfig(s=fs.s, d=fs.d, num_classes=len(label), **HARNESS_MODEL)
+    weights = reranker.init_weights(model, seed=cfg.seed)
+    state = training.init_adamw(weights)
+    rng = np.random.default_rng(cfg.seed)
+
+    def step() -> None:
+        drawn = training._draw(index, cfg, rng)
+        batch = reranker.IndexedBatch(fs.strips, rows[drawn], labels[drawn])
+        _, grads = reranker.forward_backward(batch, weights, alpha=cfg.alpha, beta=cfg.beta)
+        training.adamw_step(weights, grads, state, cfg)
+
+    return step
+
+
+def paired(trees: dict, size: str) -> dict:
+    """Both sides' training step in this process, timed in alternating
+    rounds after one untimed round each (see ``paired_summary``)."""
+    fixture, rounds, steps = PAIRED[size]
+    names = {side: f"ab_{side}" for side in SIDES}
+    try:
+        packages = {side: load_copy(trees[side] / "src", names[side]) for side in SIDES}
+        # the allocator's settings are the process's: set once, for both sides
+        packages["base"].training._retain_freed_memory()
+        run = {side: _training_step(packages[side], fixture) for side in SIDES}
+        times: dict = {side: [] for side in SIDES}
+        for i in range(-1, rounds):
+            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                t0 = time.perf_counter()
+                for _ in range(steps):
+                    run[side]()
+                if i >= 0:
+                    times[side].append(time.perf_counter() - t0)
+    finally:
+        for module in [m for m in sys.modules if m.split(".")[0] in names.values()]:
+            del sys.modules[module]
+    return {"workload": "training_step", "steps": steps, "fixture": fixture,
+            **paired_summary(times["base"], times["change"])}
+
+
 def _git(*args: str, cwd: Path = ROOT) -> str:
     return subprocess.run(["git", *args], cwd=cwd, check=True, capture_output=True,
                           text=True).stdout.strip()
@@ -197,8 +311,9 @@ def run(args) -> dict:
     if _git("diff", "--stat", commits["base"], commits["change"], "--", *BENCHMARK_FILES):
         sys.exit(f"ab: {' and '.join(BENCHMARK_FILES)} differ between the two revisions")
     spec = json.loads(_git("show", f"{commits['base']}:BENCHMARK.json"))
-    settings = {"seconds": spec["run_seconds"], "size": args.size, "pairs": args.pairs,
-                "seeds": list(range(1, args.pairs + 1))}
+    settings = {"size": args.size} if args.paired else {
+        "seconds": spec["run_seconds"], "size": args.size, "pairs": args.pairs,
+        "seeds": list(range(1, args.pairs + 1))}
     scratch = Path(tempfile.mkdtemp(prefix="ab-"))
     trees = {side: scratch / side for side in SIDES}
     try:
@@ -208,8 +323,11 @@ def run(args) -> dict:
             "topic": args.topic,
             **{side: _side(trees[side], rev) for side, rev in zip(SIDES, (args.base, args.change))},
             "settings": settings,
-            "workloads": {},
         }
+        if args.paired:
+            record["paired"] = paired(trees, args.size)
+            return record
+        record["workloads"] = {}
         envs = []
         for workload in args.workloads:
             pairs = []
@@ -245,6 +363,7 @@ def run(args) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--paired", action="store_true")
     parser.add_argument("base")
     parser.add_argument("change")
     parser.add_argument("--topic", required=True)
@@ -259,7 +378,13 @@ def main(argv=None) -> int:
     out = args.out or ROOT / f"BENCH_{args.topic}.json"
     record = run(args)
     out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
-    for workload, result in record["workloads"].items():
+    if args.paired:
+        p = record["paired"]
+        print(f"paired {p['workload']} change/base {p['median_ratio']:.4f} "
+              f"(95% {p['interval_95'][0]:.4f}-{p['interval_95'][1]:.4f}, base first "
+              f"{p['base_first_median']:.4f}, change first {p['change_first_median']:.4f}, "
+              f"{p['rounds']} rounds of {p['steps']} steps)")
+    for workload, result in record.get("workloads", {}).items():
         for name, m in result["metrics"].items():
             print(f"{workload:6s} {name:14s} {m['base']['median']:12.6g} -> "
                   f"{m['change']['median']:12.6g} {m['unit']:4s} wins {m['wins']}/{result['pairs']}"
